@@ -62,9 +62,18 @@ fn bench_theory_warm_start(c: &mut Criterion) {
         // One persistent session, as owned by a production `Solver`: rows
         // intern on the first pass, later iterations ride the warm basis.
         let mut session = TheorySession::new();
+        let checks: Vec<Vec<(u32, bool)>> = checks
+            .iter()
+            .map(|atoms| {
+                atoms
+                    .iter()
+                    .map(|a| (session.add_atom(&pool, a).unwrap(), true))
+                    .collect()
+            })
+            .collect();
         b.iter(|| {
-            for atoms in &checks {
-                black_box(session.check(&pool, atoms, config).unwrap());
+            for lits in &checks {
+                black_box(session.check(&pool, lits, config).unwrap());
             }
         })
     });
@@ -74,7 +83,7 @@ fn bench_theory_warm_start(c: &mut Criterion) {
 fn bench_solver_probe_loop(c: &mut Criterion) {
     // The decoder-shaped workload one level up: a warm `Solver` sweeping
     // value probes through `check_assuming`, every check hitting the
-    // persistent theory backend (and, on repeats, the verdict memo).
+    // persistent theory backend.
     let mut s = Solver::new();
     let vars: Vec<_> = (0..5).map(|t| s.int_var(&format!("i{t}"), 0, 60)).collect();
     let terms: Vec<_> = vars.iter().map(|&v| s.var(v)).collect();

@@ -109,6 +109,15 @@ fn response_id(line: &str) -> u64 {
     }
 }
 
+/// Sends one request line with a single `write`: `writeln!` on a raw
+/// `TcpStream` splits line and newline into two segments, and the second
+/// waits out the server's delayed ACK (~44 ms per request), which is the
+/// generator's own stall, not the server's latency.
+fn send_line(stream: &mut TcpStream, mut line: String) {
+    line.push('\n');
+    stream.write_all(line.as_bytes()).expect("send");
+}
+
 /// Closed loop: `clients` connections, each sending `per_client` requests
 /// back-to-back (a new request only after the previous terminal response).
 /// Latency is the per-request round trip.
@@ -132,7 +141,7 @@ fn closed_loop(
                         let id = (c * per_client + k) as u64;
                         let w = &windows[id as usize % windows.len()];
                         let t0 = Instant::now();
-                        writeln!(stream, "{}", impute_line(id, w)).expect("send");
+                        send_line(&mut stream, impute_line(id, w));
                         let mut line = String::new();
                         reader.read_line(&mut line).expect("recv");
                         latencies.push(t0.elapsed());
@@ -200,7 +209,7 @@ fn open_loop(
                                 sent.lock().unwrap().insert(id, Instant::now());
                                 let depth = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
                                 peak.fetch_max(depth, Ordering::SeqCst);
-                                writeln!(stream, "{line}").expect("send");
+                                send_line(&mut stream, line);
                             }
                         });
                         let collector = inner.spawn(move || {
@@ -301,7 +310,7 @@ fn main() {
         let stream = TcpStream::connect(addr).expect("connect");
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
         let mut stream = stream;
-        writeln!(stream, r#"{{"op":"shutdown"}}"#).expect("send shutdown");
+        send_line(&mut stream, r#"{"op":"shutdown"}"#.to_string());
         let mut ack = String::new();
         reader.read_line(&mut ack).expect("drain ack");
         run.join().expect("server thread");

@@ -624,7 +624,6 @@ pub fn ablation_lookahead_detailed(env: &BenchEnv) -> (Table, Vec<SolverBenchRow
         "pivots/char",
         "b&b nodes/char",
         "props/char",
-        "memo hits/char",
         "encode hit rate",
         "pool hit rate",
         "pool evictions",
@@ -703,7 +702,6 @@ pub fn ablation_lookahead_detailed(env: &BenchEnv) -> (Table, Vec<SolverBenchRow
                     total.solver_bnb_nodes += s.solver_bnb_nodes;
                     total.theory_propagations += s.theory_propagations;
                     total.theory_explanations += s.theory_explanations;
-                    total.theory_memo_hits += s.theory_memo_hits;
                     total.encode_cache_hits += s.encode_cache_hits;
                     total.encode_cache_misses += s.encode_cache_misses;
                     total.pool_hits += s.pool_hits;
@@ -753,7 +751,6 @@ pub fn ablation_lookahead_detailed(env: &BenchEnv) -> (Table, Vec<SolverBenchRow
             per_char(total.solver_pivots),
             per_char(total.solver_bnb_nodes),
             per_char(total.theory_propagations),
-            per_char(total.theory_memo_hits),
             encode_rate,
             pool_rate,
             if pool_total == 0 {

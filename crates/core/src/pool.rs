@@ -3,7 +3,7 @@
 //! Building a [`JitSession`] from scratch pays for variable declarations,
 //! Tseitin encodings, and — since the incremental theory backend — a fresh
 //! simplex tableau whose warm-start value (interned slack rows, carried
-//! basis, verdict memo) accrues only with use. A serving workload decodes
+//! basis) accrues only with use. A serving workload decodes
 //! thousands of requests against a handful of rule sets, so those warm
 //! structures are worth keeping: a [`SessionPool`] shelves released
 //! sessions under a caller-computed fingerprint of everything that shaped

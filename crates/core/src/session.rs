@@ -107,12 +107,13 @@ pub struct JitSession {
     next_epoch: u64,
     intervals: Vec<VarIntervals>,
     /// Memo of exact guided query results, keyed by
-    /// `(variable, prefix, extra_digits, fix_epoch)`. Repeated states across
+    /// `(fix_epoch, variable, prefix, extra_digits)` — epoch first, so a
+    /// rollback can cut off a frame's epochs as one range. Repeated states across
     /// a decode (and across rejection-sampling retries against the same
     /// session) hit this instead of the solver. A `BTreeMap` (not `HashMap`)
     /// so iteration order can never leak per-process hasher state into
     /// anything observable (determinism lint L1).
-    memo: BTreeMap<(usize, i64, usize, u64), bool>,
+    memo: BTreeMap<(u64, usize, i64, usize), bool>,
     cache_hits: u64,
     checks_saved: u64,
     /// The most recent satisfying model of the live constraint system, when
@@ -308,6 +309,10 @@ impl JitSession {
     pub fn rollback(&mut self, cp: SessionCheckpoint) {
         self.solver.retract();
         self.fix_epoch = cp.fix_epoch;
+        // Epochs allocated inside the frame are never current again (LIFO
+        // rollback, monotonic allocation): drop their memo entries, or a
+        // reused session grows by every record it ever decoded.
+        drop(self.memo.split_off(&(cp.fix_epoch + 1, 0, i64::MIN, 0)));
     }
 
     /// Discards every answer derived from the *current* constraint system:
@@ -543,7 +548,7 @@ impl JitSession {
         extra_digits: usize,
         windows: &[(i64, i64)],
     ) -> bool {
-        let key = (k, prefix, extra_digits, self.fix_epoch);
+        let key = (self.fix_epoch, k, prefix, extra_digits);
         if let Some(&answer) = self.memo.get(&key) {
             self.cache_hits += 1;
             self.checks_saved += 1;
@@ -903,6 +908,34 @@ mod tests {
         let checks_after_exact = s.checks();
         assert_eq!(s.value_feasible_guided(3, 17), answer);
         assert!(s.cache_hits() > hits_before || s.checks() == checks_after_exact);
+    }
+
+    #[test]
+    fn rollback_drops_the_frames_memo_entries() {
+        // A reused session must not grow by the records it has decoded:
+        // memo entries keyed to epochs allocated inside a rolled-back
+        // frame can never match again, so rollback deletes them — while
+        // entries of the checkpointed epoch stay and keep hitting.
+        let mut s = paper_session();
+        let _ = s.value_feasible_guided(0, 17);
+        let base = s.memo.len();
+        assert!(base > 0, "the exact answer at the base epoch is memoized");
+        for round in 0..4 {
+            let cp = s.checkpoint();
+            s.fix(0, 20);
+            s.fix(1, 15);
+            s.fix(2, 25);
+            let _ = s.value_feasible_guided(3, 17);
+            assert!(
+                s.memo.len() > base,
+                "round {round}: in-frame answer memoized"
+            );
+            s.rollback(cp);
+            assert_eq!(s.memo.len(), base, "round {round}");
+        }
+        let hits = s.cache_hits();
+        let _ = s.value_feasible_guided(0, 17);
+        assert!(s.cache_hits() > hits, "base-epoch entry survived");
     }
 
     #[test]

@@ -146,7 +146,7 @@ fn batched_imputation_matrix_is_byte_identical() {
 
     // Fingerprint = decoded bytes plus the per-record solver cost profile
     // (checks, warm-tableau pivots, branch-and-bound nodes, theory
-    // propagations/explanations, verdict-memo and Tseitin-cache traffic):
+    // propagations/explanations and Tseitin-cache traffic):
     // batching and threading may regroup model calls but must not change
     // any per-record solver work.
     let decode_all = |threads: usize, batch: usize| -> Vec<String> {
@@ -168,14 +168,13 @@ fn batched_imputation_matrix_is_byte_identical() {
                 let o = r.unwrap();
                 let s = o.stats;
                 format!(
-                    "{}|checks={} pivots={} bnb={} props={}/{} memo={} enc={}/{}",
+                    "{}|checks={} pivots={} bnb={} props={}/{} enc={}/{}",
                     o.text,
                     s.solver_checks,
                     s.solver_pivots,
                     s.solver_bnb_nodes,
                     s.theory_propagations,
                     s.theory_explanations,
-                    s.theory_memo_hits,
                     s.encode_cache_hits,
                     s.encode_cache_misses,
                 )

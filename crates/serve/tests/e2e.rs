@@ -306,3 +306,36 @@ fn graceful_drain_answers_everything_admitted_then_refuses() {
         "server still accepting after drain"
     );
 }
+
+#[test]
+fn ping_round_trip_does_not_wait_out_a_delayed_ack() {
+    // A client that leaves Nagle on and sends each request in one segment
+    // (what any line-buffered client does). A response split into two
+    // segments stalls on this client's delayed ACK for ~40 ms per round
+    // trip once the connection leaves its initial quick-ACK phase, so the
+    // median of a run of pings tells the two framings apart.
+    let d = dataset();
+    let server = Server::new(imputation_model(&d), rules(), config(&d));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let mut rtts = Vec::new();
+    std::thread::scope(|s| {
+        let run = s.spawn(|| server.run(listener).unwrap());
+        let (mut reader, mut stream) = connect(addr);
+        for _ in 0..31 {
+            let t0 = std::time::Instant::now();
+            stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+            let pong = read_lines(&mut reader, 1);
+            rtts.push(t0.elapsed());
+            assert!(pong[0].contains("pong"), "{}", pong[0]);
+        }
+        shutdown(addr);
+        run.join().unwrap();
+    });
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < std::time::Duration::from_millis(5),
+        "median ping round trip {median:?}: the response left in two segments"
+    );
+}

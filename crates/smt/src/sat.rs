@@ -138,7 +138,8 @@ pub struct SatStats {
     pub propagations: u64,
     /// Number of restarts performed.
     pub restarts: u64,
-    /// Number of learnt clauses currently in the database.
+    /// Number of learnt clauses currently in the database (maintained as
+    /// clauses attach and detach).
     pub learnts: usize,
     /// Learnt-database reduction rounds performed.
     pub reduce_dbs: u64,
@@ -175,11 +176,11 @@ enum Reason {
 ///
 /// Consultation happens at the *search root* — unit propagation at a
 /// fixpoint, every assumption placed, no decisions on the trail — once per
-/// solve plus once per backjump past the assumption boundary. A consult is
-/// O(asserted + candidate atoms), so running it after every decision's
-/// fixpoint would dominate wall time; at the root it prices in where the
-/// payoff is, pre-placing the consequences of unit-asserted facts below
-/// the whole search.
+/// solve plus once per backjump past the assumption boundary. A consult
+/// partitions the atom registry (1–2 µs measured), so running it after
+/// every decision's fixpoint would still cost O(atoms) per decision; at the
+/// root it prices in where the payoff is, pre-placing the consequences of
+/// unit-asserted facts below the whole search.
 ///
 /// # Contract
 ///
@@ -193,10 +194,10 @@ enum Reason {
 ///   the trail when the literal was enqueued. The clause must be valid
 ///   independently of the current assignment (a theory lemma).
 pub trait TheoryPropagator {
-    /// Derives literals implied by the theory under the current assignment.
-    /// Returning a literal that is already assigned is allowed (it is
-    /// skipped); returning an unallocated variable is an error.
-    fn propagate(&mut self, sat: &SatSolver) -> Result<Vec<Lit>, SolverError>;
+    /// Appends to `out` (handed over empty) the literals implied by the
+    /// theory under the current assignment. An already-assigned literal is
+    /// allowed (it is skipped); an unallocated variable is an error.
+    fn propagate(&mut self, sat: &SatSolver, out: &mut Vec<Lit>) -> Result<(), SolverError>;
 
     /// The reason clause for a literal previously returned by
     /// [`Self::propagate`], with the implied literal in slot 0.
@@ -240,6 +241,8 @@ pub struct SatSolver {
     /// every subsequent [`Self::solve`] fail instead of indexing out of range.
     invalid: Option<SolverError>,
     seen: Vec<bool>,
+    /// Buffer a theory consult fills, kept so consults allocate nothing.
+    theory_implied: Vec<Lit>,
     stats: SatStats,
     max_learnts: usize,
 }
@@ -277,6 +280,7 @@ impl SatSolver {
             ok: true,
             invalid: None,
             seen: Vec::new(),
+            theory_implied: Vec::new(),
             stats: SatStats::default(),
             max_learnts: 4096,
         }
@@ -289,13 +293,7 @@ impl SatSolver {
 
     /// Current statistics.
     pub fn stats(&self) -> SatStats {
-        let mut s = self.stats;
-        s.learnts = self
-            .clauses
-            .iter()
-            .filter(|c| c.learnt && !c.lits.is_empty())
-            .count();
-        s
+        self.stats
     }
 
     /// Number of live (attached) clauses in the database, problem and learnt
@@ -363,9 +361,7 @@ impl SatSolver {
     /// the conjunction it hands to the theory check: such a literal is
     /// entailed by the ordinary assertions below it on the trail, so
     /// re-asserting it into the tableau cannot change the verdict — it only
-    /// inflates the check (one no-op bound assert per propagated literal)
-    /// and splits the theory-verdict memo key away from the
-    /// propagation-off fingerprint.
+    /// inflates the check (one no-op bound assert per propagated literal).
     pub fn reason_is_theory(&self, v: SatVar) -> bool {
         self.assigns[v.index()] != LBool::Undef && self.reason[v.index()] == Reason::Theory
     }
@@ -467,6 +463,7 @@ impl SatSolver {
         for l in &lits {
             self.occ[l.var().index()] += 1;
         }
+        self.stats.learnts += usize::from(learnt);
         let cr = self.alloc_clause(lits, learnt);
         self.watches[(!l0).code()].push(Watcher {
             clause: cr,
@@ -487,6 +484,7 @@ impl SatSolver {
             let v = self.clauses[cr].lits[i].var().index();
             self.occ[v] = self.occ[v].saturating_sub(1);
         }
+        self.stats.learnts -= usize::from(self.clauses[cr].learnt);
         self.clauses[cr].lits.clear();
         self.free_clauses.push(cr);
     }
@@ -965,7 +963,7 @@ impl SatSolver {
                 self.learn(learnt);
                 self.var_inc *= VAR_DECAY;
                 self.cla_inc *= CLA_DECAY;
-                if self.stats().learnts > self.max_learnts {
+                if self.stats.learnts > self.max_learnts {
                     self.reduce_db();
                     self.max_learnts += self.max_learnts / 10;
                 }
@@ -1005,19 +1003,20 @@ impl SatSolver {
                 //
                 // Consultation is restricted to the *search root* (no
                 // decisions on the trail, only assumptions): a consult
-                // re-asserts every asserted atom into the tableau and
-                // scans the whole candidate registry, so running it after
-                // every decision's fixpoint costs O(atoms) per decision
-                // and dominates wall time. At the root it fires once per
-                // solve (plus once per backjump past the assumption
-                // boundary), which is where the payoff lives anyway: the
-                // consequences of unit-asserted facts reach the trail
-                // before any search happens above them.
+                // partitions the whole atom registry, so running it after
+                // every decision's fixpoint costs O(atoms) per decision.
+                // At the root it fires once per solve (plus once per
+                // backjump past the assumption boundary), which is where
+                // the payoff lives anyway: the consequences of
+                // unit-asserted facts reach the trail before any search
+                // happens above them.
                 if dl == assumptions.len() {
                     if let Some(p) = prop.as_deref_mut() {
-                        let implied = p.propagate(&*self)?;
+                        let mut implied = std::mem::take(&mut self.theory_implied);
+                        implied.clear();
+                        p.propagate(&*self, &mut implied)?;
                         let mut enqueued = false;
-                        for l in implied {
+                        for &l in &implied {
                             if l.var().index() >= self.assigns.len() {
                                 return Err(SolverError::Internal(
                                     "theory propagator implied an unallocated variable",
@@ -1029,6 +1028,7 @@ impl SatSolver {
                                 enqueued = true;
                             }
                         }
+                        self.theory_implied = implied;
                         if enqueued {
                             continue;
                         }
@@ -1091,6 +1091,13 @@ mod tests {
             vars.push(s.new_var());
         }
         Lit::new(vars[idx], pos)
+    }
+
+    /// The learnt count by scanning the clause database, which the live
+    /// counter in `stats()` must equal.
+    fn scanned_learnts(s: &SatSolver) -> usize {
+        let live = |c: &&Clause| c.learnt && !c.lits.is_empty();
+        s.clauses.iter().filter(live).count()
     }
 
     #[test]
@@ -1262,6 +1269,8 @@ mod tests {
             }
         }
         assert_eq!(s.solve(&[Lit::new(sel, true)]).unwrap(), SatOutcome::Unsat);
+        assert!(s.stats().learnts > 0, "refutation learnt nothing");
+        assert_eq!(s.stats().learnts, scanned_learnts(&s));
         s.retract(sel);
         assert_eq!(
             s.num_live_clauses(),
@@ -1332,6 +1341,7 @@ mod tests {
             }
             let got = s.solve(&[]).unwrap() == SatOutcome::Sat;
             assert_eq!(got, bf_sat, "round {round} disagreed");
+            assert_eq!(s.stats().learnts, scanned_learnts(&s), "round {round}");
             if got {
                 // Verify the model actually satisfies every clause.
                 for c in &cls {

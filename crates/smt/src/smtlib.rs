@@ -254,20 +254,19 @@ fn exec(solver: &mut Solver, form: &Sexp, out: &mut ScriptOutput) -> Result<(), 
         }
         "get-stats" => {
             // Non-standard: the solver's per-check cost profile (DPLL(T)
-            // checks, warm-tableau work, memo/cache traffic) as one
+            // checks, warm-tableau work, cache traffic) as one
             // `(:key value …)` attribute line, in the spirit of Z3's
             // `(get-info :all-statistics)`.
             let s = solver.stats();
             out.lines.push(format!(
                 "(:checks {} :theory-checks {} :theory-conflicts {} \
-                 :theory-memo-hits {} :theory-propagations {} \
+                 :theory-propagations {} \
                  :theory-explanations {} :tableau-builds {} :slack-rows {} \
                  :slack-row-hits {} :pivots {} :bnb-nodes {} \
                  :encode-cache {}/{} :session-pool {}/{}/{})",
                 s.checks,
                 s.theory_checks,
                 s.theory_conflicts,
-                s.theory_memo_hits,
                 s.theory_propagations,
                 s.theory_explanations,
                 s.tableau_builds,
@@ -595,7 +594,6 @@ mod tests {
         assert!(stats.starts_with("(:checks 2"), "{stats}");
         for key in [
             ":theory-checks",
-            ":theory-memo-hits",
             ":theory-propagations",
             ":theory-explanations",
             ":tableau-builds",
@@ -605,9 +603,6 @@ mod tests {
         ] {
             assert!(stats.contains(key), "missing {key} in {stats}");
         }
-        // The repeated check-sat re-checks the same boolean model, so the
-        // warm backend must have answered it from the verdict memo.
-        assert!(!stats.contains(":theory-memo-hits 0"), "{stats}");
     }
 
     #[test]

@@ -23,10 +23,9 @@ use std::collections::BTreeMap;
 
 use crate::cnf::Encoder;
 use crate::error::SolverError;
-use crate::linear::LinAtom;
-use crate::sat::{Lit, SatOutcome, SatSolver, SatStats, SatVar, TheoryPropagator};
+use crate::sat::{Lit, SatOutcome, SatSolver, SatStats, TheoryPropagator};
 use crate::term::{Sort, Term, TermId, TermPool, VarId};
-use crate::theory::{TheoryConfig, TheorySession, TheoryVerdict};
+use crate::theory::{TheoryConfig, TheoryPropagation, TheorySession, TheoryVerdict};
 
 /// The result of a satisfiability check.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -108,14 +107,10 @@ impl Model {
 pub struct SolverStats {
     /// `check()` calls (including internal ones from minimize/maximize).
     pub checks: u64,
-    /// DPLL(T) iterations: SAT models proposed to the theory (including
-    /// those answered by the verdict memo).
+    /// DPLL(T) iterations: SAT models proposed to the theory.
     pub theory_checks: u64,
     /// Theory conflicts (blocking clauses learned).
     pub theory_conflicts: u64,
-    /// DPLL(T) iterations answered by the theory-verdict memo without
-    /// touching the tableau (a subset of `theory_checks`).
-    pub theory_memo_hits: u64,
     /// Tableau (re)build rounds in the theory session. A warm session
     /// builds once per declared-variable set; the historical fresh-per-check
     /// backend would count one per theory check.
@@ -234,103 +229,116 @@ const MAX_REFINEMENTS: u64 = 100_000;
 /// The [`TheoryPropagator`] a [`Solver`] hands to the SAT core during
 /// `check()` when [`TheoryConfig::propagate`] is on: an adapter from trail
 /// state to [`TheorySession::propagate`] calls, recording each propagated
-/// literal's antecedents so `explain` can build the reason clause on demand.
+/// literal's antecedent so `explain` can build the reason clause on demand.
 ///
-/// Built fresh per `SatSolver::solve_with` call — antecedent records never
-/// outlive the solve that produced them. That is sound because a literal's
-/// reason is only consulted while the literal sits on the trail above the
-/// root level, and every such literal is unassigned again when the next
-/// solve starts (`cancel_until(0)`); theory-propagated literals *at* the
-/// root level keep their lazy marker across solves but are never resolved
-/// on (1-UIP skips root literals), so their explanations are never
-/// requested.
+/// Built per `SatSolver::solve_with` call over buffers the solver keeps. An
+/// antecedent record is overwritten by its variable's next propagation and
+/// is read only for a literal that propagation put on the trail: a
+/// literal's reason is consulted while it sits above the root level, and
+/// every such literal is unassigned again when the next solve starts
+/// (`cancel_until(0)`); theory-propagated literals *at* the root level
+/// keep their lazy marker across solves but are never resolved on (1-UIP
+/// skips root literals), so their explanations are never requested.
 struct SessionPropagator<'a> {
     pool: &'a TermPool,
     enc: &'a Encoder,
     theory: &'a mut TheorySession,
-    atom_live: &'a [u32],
+    live_atoms: &'a [u32],
     /// Innermost frame selector at solve time. Explanation clauses are
     /// guarded with its negation so `retract` deletes them with the frame —
     /// an unguarded explanation would pin its atom variables live forever
     /// (the same argument as for theory blocking lemmas in
     /// [`Solver::check`]).
     guard: Option<Lit>,
-    /// Antecedent literals of every propagation this solve, keyed by the
-    /// propagated literal.
-    antecedents: BTreeMap<Lit, Vec<Lit>>,
+    scratch: &'a mut PropScratch,
+}
+
+/// Buffers the propagator reuses across consults (owned by the solver, so
+/// a consult allocates nothing once they have grown).
+#[derive(Default)]
+struct PropScratch {
+    asserted: Vec<(u32, bool)>,
+    candidates: Vec<u32>,
+    props: Vec<TheoryPropagation>,
+    /// Antecedent literal of the latest propagation of each SAT variable
+    /// (`None`: declared bounds alone), indexed by variable.
+    antecedent: Vec<Option<Lit>>,
 }
 
 impl TheoryPropagator for SessionPropagator<'_> {
-    fn propagate(&mut self, sat: &SatSolver) -> Result<Vec<Lit>, SolverError> {
+    fn propagate(&mut self, sat: &SatSolver, out: &mut Vec<Lit>) -> Result<(), SolverError> {
         // Partition the live atom registry (in registry order, which makes
         // the propagation order deterministic) into asserted atoms and
         // unassigned candidates.
-        let mut asserted: Vec<LinAtom> = Vec::new();
-        let mut asserted_lits: Vec<Lit> = Vec::new();
-        let mut candidates: Vec<LinAtom> = Vec::new();
-        let mut cand_vars: Vec<SatVar> = Vec::new();
-        for (i, (atom, sv)) in self.enc.atoms().iter().enumerate() {
-            if self.atom_live.get(i).copied().unwrap_or(0) == 0 {
-                continue;
-            }
+        let sc = &mut *self.scratch;
+        sc.asserted.clear();
+        sc.candidates.clear();
+        sc.props.clear();
+        let atoms = self.enc.atoms();
+        let var_of = |i: u32| {
+            let atom = atoms.get(i as usize);
+            atom.map(|a| a.1)
+                .ok_or(SolverError::Internal("theory atom outside the registry"))
+        };
+        for &i in self.live_atoms {
+            let sv = var_of(i)?;
             // A literal this propagator itself placed earlier carries no
             // new information — it is entailed by the real assertions —
             // so it joins neither side of the partition: re-asserting it
             // would be a no-op bound assert, and as an antecedent it would
             // weaken explanations (the real assertions beneath it are the
             // better reason).
-            if sat.reason_is_theory(*sv) {
+            if sat.reason_is_theory(sv) {
                 continue;
             }
-            match sat.assigned_value(*sv) {
-                Some(val) => {
-                    asserted.push(if val { atom.clone() } else { atom.negated() });
-                    asserted_lits.push(Lit::new(*sv, val));
-                }
+            match sat.assigned_value(sv) {
+                Some(val) => sc.asserted.push((i, val)),
                 // Only branchable variables are worth propagating: a var
                 // with no live clause occurrence (e.g. an interval-probe
                 // atom used purely as a `check_assuming` assumption) is
                 // never decided and watches nothing, so enqueueing it costs
                 // trail traffic without pruning any search.
-                None if sat.is_branchable(*sv) => {
-                    candidates.push(atom.clone());
-                    cand_vars.push(*sv);
-                }
+                None if sat.is_branchable(sv) => sc.candidates.push(i),
                 None => {}
             }
         }
-        let props = self.theory.propagate(self.pool, &asserted, &candidates)?;
-        let mut out = Vec::with_capacity(props.len());
-        for p in props {
-            let &sv = cand_vars
-                .get(p.candidate)
-                .ok_or(SolverError::Internal("propagated candidate out of range"))?;
-            let lit = Lit::new(sv, p.value);
-            let mut ants = Vec::with_capacity(p.antecedents.len());
-            for ai in p.antecedents {
-                ants.push(
-                    *asserted_lits
-                        .get(ai)
-                        .ok_or(SolverError::Internal("propagation antecedent out of range"))?,
-                );
-            }
-            self.antecedents.insert(lit, ants);
-            out.push(lit);
+        self.theory
+            .propagate(self.pool, &sc.asserted, &sc.candidates, &mut sc.props)?;
+        if sc.antecedent.len() < sat.num_vars() {
+            sc.antecedent.resize(sat.num_vars(), None);
         }
-        Ok(out)
+        for p in &sc.props {
+            let sv = var_of(p.atom)?;
+            let antecedent = match p.antecedent {
+                Some(a) => {
+                    let av = var_of(a)?;
+                    let val = sat
+                        .assigned_value(av)
+                        .ok_or(SolverError::Internal("propagation antecedent unassigned"))?;
+                    Some(Lit::new(av, val))
+                }
+                None => None,
+            };
+            if let Some(slot) = sc.antecedent.get_mut(sv.index()) {
+                *slot = antecedent;
+            }
+            out.push(Lit::new(sv, p.value));
+        }
+        Ok(())
     }
 
     fn explain(&mut self, lit: Lit) -> Result<Vec<Lit>, SolverError> {
-        let ants = self
-            .antecedents
-            .get(&lit)
+        let ant = self
+            .scratch
+            .antecedent
+            .get(lit.var().index())
             .ok_or(SolverError::Internal("explanation for unknown propagation"))?;
-        let mut clause = Vec::with_capacity(ants.len() + 2);
+        let mut clause = Vec::with_capacity(3);
         clause.push(lit);
         if let Some(g) = self.guard {
             clause.push(!g);
         }
-        clause.extend(ants.iter().map(|&a| !a));
+        clause.extend(ant.map(|a| !a));
         Ok(clause)
     }
 }
@@ -341,14 +349,6 @@ pub struct Solver {
     sat: SatSolver,
     enc: Encoder,
     theory: TheorySession,
-    /// Deterministic theory-verdict memo, keyed by the asserted-atom
-    /// fingerprint (the assigned atom literals in registry order). Valid
-    /// regardless of frames: a conjunction's LIA status does not depend on
-    /// which frame asserted it. Cleared when the declared-variable set
-    /// grows (a memoized Sat model would be missing the new variables).
-    theory_memo: BTreeMap<Vec<Lit>, TheoryVerdict>,
-    /// Declared-variable count the memo entries were computed under.
-    memo_vars: usize,
     frames: Vec<Lit>,
     /// Generation id per open frame, parallel to `frames`. Ids are
     /// allocated monotonically and never reused — unlike selector
@@ -369,14 +369,17 @@ pub struct Solver {
     /// without this filter a long-lived session's theory checks would grow
     /// with everything it ever asserted instead of with what is live now.
     atom_live: Vec<u32>,
+    /// The registry indices with a non-zero `atom_live` count, ascending:
+    /// what a consult and a theory check walk instead of the registry, so
+    /// neither grows with the atoms a long session has retired.
+    live_atoms: Vec<u32>,
     model: Option<Model>,
     stats: SolverStats,
     theory_config: TheoryConfig,
+    prop_scratch: PropScratch,
+    /// Reused buffer for the asserted-atom conjunction of a theory check.
+    conj: Vec<(u32, bool)>,
 }
-
-/// Entry cap for the theory-verdict memo; the map is cleared wholesale when
-/// full (deterministic, and cheaper than tracking recency).
-const THEORY_MEMO_CAP: usize = 8192;
 
 impl Default for Solver {
     fn default() -> Self {
@@ -392,16 +395,17 @@ impl Solver {
             sat: SatSolver::new(),
             enc: Encoder::new(),
             theory: TheorySession::new(),
-            theory_memo: BTreeMap::new(),
-            memo_vars: 0,
             frames: Vec::new(),
             frame_ids: Vec::new(),
             next_frame_id: 0,
             frame_atoms: Vec::new(),
             atom_live: Vec::new(),
+            live_atoms: Vec::new(),
             model: None,
             stats: SolverStats::default(),
             theory_config: TheoryConfig::default(),
+            prop_scratch: PropScratch::default(),
+            conj: Vec::new(),
         }
     }
 
@@ -456,9 +460,7 @@ impl Solver {
     }
 
     /// Replaces the theory configuration (e.g. a tiny branch-and-bound node
-    /// budget to force [`SatResult::Unknown`] in tests). Memoized verdicts
-    /// are kept: Sat/Unsat answers are budget-independent truths, and
-    /// `Unknown` is never memoized.
+    /// budget to force [`SatResult::Unknown`] in tests).
     pub fn set_theory_config(&mut self, config: TheoryConfig) {
         self.theory_config = config;
     }
@@ -586,7 +588,12 @@ impl Solver {
         }
         let cone = self.enc.cone(&self.pool, t);
         for &i in cone {
-            self.atom_live[i as usize] += 1;
+            let count = &mut self.atom_live[i as usize];
+            *count += 1;
+            if *count == 1 {
+                let at = self.live_atoms.partition_point(|&j| j < i);
+                self.live_atoms.insert(at, i);
+            }
         }
         if !self.frames.is_empty() {
             let cone = cone.to_vec();
@@ -633,6 +640,9 @@ impl Solver {
                     let c = &mut self.atom_live[i as usize];
                     *c = c.saturating_sub(1);
                 }
+                let atom_live = &self.atom_live;
+                self.live_atoms
+                    .retain(|&j| atom_live.get(j as usize).is_some_and(|&c| c > 0));
             }
             self.model = None;
         }
@@ -661,12 +671,9 @@ impl Solver {
     pub fn check(&mut self) -> Result<SatResult, SolverError> {
         self.stats.checks += 1;
         self.model = None;
-        let assumptions: Vec<Lit> = self.frames.clone();
-        // A grown declared-variable set invalidates memoized Sat models
-        // (they would be missing values for the new variables).
-        if self.pool.vars().len() != self.memo_vars {
-            self.theory_memo.clear();
-            self.memo_vars = self.pool.vars().len();
+        // Compile atoms registered since the last check into the theory.
+        for (atom, _) in self.enc.atoms().iter().skip(self.theory.num_atoms()) {
+            self.theory.add_atom(&self.pool, atom)?;
         }
 
         for _ in 0..MAX_REFINEMENTS {
@@ -679,13 +686,13 @@ impl Solver {
                     pool: &self.pool,
                     enc: &self.enc,
                     theory: &mut self.theory,
-                    atom_live: &self.atom_live,
+                    live_atoms: &self.live_atoms,
                     guard: self.frames.last().copied(),
-                    antecedents: BTreeMap::new(),
+                    scratch: &mut self.prop_scratch,
                 };
-                self.sat.solve_with(&assumptions, Some(&mut prop))?
+                self.sat.solve_with(&self.frames, Some(&mut prop))?
             } else {
-                self.sat.solve(&assumptions)?
+                self.sat.solve(&self.frames)?
             };
             match outcome {
                 SatOutcome::Unsat => return Ok(SatResult::Unsat),
@@ -699,50 +706,29 @@ impl Solver {
             // encodings' atom variables assignable, but their truth values
             // carry no meaning for the live formula, and handing them to the
             // theory would make per-check cost grow with session history.
-            let mut conj: Vec<LinAtom> = Vec::new();
-            let mut asserted_lits: Vec<Lit> = Vec::new();
-            for (i, (atom, sv)) in self.enc.atoms().iter().enumerate() {
-                if self.atom_live.get(i).copied().unwrap_or(0) == 0 {
+            self.conj.clear();
+            for &i in &self.live_atoms {
+                let Some(&(_, sv)) = self.enc.atoms().get(i as usize) else {
                     continue;
-                }
+                };
                 // Theory-propagated literals are *excluded*: each was
                 // derived by bound subsumption from ordinary assertions
                 // that are still on the trail beneath it (root-level
                 // assignments persist to a Sat outcome), so the reduced
                 // conjunction entails it — feasibility, the witness model,
                 // and any Unsat core are unchanged, while the check stays
-                // exactly as large as with propagation off and the memo
-                // fingerprint matches the off-path one.
-                if self.sat.reason_is_theory(*sv) {
+                // exactly as large as with propagation off.
+                if self.sat.reason_is_theory(sv) {
                     continue;
                 }
-                if let Some(val) = self.sat.assigned_value(*sv) {
-                    conj.push(if val { atom.clone() } else { atom.negated() });
-                    asserted_lits.push(Lit::new(*sv, val));
+                if let Some(val) = self.sat.assigned_value(sv) {
+                    self.conj.push((i, val));
                 }
             }
 
-            // Theory-verdict memo: the fingerprint (assigned atom literals
-            // in registry order) determines `conj` exactly, so a hit can
-            // replay the verdict — Sat witness or Unsat core — without
-            // touching the tableau. Core indices stay valid because they
-            // index the fingerprint itself.
-            let verdict = match self.theory_memo.get(&asserted_lits) {
-                Some(v) => {
-                    self.stats.theory_memo_hits += 1;
-                    v.clone()
-                }
-                None => {
-                    let v = self.theory.check(&self.pool, &conj, self.theory_config)?;
-                    if v != TheoryVerdict::Unknown {
-                        if self.theory_memo.len() >= THEORY_MEMO_CAP {
-                            self.theory_memo.clear();
-                        }
-                        self.theory_memo.insert(asserted_lits.clone(), v.clone());
-                    }
-                    v
-                }
-            };
+            let verdict = self
+                .theory
+                .check(&self.pool, &self.conj, self.theory_config)?;
             match verdict {
                 TheoryVerdict::Sat(ints) => {
                     let mut bools = BTreeMap::new();
@@ -778,10 +764,16 @@ impl Solver {
                         blocking.push(!*sel);
                     }
                     for &i in &core {
-                        let l = asserted_lits
+                        let &(_, sv) = self
+                            .enc
+                            .atoms()
                             .get(i)
                             .ok_or(SolverError::Internal("theory core index out of range"))?;
-                        blocking.push(!*l);
+                        let val = self
+                            .sat
+                            .assigned_value(sv)
+                            .ok_or(SolverError::Internal("theory core atom unassigned"))?;
+                        blocking.push(Lit::new(sv, !val));
                     }
                     if !self.sat.add_clause(&blocking) {
                         return Ok(SatResult::Unsat);

@@ -1,10 +1,12 @@
 //! The linear-integer-arithmetic theory solver.
 //!
-//! Given a conjunction of [`LinAtom`]s (each tagged with the index of the
-//! asserting literal), this module decides satisfiability over the *integers*:
+//! Given a conjunction of theory literals — registered [`LinAtom`]s, each
+//! with a polarity and tagged by its registry index — this module decides
+//! satisfiability over the *integers*:
 //!
-//! 1. build a [`Simplex`] tableau — declared variable bounds get sentinel
-//!    tags, each atom becomes a bound on a (shared) slack row,
+//! 1. assert the bounds on a [`Simplex`] tableau — declared variable bounds
+//!    get sentinel tags, each literal is a bound on a variable or on a
+//!    (shared) slack row,
 //! 2. check rational feasibility; an infeasible bound certificate maps back
 //!    to a small **core** of atom indices,
 //! 3. if rationally feasible, run **branch-and-bound** on integer variables
@@ -21,14 +23,15 @@
 //!
 //! [`TheorySession`] keeps one simplex tableau alive across DPLL(T) checks:
 //! declared variables are mirrored once (and incrementally as the pool
-//! grows), slack rows are interned by normalized coefficient vector and
-//! reused forever, and each check only asserts its atoms' *bounds* against
-//! the live tableau, then retracts them via the trail — carrying the basis
-//! (and the witness point `β`) forward so a check that differs from its
-//! predecessor by a few literals resolves in a handful of pivots.
-//! [`check_conjunction`] remains as the stateless oracle: a fresh
-//! single-check session, equivalent to the historical rebuild-per-check
-//! behaviour and used by the warm-start equivalence proptests.
+//! grows), each atom is compiled once into a bound on one variable (slack
+//! rows interned by sign-normalised coefficient vector and reused
+//! forever), and the bounds of the last conjunction stay standing on the
+//! tableau: a check or consult asserts and retracts only what differs —
+//! carrying the basis (and the witness point `β`) forward so a check that
+//! differs from its predecessor by a few literals resolves in a handful
+//! of pivots. [`check_conjunction`] remains as the stateless oracle: a
+//! fresh single-check session, equivalent to the historical
+//! rebuild-per-check behaviour and used by the equivalence proptests.
 
 use std::collections::BTreeMap;
 
@@ -49,26 +52,28 @@ pub enum TheoryVerdict {
     /// Satisfiable; integer values for every declared integer variable.
     /// Kept in a `BTreeMap` so model iteration order is deterministic.
     Sat(BTreeMap<VarId, i64>),
-    /// Unsatisfiable; indices (into the checked atom slice) of a conflicting
-    /// subset. May be empty if the declared bounds alone are inconsistent.
+    /// Unsatisfiable; registry indices of a conflicting subset of the
+    /// checked literals' atoms (for [`check_conjunction`], positions in its
+    /// slice). May be empty if the declared bounds alone are inconsistent.
     Unsat(Vec<usize>),
     /// The node budget was exhausted before a decision was reached.
     Unknown,
 }
 
 /// One literal derived by [`TheorySession::propagate`]: the candidate atom
-/// at `candidate` must take `value`, because the asserted atoms at
-/// `antecedents` (positions into the asserted slice) force it.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// `atom` must take `value`, because the asserted atom `antecedent` forces
+/// it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TheoryPropagation {
-    /// Index into the candidate slice of the entailed atom.
-    pub candidate: usize,
+    /// Registry index of the entailed atom.
+    pub atom: u32,
     /// Entailed polarity: `true` for the atom itself, `false` for its
     /// negation.
     pub value: bool,
-    /// Positions into the asserted slice of the atoms whose bounds entail
-    /// the candidate. Empty when declared variable bounds alone do.
-    pub antecedents: Vec<usize>,
+    /// Registry index of the asserted atom whose bound entails the
+    /// candidate (bound subsumption has exactly one witness). `None` when
+    /// declared variable bounds alone do.
+    pub antecedent: Option<u32>,
 }
 
 /// Configuration for the theory check.
@@ -130,31 +135,108 @@ pub struct TheoryStats {
     pub bnb_nodes: u64,
 }
 
-/// A persistent, warm-started theory backend.
+/// An atom `Σ c·x + k ≤ 0` compiled once into bounds on one simplex
+/// variable: the atom itself is one bound, its integer negation
+/// (`−Σ c·x − k + 1 ≤ 0`) the opposite bound on the *same* variable.
+#[derive(Clone, Copy, Debug)]
+enum Compiled {
+    /// No variables: the atom is this constant truth value.
+    Const(bool),
+    /// The atom is `var ≤ pos` when `pos_upper` (else `var ≥ pos`); its
+    /// negation is the opposite-direction bound `neg`.
+    Bound {
+        var: SVar,
+        pos_upper: bool,
+        pos: Rational,
+        neg: Rational,
+    },
+}
+
+/// A bound direction and value on one simplex variable.
+type BoundLit = (SVar, bool, Rational);
+
+impl Compiled {
+    /// The bound asserting this atom with polarity `pol`, or its constant
+    /// truth value.
+    fn lit(self, pol: bool) -> Result<BoundLit, bool> {
+        match self {
+            Compiled::Const(truth) => Err(truth == pol),
+            Compiled::Bound {
+                var,
+                pos_upper,
+                pos,
+                neg,
+            } => Ok(if pol {
+                (var, pos_upper, pos)
+            } else {
+                (var, !pos_upper, neg)
+            }),
+        }
+    }
+}
+
+/// A cached entailment verdict: the polarity the standing bounds force on
+/// an atom, and the asserted atom whose bound does (`None`: a declared
+/// bound).
+type Implied = Option<(bool, Option<u32>)>;
+
+/// A persistent, warm-started theory backend over compiled atoms.
 ///
-/// Owns one [`Simplex`] for the lifetime of the owning solver. Each
-/// [`Self::check`] asserts the conjunction's bounds on the live tableau,
-/// runs branch-and-bound, and retracts the bounds through the trail —
-/// leaving the pivoted basis and the feasible point `β` in place as the
-/// warm start for the next check. Declared-variable bounds are asserted
-/// below every check's snapshot, so they persist; slack rows are interned
-/// by normalized coefficient vector and never rebuilt.
+/// Owns one [`Simplex`] for the lifetime of the owning solver. Atoms are
+/// registered once ([`Self::add_atom`]) and compiled to a bound on one
+/// simplex variable — a declared variable for single-coefficient atoms,
+/// else a slack row interned by sign-normalised coefficient vector, so an
+/// atom and its negation (and `e ≤ a` / `e ≥ b` pairs) share one row.
+/// [`Self::check`] and [`Self::propagate`] take `(atom index, polarity)`
+/// literals and touch no [`LinAtom`].
+///
+/// The bounds of the last conjunction handed in stay *standing* on the
+/// tableau; the next call asserts and retracts only the difference, and
+/// the pivoted basis and feasible point `β` carry forward as the warm
+/// start. Declared-variable bounds sit below every standing bound.
 ///
 /// Verdicts are semantically equivalent to [`check_conjunction`] (Sat ↔ Sat
 /// with a feasible model, Unsat ↔ Unsat with a valid core), but the *model
 /// values* and *core composition* may differ: the warm basis starts each
 /// check at a different vertex than a cold tableau would. The equivalence
-/// proptests in `tests/theory_warm_start.rs` pin this contract down.
+/// proptests in `tests/theory_warm_start.rs` and `tests/theory_compiled.rs`
+/// pin this contract down.
 #[derive(Default)]
 pub struct TheorySession {
     sx: Simplex,
     /// Pool variables mirrored so far (`pool.vars()` prefix length).
     synced_vars: usize,
-    int_vars: Vec<VarId>,
-    svar_of: BTreeMap<VarId, SVar>,
-    /// Interned slack rows per normalized coefficient vector.
+    /// Mirrored integer variables with their simplex slots, ascending.
+    int_vars: Vec<(VarId, SVar)>,
+    /// Simplex slot per pool variable index (`None` for booleans).
+    svar_of: Vec<Option<SVar>>,
+    /// Interned slack rows per sign-normalised coefficient vector.
     slack_of: BTreeMap<Vec<(SVar, Rational)>, SVar>,
+    /// Compiled form per registered atom.
+    atoms: Vec<Compiled>,
+    /// The standing conjunction in assertion order: literal plus the
+    /// simplex snapshot that retracts it and everything after it.
+    standing: Vec<(u32, bool, usize)>,
+    /// Per atom, which polarities stand (or, during a diff, are wanted):
+    /// bit 0 the atom, bit 1 its negation.
+    stood: Vec<u8>,
+    wanted: Vec<u8>,
+    /// Per atom, the entailment verdict under the bounds its variable had
+    /// at the recorded `clock` reading; current unless the variable's
+    /// bounds changed since (`changed_at`).
+    implied: Vec<(u64, Implied)>,
+    /// Per simplex variable, the `clock` reading of the last change to its
+    /// standing bounds: an atom watches exactly one variable, so nothing
+    /// else can alter its entailment.
+    changed_at: Vec<u64>,
+    /// Counts standing-bound changes.
+    clock: u64,
     stats: TheoryStats,
+}
+
+/// Bit 0 for the atom itself, bit 1 for its negation.
+fn polarity_bit(pol: bool) -> u8 {
+    2 - u8::from(pol)
 }
 
 impl TheorySession {
@@ -174,31 +256,128 @@ impl TheorySession {
     }
 
     /// Current tableau size as `(variables, slack rows)`. Bounded by the
-    /// declared variables plus the distinct atom linear forms ever checked —
-    /// *not* by the number of checks (the steady-state regression tests
-    /// assert exactly this).
+    /// declared variables plus the distinct sign-normalised linear forms
+    /// ever registered — *not* by the number of checks (the steady-state
+    /// regression tests assert exactly this).
     pub fn tableau_size(&self) -> (usize, usize) {
         (self.sx.num_vars(), self.sx.num_rows())
     }
 
+    /// Number of atoms registered so far.
+    pub fn num_atoms(&self) -> usize {
+        self.atoms.len()
+    }
+
+    /// Registers the next atom — compiling it to its bound form and
+    /// interning its slack row — and returns its index, the name by which
+    /// [`Self::check`] and [`Self::propagate`] refer to it. The owning
+    /// solver registers its encoder's atom registry in order, so indices
+    /// coincide.
+    ///
+    /// `Err` means the atom could not be translated: arithmetic overflow or
+    /// a reference to a variable `pool` does not declare.
+    pub fn add_atom(&mut self, pool: &TermPool, atom: &LinAtom) -> Result<u32, SolverError> {
+        self.sync_pool(pool)?;
+        // Atom indices double as bound tags, below the declared-bound base.
+        let idx = u32::try_from(self.atoms.len())
+            .ok()
+            .filter(|&i| i < DECL_BASE)
+            .ok_or(SolverError::Overflow("theory atom registry"))?;
+        let compiled = self.compile(atom)?;
+        self.atoms.push(compiled);
+        self.stood.push(0);
+        self.wanted.push(0);
+        // Reading 0 predates every variable's creation: never scanned.
+        self.implied.push((0, None));
+        Ok(idx)
+    }
+
+    /// `Σ c·x + k ≤ 0` as a bound on `s = σ·Σ c·x`, where `σ = ±1` makes
+    /// the leading coefficient positive (one row for both signs) — or, for
+    /// a single coefficient, on `x` itself with `σ = c`: the atom is
+    /// `σ·s ≤ −k`, its negation `σ·s ≥ 1 − k`.
+    fn compile(&mut self, atom: &LinAtom) -> Result<Compiled, SolverError> {
+        let k = atom.expr.constant;
+        if atom.expr.is_constant() {
+            return Ok(Compiled::Const(k <= 0));
+        }
+        let neg_k = k
+            .checked_neg()
+            .ok_or(SolverError::Overflow("negating atom constant"))?;
+        let one_minus_k = 1i64
+            .checked_sub(k)
+            .ok_or(SolverError::Overflow("negating atom"))?;
+        let mut coeffs: Vec<(SVar, Rational)> = Vec::with_capacity(atom.expr.coeffs.len());
+        for (&v, &c) in &atom.expr.coeffs {
+            let sv = self
+                .svar_of
+                .get(v.0 as usize)
+                .copied()
+                .flatten()
+                .ok_or(SolverError::Internal("atom references undeclared variable"))?;
+            coeffs.push((sv, Rational::from_int(c)));
+        }
+        let (var, scale) = match coeffs.as_slice() {
+            &[(sv, c)] => (sv, c),
+            _ => {
+                let flip = coeffs.first().is_some_and(|(_, c)| c.is_negative());
+                if flip {
+                    for (_, c) in &mut coeffs {
+                        *c = -*c;
+                    }
+                }
+                let scale = Rational::from_int(if flip { -1 } else { 1 });
+                (self.slack_row(coeffs)?, scale)
+            }
+        };
+        Ok(Compiled::Bound {
+            var,
+            pos_upper: scale.is_positive(),
+            pos: Rational::from_int(neg_k) / scale,
+            neg: Rational::from_int(one_minus_k) / scale,
+        })
+    }
+
+    /// The slack variable of the row `s = Σ coeff·var`, interned.
+    fn slack_row(&mut self, coeffs: Vec<(SVar, Rational)>) -> Result<SVar, SolverError> {
+        if let Some(&sv) = self.slack_of.get(&coeffs) {
+            self.stats.slack_row_hits += 1;
+            return Ok(sv);
+        }
+        let sv = self.sx.add_row(&coeffs)?;
+        self.slack_of.insert(coeffs, sv);
+        self.stats.slack_rows_built += 1;
+        self.note_var();
+        Ok(sv)
+    }
+
+    /// Books a freshly created simplex variable.
+    fn note_var(&mut self) {
+        self.stats.tableau_vars += 1;
+        self.clock += 1;
+        self.changed_at.push(self.clock);
+    }
+
     /// Mirrors integer variables declared since the last sync. Their
-    /// declared bounds are asserted below any future snapshot, so they are
-    /// never retracted.
+    /// declared bounds must sit below every standing bound (retracting a
+    /// standing bound unwinds the trail above it), so the standing
+    /// conjunction is retracted first.
     fn sync_pool(&mut self, pool: &TermPool) -> Result<(), SolverError> {
         let vars = pool.vars();
         if vars.len() == self.synced_vars {
             return Ok(());
         }
+        self.retract_from(0);
         let mut added = false;
         for (idx, info) in vars.iter().enumerate().skip(self.synced_vars) {
             if info.sort != Sort::Int {
+                self.svar_of.push(None);
                 continue;
             }
-            let v = VarId(idx as u32);
             let sv = self.sx.add_var();
-            self.svar_of.insert(v, sv);
-            self.int_vars.push(v);
-            self.stats.tableau_vars += 1;
+            self.svar_of.push(Some(sv));
+            self.int_vars.push((VarId(idx as u32), sv));
+            self.note_var();
             added = true;
             let tag = BoundTag(DECL_BASE + idx as u32);
             // Declared bounds can never conflict with each other (lo <= hi).
@@ -221,235 +400,193 @@ impl TheorySession {
         Ok(())
     }
 
-    /// Translates atom `i` and asserts its bound on the live tableau.
-    /// Returns an early `Unsat` verdict on an immediate bound clash.
-    fn assert_atom(
-        &mut self,
-        i: usize,
-        atom: &LinAtom,
-    ) -> Result<Option<TheoryVerdict>, SolverError> {
-        let tag = BoundTag(i as u32);
-        // Σ c·x + k ≤ 0  ⇔  Σ c·x ≤ −k.
-        let neg_k = atom
-            .expr
-            .constant
-            .checked_neg()
-            .ok_or(SolverError::Overflow("negating atom constant"))?;
-        let bound = Rational::from_int(neg_k);
-        if atom.expr.is_constant() {
-            // k ≤ 0 ?
-            if atom.expr.constant > 0 {
-                return Ok(Some(TheoryVerdict::Unsat(vec![i])));
-            }
-            return Ok(None);
+    /// Records that `var`'s standing bounds changed.
+    fn touch(&mut self, var: SVar) {
+        self.clock += 1;
+        if let Some(at) = self.changed_at.get_mut(var) {
+            *at = self.clock;
         }
-        let mut coeffs: Vec<(SVar, Rational)> = Vec::with_capacity(atom.expr.coeffs.len());
-        for (&v, &c) in &atom.expr.coeffs {
-            let sv = *self
-                .svar_of
-                .get(&v)
-                .ok_or(SolverError::Internal("atom references undeclared variable"))?;
-            coeffs.push((sv, Rational::from_int(c)));
-        }
-        let result = if let &[(sv, c)] = coeffs.as_slice() {
-            // c·x ≤ bound  ⇔  x ≤ bound/c (c>0)  or  x ≥ bound/c (c<0).
-            if c.is_positive() {
-                self.sx.assert_upper(sv, bound / c, tag)
-            } else {
-                self.sx.assert_lower(sv, bound / c, tag)
+    }
+
+    /// Retracts the standing literals from stack position `keep` upward.
+    fn retract_from(&mut self, keep: usize) {
+        let Some(&(_, _, snap)) = self.standing.get(keep) else {
+            return;
+        };
+        self.sx.undo_to(snap);
+        while self.standing.len() > keep {
+            let Some((atom, pol, _)) = self.standing.pop() else {
+                break;
+            };
+            if let Some(s) = self.stood.get_mut(atom as usize) {
+                *s &= !polarity_bit(pol);
             }
-        } else {
-            let sv = match self.slack_of.get(&coeffs) {
-                Some(&sv) => {
-                    self.stats.slack_row_hits += 1;
-                    sv
-                }
-                None => {
-                    let sv = self.sx.add_row(&coeffs)?;
-                    self.slack_of.insert(coeffs, sv);
-                    self.stats.slack_rows_built += 1;
-                    self.stats.tableau_vars += 1;
-                    sv
+            if let Some(&Compiled::Bound { var, .. }) = self.atoms.get(atom as usize) {
+                self.touch(var);
+            }
+        }
+    }
+
+    /// Makes `lits` the standing conjunction: retracts from the first
+    /// standing literal `lits` no longer contains, then asserts, tagged by
+    /// atom index, those not standing yet. The bounds standing afterwards
+    /// are a function of `lits` as a set; assertion order only picks which
+    /// of two equal bounds names the antecedent. Returns the core of an
+    /// immediate bound clash, which leaves a subset of `lits` standing.
+    fn stand(&mut self, lits: &[(u32, bool)]) -> Result<Option<Vec<usize>>, SolverError> {
+        if lits
+            .iter()
+            .any(|&(atom, _)| atom as usize >= self.atoms.len())
+        {
+            return Err(SolverError::Internal("unregistered theory atom"));
+        }
+        for &(atom, pol) in lits {
+            if let Some(w) = self.wanted.get_mut(atom as usize) {
+                *w |= polarity_bit(pol);
+            }
+        }
+        let wanted = &self.wanted;
+        let keep = self
+            .standing
+            .iter()
+            .position(|&(a, pol, _)| {
+                wanted.get(a as usize).copied().unwrap_or(0) & polarity_bit(pol) == 0
+            })
+            .unwrap_or(self.standing.len());
+        self.retract_from(keep);
+        let mut clash = None;
+        for &(atom, pol) in lits {
+            let i = atom as usize;
+            if let Some(w) = self.wanted.get_mut(i) {
+                *w = 0;
+            }
+            if clash.is_some() || self.stood.get(i).copied().unwrap_or(0) & polarity_bit(pol) != 0 {
+                continue;
+            }
+            let Some(compiled) = self.atoms.get(i) else {
+                continue;
+            };
+            let (var, upper, value) = match compiled.lit(pol) {
+                Ok(bound) => bound,
+                Err(true) => continue,
+                Err(false) => {
+                    clash = Some(vec![i]);
+                    continue;
                 }
             };
-            self.sx.assert_upper(sv, bound, tag)
-        };
-        match result {
-            Ok(()) => Ok(None),
-            Err(core) => Ok(Some(TheoryVerdict::Unsat(filter_core(core)))),
+            let snap = self.sx.snapshot();
+            let result = if upper {
+                self.sx.assert_upper(var, value, BoundTag(atom))
+            } else {
+                self.sx.assert_lower(var, value, BoundTag(atom))
+            };
+            match result {
+                Ok(()) => {
+                    self.standing.push((atom, pol, snap));
+                    if let Some(s) = self.stood.get_mut(i) {
+                        *s |= polarity_bit(pol);
+                    }
+                    if self.sx.snapshot() != snap {
+                        self.touch(var);
+                    }
+                }
+                Err(core) => clash = Some(filter_core(core)),
+            }
         }
+        Ok(clash)
     }
 
-    /// Tests whether `atom` (Σ c·x + k ≤ 0) is entailed by the bounds
-    /// currently asserted on the tableau, by pure bound subsumption — no
-    /// pivoting, no row evaluation.
+    /// Theory propagation: makes `asserted` the standing conjunction, then
+    /// reports which of `candidates` — currently *unassigned* atoms — the
+    /// standing bounds already entail, in input order (callers pass
+    /// candidates in atom-registry order, so the result is deterministic).
     ///
-    /// Returns the antecedent bound tags on success: the (at most one, for
-    /// this bound shape) asserted bounds that force the atom. Declared-bound
-    /// sentinels are filtered out — an atom entailed by declared bounds
-    /// alone has an empty antecedent list.
+    /// Each [`TheoryPropagation`] names the atom, the entailed polarity and
+    /// the asserted atom whose bound forces it — the explanation
+    /// `antecedent ⇒ atom=value`, which the SAT layer turns into a reason
+    /// clause on demand.
     ///
-    /// Deliberately incomplete: a multi-coefficient atom is only recognized
-    /// when its interned slack row already carries a subsuming upper bound
-    /// (i.e. a same-form atom with a tighter constant is asserted); bounds
-    /// implied *through* a row are left for the full check. Rows are never
-    /// built here — a fresh slack variable carries no bounds, so building
-    /// one cannot create an entailment.
-    fn entailed(&self, atom: &LinAtom) -> Result<Option<Vec<usize>>, SolverError> {
-        // Σ c·x + k ≤ 0  ⇔  Σ c·x ≤ −k.
-        let neg_k = atom
-            .expr
-            .constant
-            .checked_neg()
-            .ok_or(SolverError::Overflow("negating atom constant"))?;
-        let bound = Rational::from_int(neg_k);
-        if atom.expr.is_constant() {
-            // k ≤ 0 is entailed by nothing (or by nothing at all).
-            return Ok(if atom.expr.constant <= 0 {
-                Some(Vec::new())
-            } else {
-                None
-            });
-        }
-        let mut coeffs: Vec<(SVar, Rational)> = Vec::with_capacity(atom.expr.coeffs.len());
-        for (&v, &c) in &atom.expr.coeffs {
-            let sv = *self
-                .svar_of
-                .get(&v)
-                .ok_or(SolverError::Internal("atom references undeclared variable"))?;
-            coeffs.push((sv, Rational::from_int(c)));
-        }
-        let witness = if let &[(sv, c)] = coeffs.as_slice() {
-            // c·x ≤ bound  ⇔  x ≤ bound/c (c>0)  or  x ≥ bound/c (c<0).
-            if c.is_positive() {
-                self.sx.upper_bound(sv).filter(|(up, _)| *up <= bound / c)
-            } else {
-                self.sx.lower_bound(sv).filter(|(lo, _)| *lo >= bound / c)
-            }
-        } else {
-            match self.slack_of.get(&coeffs) {
-                Some(&sv) => self.sx.upper_bound(sv).filter(|(up, _)| *up <= bound),
-                None => None,
-            }
-        };
-        Ok(witness.map(|(_, tag)| {
-            if tag.0 < DECL_BASE {
-                vec![tag.0 as usize]
-            } else {
-                Vec::new()
-            }
-        }))
-    }
-
-    /// Theory propagation: with `asserted` atoms holding (each tagged by its
-    /// position), scans `candidates` — currently *unassigned* atoms — for
-    /// literals already entailed by the asserted bounds, in input order
-    /// (callers pass candidates in atom-registry order, so the result is
-    /// deterministic).
+    /// Entailment is pure bound subsumption — no pivoting, no row
+    /// evaluation — and deliberately incomplete: a multi-coefficient atom is
+    /// recognized only when its own slack row carries a subsuming bound;
+    /// bounds implied *through* a row are left for the full check. Verdicts
+    /// are cached per atom and recomputed only for candidates whose
+    /// variable's bounds changed since they were last scanned, so a consult
+    /// costs the asserted-set difference plus one stamp compare per
+    /// candidate.
     ///
-    /// Each [`TheoryPropagation`] names the candidate index, the entailed
-    /// polarity (`true` for the atom itself, `false` for its negation), and
-    /// the positions into `asserted` of the antecedent atoms — the
-    /// explanation `antecedents ⇒ candidate=value`, which the SAT layer
-    /// turns into a reason clause on demand.
-    ///
-    /// The tableau is snapshotted and fully unwound before returning; like
-    /// [`Self::check`], the basis and `β` carry forward. If the asserted
-    /// atoms clash among themselves the scan is abandoned and no
-    /// propagations are reported — the following full check finds the
-    /// conflict and produces a proper core.
+    /// If the asserted atoms clash among themselves no propagations are
+    /// reported — the following full check finds the conflict and produces
+    /// a proper core.
     pub fn propagate(
         &mut self,
         pool: &TermPool,
-        asserted: &[LinAtom],
-        candidates: &[LinAtom],
-    ) -> Result<Vec<TheoryPropagation>, SolverError> {
+        asserted: &[(u32, bool)],
+        candidates: &[u32],
+        out: &mut Vec<TheoryPropagation>,
+    ) -> Result<(), SolverError> {
         self.sync_pool(pool)?;
-        let snap = self.sx.snapshot();
-        let mut out = Vec::new();
-        let mut clash = false;
-        for (i, atom) in asserted.iter().enumerate() {
-            if self.assert_atom(i, atom)?.is_some() {
-                clash = true;
-                break;
-            }
+        if self.stand(asserted)?.is_some() {
+            return Ok(());
         }
-        if !clash {
-            for (ci, cand) in candidates.iter().enumerate() {
-                if let Some(antecedents) = self.entailed(cand)? {
-                    out.push(TheoryPropagation {
-                        candidate: ci,
-                        value: true,
-                        antecedents,
-                    });
-                } else if let Some(antecedents) = self.entailed(&cand.negated())? {
-                    out.push(TheoryPropagation {
-                        candidate: ci,
-                        value: false,
-                        antecedents,
-                    });
+        for &atom in candidates {
+            let (Some(&compiled), Some(cached)) = (
+                self.atoms.get(atom as usize),
+                self.implied.get_mut(atom as usize),
+            ) else {
+                continue;
+            };
+            if let Compiled::Bound { var, .. } = compiled {
+                if self.changed_at.get(var).is_some_and(|&at| at > cached.0) {
+                    *cached = (self.clock, entailed(&self.sx, compiled));
                 }
+                // Full-rescan differential: a cached verdict is the one a
+                // scan against the standing bounds would find.
+                debug_assert_eq!(cached.1, entailed(&self.sx, compiled));
+            }
+            if let Some((value, antecedent)) = cached.1 {
+                out.push(TheoryPropagation {
+                    atom,
+                    value,
+                    antecedent,
+                });
             }
         }
-        self.sx.undo_to(snap);
-        Ok(out)
+        Ok(())
     }
 
-    /// Checks the conjunction of `atoms` against the live tableau.
+    /// Checks the conjunction of `lits` — `(atom index, polarity)` pairs —
+    /// over the integers.
     ///
-    /// Bound assert/retract protocol: newly declared variables are mirrored
-    /// first (below the snapshot — their bounds persist), then every atom's
-    /// bound is asserted tagged with its index, branch-and-bound runs, and
-    /// finally the trail is unwound to the snapshot. The basis and `β` are
-    /// *not* restored — they carry forward as the warm start.
+    /// `lits` becomes the standing conjunction (only its difference from
+    /// the previous one is asserted), branch-and-bound runs above it and is
+    /// unwound; the basis and `β` are *not* restored — they carry forward
+    /// as the warm start. An `Unsat` core names registry indices.
     pub fn check(
         &mut self,
         pool: &TermPool,
-        atoms: &[LinAtom],
+        lits: &[(u32, bool)],
         config: TheoryConfig,
     ) -> Result<TheoryVerdict, SolverError> {
         self.sync_pool(pool)?;
         self.stats.checks += 1;
-        let snap = self.sx.snapshot();
-        let out = self.check_asserted(atoms, config);
-        self.sx.undo_to(snap);
-        out
-    }
-
-    /// The body of [`Self::check`], between snapshot and undo.
-    fn check_asserted(
-        &mut self,
-        atoms: &[LinAtom],
-        config: TheoryConfig,
-    ) -> Result<TheoryVerdict, SolverError> {
-        for (i, atom) in atoms.iter().enumerate() {
-            if let Some(verdict) = self.assert_atom(i, atom)? {
-                return Ok(verdict);
-            }
+        if let Some(core) = self.stand(lits)? {
+            return Ok(TheoryVerdict::Unsat(core));
         }
+        let snap = self.sx.snapshot();
         let mut nodes = 0u64;
-        let result = branch_and_bound(
-            &mut self.sx,
-            &self.int_vars,
-            &self.svar_of,
-            &mut nodes,
-            config.max_nodes,
-        );
+        let result = branch_and_bound(&mut self.sx, &self.int_vars, &mut nodes, config.max_nodes);
+        self.sx.undo_to(snap);
         self.stats.bnb_nodes += nodes;
         match result? {
             BnB::Sat => {
-                let mut model: BTreeMap<VarId, i64> = BTreeMap::new();
-                for &v in &self.int_vars {
-                    let sv = *self
-                        .svar_of
-                        .get(&v)
-                        .ok_or(SolverError::Internal("model variable has no simplex slot"))?;
-                    let val = self
-                        .sx
-                        .value_of(sv)
-                        .to_i64()
-                        .ok_or(SolverError::Internal("non-integral model value"))?;
-                    model.insert(v, val);
+                let mut model = BTreeMap::new();
+                for &(v, sv) in &self.int_vars {
+                    let val = self.sx.value_of(sv).to_i64();
+                    model.insert(
+                        v,
+                        val.ok_or(SolverError::Internal("non-integral model value"))?,
+                    );
                 }
                 Ok(TheoryVerdict::Sat(model))
             }
@@ -459,13 +596,32 @@ impl TheorySession {
     }
 }
 
+/// Which polarity of `compiled` the bounds asserted on its variable force,
+/// if either, and the asserting atom (`None` for a declared bound).
+fn entailed(sx: &Simplex, compiled: Compiled) -> Implied {
+    for value in [true, false] {
+        let Ok((var, upper, bound)) = compiled.lit(value) else {
+            continue;
+        };
+        let witness = if upper {
+            sx.upper_bound(var).filter(|(up, _)| *up <= bound)
+        } else {
+            sx.lower_bound(var).filter(|(lo, _)| *lo >= bound)
+        };
+        if let Some((_, tag)) = witness {
+            return Some((value, (tag.0 < DECL_BASE).then_some(tag.0)));
+        }
+    }
+    None
+}
+
 /// Checks the conjunction of `atoms` over the integers, respecting the
 /// declared bounds of every integer variable in `pool`.
 ///
-/// Stateless: builds a fresh single-check [`TheorySession`], so every call
-/// pays the full tableau build — this is the *oracle* the warm-start
-/// equivalence proptests compare against. The production path is the
-/// session owned by [`crate::Solver`].
+/// Stateless: compiles the atoms into a fresh single-check
+/// [`TheorySession`], so every call pays the full tableau build — this is
+/// the *oracle* the equivalence proptests compare against. The production
+/// path is the session owned by [`crate::Solver`].
 ///
 /// `Err` means the atoms could not even be translated (arithmetic overflow,
 /// a reference to an undeclared variable, or a broken simplex invariant) —
@@ -476,7 +632,11 @@ pub fn check_conjunction(
     config: TheoryConfig,
 ) -> Result<TheoryVerdict, SolverError> {
     let mut session = TheorySession::new();
-    session.check(pool, atoms, config)
+    let mut lits = Vec::with_capacity(atoms.len());
+    for atom in atoms {
+        lits.push((session.add_atom(pool, atom)?, true));
+    }
+    session.check(pool, &lits, config)
 }
 
 enum BnB {
@@ -487,8 +647,7 @@ enum BnB {
 
 fn branch_and_bound(
     sx: &mut Simplex,
-    int_vars: &[VarId],
-    svar_of: &BTreeMap<VarId, SVar>,
+    int_vars: &[(VarId, SVar)],
     nodes: &mut u64,
     max_nodes: u64,
 ) -> Result<BnB, SolverError> {
@@ -503,10 +662,7 @@ fn branch_and_bound(
     // Find the most fractional integer variable.
     let mut pick: Option<(SVar, Rational)> = None;
     let mut best_frac = Rational::ZERO;
-    for v in int_vars {
-        let sv = *svar_of
-            .get(v)
-            .ok_or(SolverError::Internal("branch variable has no simplex slot"))?;
+    for &(_, sv) in int_vars {
         let val = sx.value_of(sv);
         if !val.is_integer() {
             let fl = Rational::new(val.floor(), 1);
@@ -534,7 +690,7 @@ fn branch_and_bound(
     // Branch 1: x ≤ floor.
     let snap = sx.snapshot();
     let down = match sx.assert_upper(sv, floor, btag) {
-        Ok(()) => branch_and_bound(sx, int_vars, svar_of, nodes, max_nodes)?,
+        Ok(()) => branch_and_bound(sx, int_vars, nodes, max_nodes)?,
         Err(core) => BnB::Unsat(core),
     };
     sx.undo_to(snap);
@@ -547,7 +703,7 @@ fn branch_and_bound(
     // Branch 2: x ≥ ceil.
     let snap = sx.snapshot();
     let up = match sx.assert_lower(sv, ceil, btag) {
-        Ok(()) => branch_and_bound(sx, int_vars, svar_of, nodes, max_nodes)?,
+        Ok(()) => branch_and_bound(sx, int_vars, nodes, max_nodes)?,
         Err(core) => BnB::Unsat(core),
     };
     sx.undo_to(snap);

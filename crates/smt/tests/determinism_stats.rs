@@ -17,6 +17,12 @@ use lejit_smt::{SatResult, Solver};
 /// One representative workload: the paper's R1/R2 ruleset plus derived
 /// queries (optimization, bounds, assumption probes) that exercise the SAT
 /// core, the simplex, branch-and-bound, and the blocking-clause loop.
+///
+/// It doubles as the consult-on-change differential: in a debug build every
+/// theory consult re-derives each candidate's entailment from the standing
+/// bounds and asserts the cached verdict equals it, so this workload's
+/// propagated-literal sets are checked against a full rescan at each of
+/// its consults (and must be non-empty, see `theory_propagations` below).
 fn run_workload() -> (Vec<String>, lejit_smt::SolverStats, lejit_smt::SatStats) {
     let mut s = Solver::new();
     let vars: Vec<_> = (0..5).map(|t| s.int_var(&format!("i{t}"), 0, 60)).collect();
@@ -80,8 +86,7 @@ fn identical_statistics_across_runs() {
     );
     // The per-check cost profile must be exercised too, so the equality
     // above covers the warm-started theory backend's counters and not just
-    // zeros: the tableau was built, pivoted, and (with repeated probes on
-    // the same boolean model) answered at least once from the verdict memo.
+    // zeros: the tableau was built and pivoted, and a slack row was shared.
     assert!(stats1.tableau_builds > 0, "tableau was never built");
     assert!(
         stats1.tableau_vars > 0,
@@ -91,11 +96,7 @@ fn identical_statistics_across_runs() {
     assert!(stats1.pivots > 0, "simplex never pivoted");
     assert!(
         stats1.slack_row_hits > 0,
-        "repeated checks never reused an interned slack row"
-    );
-    assert!(
-        stats1.theory_memo_hits > 0,
-        "repeated probes never hit the theory-verdict memo"
+        "the sum atoms `≤ 100` and `≥ 100` never shared one slack row"
     );
     // Fixing i0..i2 entails the polarity of the `i_t >= 30` branch atoms,
     // so the default-on theory propagation must fire — and its counters,

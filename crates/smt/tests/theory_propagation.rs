@@ -33,13 +33,12 @@ struct ScriptedPropagator {
 }
 
 impl TheoryPropagator for ScriptedPropagator {
-    fn propagate(&mut self, sat: &SatSolver) -> Result<Vec<Lit>, SolverError> {
+    fn propagate(&mut self, sat: &SatSolver, out: &mut Vec<Lit>) -> Result<(), SolverError> {
         let p_holds = sat.assigned_value(self.p.var()) == Some(self.p.is_positive());
         if p_holds && sat.assigned_value(self.q.var()).is_none() {
-            Ok(vec![self.q])
-        } else {
-            Ok(Vec::new())
+            out.push(self.q);
         }
+        Ok(())
     }
 
     fn explain(&mut self, lit: Lit) -> Result<Vec<Lit>, SolverError> {

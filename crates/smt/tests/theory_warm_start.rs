@@ -56,6 +56,19 @@ fn build_pool(p: &WarmProblem) -> (TermPool, Vec<VarId>) {
     (pool, vars)
 }
 
+/// Registers `atoms` with the session and returns them as positive
+/// literals (re-registering an atom is allowed: its slack row is interned).
+fn positive_lits(
+    session: &mut TheorySession,
+    pool: &TermPool,
+    atoms: &[LinAtom],
+) -> Vec<(u32, bool)> {
+    atoms
+        .iter()
+        .map(|a| (session.add_atom(pool, a).unwrap(), true))
+        .collect()
+}
+
 fn build_atoms(vars: &[VarId], rows: &[(Vec<i64>, i64)]) -> Vec<LinAtom> {
     rows.iter()
         .map(|(coeffs, constant)| {
@@ -76,7 +89,15 @@ fn check_equivalence(p: &WarmProblem) {
     let mut session = TheorySession::new();
     for (step, rows) in p.checks.iter().enumerate() {
         let atoms = build_atoms(&vars, rows);
-        let warm = session.check(&pool, &atoms, config).unwrap();
+        let lits = positive_lits(&mut session, &pool, &atoms);
+        let base = lits.first().map_or(0, |l| l.0 as usize);
+        let warm = match session.check(&pool, &lits, config).unwrap() {
+            // Cores name registry indices; rebase onto this step's slice.
+            TheoryVerdict::Unsat(core) => {
+                TheoryVerdict::Unsat(core.into_iter().map(|i| i - base).collect())
+            }
+            other => other,
+        };
         let fresh = check_conjunction(&pool, &atoms, config).unwrap();
         match (&warm, &fresh) {
             (TheoryVerdict::Sat(model), TheoryVerdict::Sat(_)) => {
@@ -125,7 +146,8 @@ fn check_tableau_bound(p: &WarmProblem) {
     // One full pass interns every distinct linear form the sequence uses.
     for rows in &p.checks {
         let atoms = build_atoms(&vars, rows);
-        session.check(&pool, &atoms, config).unwrap();
+        let lits = positive_lits(&mut session, &pool, &atoms);
+        session.check(&pool, &lits, config).unwrap();
     }
     let high_water = session.tableau_size();
     // Re-running the whole sequence (in any number of cycles) must not grow
@@ -133,7 +155,8 @@ fn check_tableau_bound(p: &WarmProblem) {
     for _ in 0..3 {
         for rows in &p.checks {
             let atoms = build_atoms(&vars, rows);
-            session.check(&pool, &atoms, config).unwrap();
+            let lits = positive_lits(&mut session, &pool, &atoms);
+            session.check(&pool, &lits, config).unwrap();
         }
     }
     prop_assert_eq!(
