@@ -43,8 +43,8 @@ pub fn threads_from_env() -> usize {
 }
 
 /// Reads `LEJIT_BATCH` (records decoded lock-step per batched forward
-/// pass, [`lejit_core::TaskConfig::batch_size`]), defaulting to `1`
-/// (unbatched).
+/// pass, the group width handed to [`lejit_core::par_batches_with`]),
+/// defaulting to `1` (unbatched).
 ///
 /// Like `LEJIT_THREADS`, decoded outputs are byte-identical for every
 /// value — batching only changes how many KV-cache lanes share each

@@ -27,7 +27,7 @@
 //!
 //! On top of the record level, [`batch_spans`] / [`par_batches_with`] add
 //! *model-level* batching: consecutive records are grouped (at most
-//! `TaskConfig.batch_size` per group), each group decodes lock-step through
+//! `batch` per group), each group decodes lock-step through
 //! one batched forward pass per round, and groups are what the pool
 //! distributes. The same contract extends to the batch axis: output is
 //! byte-identical for every `(threads, batch)` pair.
@@ -48,7 +48,7 @@ pub fn record_seed(base: u64, index: u64) -> u64 {
 
 /// The pool for a record-level batch: `threads` workers, or the
 /// process-global default ([`minipool::global_threads`]) when `threads`
-/// is `0` (the [`crate::tasks::TaskConfig::threads`] convention).
+/// is `0`.
 pub fn record_pool(threads: usize) -> ThreadPool {
     if threads == 0 {
         ThreadPool::global()
@@ -90,8 +90,7 @@ where
 ///
 /// The partition depends only on `(len, batch)`, never on the thread
 /// count, so which records share a forward pass is reproducible. `batch`
-/// is clamped to ≥ 1 (the `TaskConfig::batch_size = 0` convention means
-/// "unbatched", i.e. groups of one).
+/// is clamped to ≥ 1 (`0` means "unbatched", i.e. groups of one).
 ///
 /// ```
 /// assert_eq!(lejit_core::batch_spans(5, 2), vec![0..2, 2..4, 4..5]);

@@ -1,14 +1,20 @@
-//! The JIT decode loop: model → logits → solver mask → sample → commit.
+//! The JIT decoder: model → solver mask → logits → sample → commit, as
+//! drivers over the lane engine ([`crate::lanes`]).
 //!
-//! Walks a [`DecodeSchema`], forcing literal characters and generating each
-//! variable digit by digit. Before every sampled character, the transition
-//! system ([`crate::transition`]) asks the solver which characters can still
-//! lead to a rule-compliant output; all other logits are set to `-inf` and
-//! sampling renormalizes over the survivors. When a variable's terminator is
-//! emitted, its value is fixed in the solver — from then on, every remaining
-//! rule is evaluated relative to it (dynamic partial instantiation).
+//! A decode walks a [`DecodeSchema`], forcing literal characters and
+//! generating each variable digit by digit. Before every sampled character,
+//! the transition system ([`crate::transition`]) asks the solver which
+//! characters can still lead to a rule-compliant output; all other logits
+//! are set to `-inf` and sampling renormalizes over the survivors. When a
+//! variable's terminator is emitted, its value is fixed in the solver —
+//! from then on, every remaining rule is evaluated relative to it (dynamic
+//! partial instantiation). That per-character step lives once, in
+//! [`crate::lanes`]; [`JitDecoder`] supplies the session-backed mask source
+//! and runs it for one record ([`JitDecoder::decode`], with a trace sink
+//! [`JitDecoder::decode_traced`]) or a lock-step group
+//! ([`JitDecoder::decode_batch`]).
 //!
-//! The decoder also counts **interventions**: steps where the model's
+//! The engine also counts **interventions**: steps where the model's
 //! unconstrained argmax was masked away. This quantifies the paper's
 //! "minimally invasive" claim — a well-trained model needs few nudges.
 
@@ -16,12 +22,12 @@ use std::fmt;
 
 use rand::Rng;
 
-use lejit_lm::{sample_token, LanguageModel, SamplerConfig, TokenId};
+use lejit_lm::{LanguageModel, SamplerConfig};
 
-use crate::lanes::{AdmitOutcome, ContinuousBatcher, FinishedLane, LaneJob};
-use crate::schema::{DecodeSchema, SchemaItem, VarSpec};
+use crate::lanes::{decode_lane, AdmitOutcome, ContinuousBatcher, FinishedLane, LaneJob};
+use crate::schema::{DecodeSchema, VarSpec};
 use crate::session::JitSession;
-use crate::trace::{DecodeTrace, TraceStep};
+use crate::trace::DecodeTrace;
 use crate::transition::{allowed_chars, CharOptions, Lookahead, VarState};
 
 /// Why decoding failed.
@@ -163,243 +169,26 @@ pub struct DecodedOutput {
     pub stats: DecodeStats,
 }
 
-/// How a decode run decides which characters are allowed and what happens
-/// when a value commits. The JIT policy consults the solver; the vanilla
-/// policy is purely structural.
-pub(crate) trait DecodePolicy {
-    /// Allowed next characters for variable `k` in state `st`.
-    fn allowed(&mut self, k: usize, spec: &VarSpec, st: &VarState) -> CharOptions;
-    /// Called when variable `k` commits to `value`.
-    fn commit(&mut self, k: usize, value: i64);
-}
-
-/// The generic decode loop, parameterized by a [`DecodePolicy`]. Shared
-/// between the JIT decoder and the vanilla (rule-free) decoder.
-pub(crate) fn decode_loop<M, R, P>(
-    model: &M,
-    schema: &DecodeSchema,
-    prompt: &str,
-    sampler: &SamplerConfig,
-    rng: &mut R,
-    policy: &mut P,
-    mut trace: Option<&mut DecodeTrace>,
-) -> Result<DecodedOutput, DecodeError>
-where
-    M: LanguageModel,
-    R: Rng,
-    P: DecodePolicy,
-{
-    let vocab = model.vocab();
-    let tok = |c: char| -> Result<TokenId, DecodeError> {
-        vocab.id_of(c).ok_or(DecodeError::MissingChar(c))
-    };
-    let digit_tokens: Vec<TokenId> = ('0'..='9').map(tok).collect::<Result<Vec<_>, _>>()?;
-
-    let mut context: Vec<TokenId> = Vec::with_capacity(prompt.len() + 64);
-    for c in prompt.chars() {
-        context.push(tok(c)?);
-    }
-
-    let mut stats = DecodeStats::default();
-    let mut values = Vec::new();
-    let mut text = String::new();
-    let mut var_idx = 0usize;
-    let mut skip_next_literal_char = false;
-
-    for item in &schema.items {
-        match item {
-            SchemaItem::Literal(s) => {
-                for (i, c) in s.chars().enumerate() {
-                    if i == 0 && skip_next_literal_char {
-                        skip_next_literal_char = false;
-                        continue;
-                    }
-                    context.push(tok(c)?);
-                    text.push(c);
-                    stats.tokens += 1;
-                    stats.forced_tokens += 1;
-                }
-            }
-            SchemaItem::Variable(spec) => {
-                let term_char = schema.terminator_of(var_idx);
-                let term_token = tok(term_char)?;
-                let mut st = VarState::start();
-                loop {
-                    let opts = policy.allowed(var_idx, spec, &st);
-                    if opts.is_dead_end() {
-                        return Err(DecodeError::DeadEnd {
-                            var: spec.name.clone(),
-                            prefix: st.prefix,
-                        });
-                    }
-                    let logits = model.next_logits(&context);
-                    // Unconstrained argmax, for intervention accounting.
-                    // `total_cmp` (not `partial_cmp().unwrap()`): panic-free
-                    // on NaN and a deterministic total order on ties.
-                    let argmax = logits
-                        .iter()
-                        .enumerate()
-                        .max_by(|a, b| a.1.total_cmp(b.1))
-                        .map(|(i, _)| i as TokenId)
-                        .unwrap_or(0);
-
-                    let mut allowed_tokens: Vec<TokenId> = opts
-                        .digits
-                        .iter()
-                        .map(|&d| digit_tokens[d as usize])
-                        .collect();
-                    if opts.terminator {
-                        allowed_tokens.push(term_token);
-                    }
-                    if allowed_tokens.len() == 1 {
-                        stats.forced_choices += 1;
-                    }
-                    if !allowed_tokens.contains(&argmax) {
-                        stats.interventions += 1;
-                    }
-
-                    let mut masked = vec![f32::NEG_INFINITY; logits.len()];
-                    for &t in &allowed_tokens {
-                        masked[t as usize] = logits[t as usize];
-                    }
-                    // A model can assign -inf to every allowed token (e.g. a
-                    // character it never saw in training); the mask then
-                    // leaves no finite logit and sampling has no
-                    // distribution to draw from. The allowed set is still
-                    // exactly the feasible set, so fall back to a uniform
-                    // draw over it rather than panicking.
-                    let chosen = match sample_token(&masked, sampler, rng) {
-                        Some(t) => t,
-                        None => allowed_tokens[rng.random_range(0..allowed_tokens.len())],
-                    };
-                    stats.tokens += 1;
-                    context.push(chosen);
-
-                    if let Some(tr) = trace.as_deref_mut() {
-                        tr.steps.push(TraceStep {
-                            var: spec.name.clone(),
-                            prefix: st.prefix,
-                            prefix_len: st.len,
-                            allowed_digits: opts.digits.clone(),
-                            terminator_allowed: opts.terminator,
-                            chosen: vocab.char_of(chosen),
-                            intervened: !allowed_tokens.contains(&argmax),
-                        });
-                    }
-
-                    if chosen == term_token && opts.terminator {
-                        text.push(term_char);
-                        values.push(st.prefix);
-                        policy.commit(var_idx, st.prefix);
-                        skip_next_literal_char = true;
-                        break;
-                    }
-                    let d = digit_tokens.iter().position(|&t| t == chosen).ok_or(
-                        DecodeError::Internal(
-                            "sampled token is neither an allowed digit nor the terminator",
-                        ),
-                    )? as u8;
-                    text.push(char::from(b'0' + d));
-                    st.push(d);
-                }
-                var_idx += 1;
-            }
-        }
-    }
-
-    Ok(DecodedOutput {
-        values,
-        text,
-        stats,
-    })
-}
-
-/// The solver-backed [`DecodePolicy`]: character sets come from the
-/// transition system, commits become partial instantiations.
-struct JitPolicy<'s> {
-    session: &'s mut JitSession,
-    lookahead: Lookahead,
-}
-
-impl DecodePolicy for JitPolicy<'_> {
-    fn allowed(&mut self, k: usize, spec: &VarSpec, st: &VarState) -> CharOptions {
-        allowed_chars(self.session, k, spec, st, self.lookahead)
-    }
-    fn commit(&mut self, k: usize, value: i64) {
-        self.session.fix(k, value);
-    }
-}
-
-impl JitPolicy<'_> {
-    /// Copies the session's solver counters into the decode stats.
-    fn fill_stats(&self, stats: &mut DecodeStats) {
-        fill_session_stats(self.session, stats);
-    }
-}
-
-/// Copies a session's solver-side counters (session caches plus the
-/// underlying [`lejit_smt::SolverStats`] cost profile) into `stats`.
-/// Shared by the serial, batch, and continuous-batching decode paths so all
-/// report the same per-check cost breakdown. The copied values are the
-/// session's *lifetime* totals — see [`DecodeStats::rebase_against`] for
-/// per-decode deltas on reused sessions.
-pub(crate) fn fill_session_stats(session: &JitSession, stats: &mut DecodeStats) {
-    stats.solver_checks = session.checks();
-    stats.solver_checks_saved = session.solver_checks_saved();
-    stats.cache_hits = session.cache_hits();
-    let s = session.solver().stats();
-    stats.solver_pivots = s.pivots;
-    stats.solver_bnb_nodes = s.bnb_nodes;
-    stats.theory_propagations = s.theory_propagations;
-    stats.theory_explanations = s.theory_explanations;
-    stats.encode_cache_hits = s.encode_cache_hits;
-    stats.encode_cache_misses = s.encode_cache_misses;
-    stats.pool_hits = s.pool_hits;
-    stats.pool_misses = s.pool_misses;
-    stats.pool_evictions = s.pool_evictions;
-}
-
 /// The LeJIT decoder: SMT-guided constrained generation.
 pub struct JitDecoder<'m, M: LanguageModel> {
     model: &'m M,
     sampler: SamplerConfig,
     lookahead: Lookahead,
-    shared_lanes: bool,
 }
 
 impl<'m, M: LanguageModel> JitDecoder<'m, M> {
-    /// Creates a decoder with full solver lookahead (the LeJIT default).
+    /// Creates a decoder with the default lookahead.
     pub fn new(model: &'m M, sampler: SamplerConfig) -> Self {
         JitDecoder {
             model,
             sampler,
-            lookahead: Lookahead::Full,
-            shared_lanes: false,
+            lookahead: Lookahead::default(),
         }
     }
 
     /// Overrides the lookahead policy (used by the ablation benchmark).
     pub fn with_lookahead(mut self, lookahead: Lookahead) -> Self {
         self.lookahead = lookahead;
-        self
-    }
-
-    /// Declares that every session handed to [`Self::decode_batch`] carries
-    /// an *identical* grounded base system (same rules over the same
-    /// constants), so lanes parked at the same schema position with the
-    /// same decoded values have identical live constraint systems. The
-    /// batch loop then shares one interval analysis across such lanes
-    /// (`JitSession::adopt_analysis_from`) instead of letting each lane
-    /// re-derive the identical hull.
-    ///
-    /// Decoded bytes are unchanged — every guided tier is exact — but a
-    /// sharing lane's `solver_checks` can come out *lower* than the serial
-    /// decode of the same record, with the avoided analyses credited to
-    /// `solver_checks_saved`. Callers whose sessions are grounded over
-    /// per-record constants (e.g. per-window imputation) must leave this
-    /// off: sharing across differing bases would be unsound.
-    pub fn with_shared_lanes(mut self, shared: bool) -> Self {
-        self.shared_lanes = shared;
         self
     }
 
@@ -413,24 +202,12 @@ impl<'m, M: LanguageModel> JitDecoder<'m, M> {
         prompt: &str,
         rng: &mut R,
     ) -> Result<DecodedOutput, DecodeError> {
-        if !session.satisfiable() {
-            return Err(DecodeError::UnsatRules);
-        }
-        let mut policy = JitPolicy {
+        let mut job = SessionJob {
             session,
-            lookahead: self.lookahead,
-        };
-        let mut out = decode_loop(
-            self.model,
-            schema,
-            prompt,
-            &self.sampler,
             rng,
-            &mut policy,
-            None,
-        )?;
-        policy.fill_stats(&mut out.stats);
-        Ok(out)
+            trace: None,
+        };
+        self.run(&mut job, schema, prompt)
     }
 
     /// Like [`Self::decode`], additionally returning a per-character
@@ -442,123 +219,127 @@ impl<'m, M: LanguageModel> JitDecoder<'m, M> {
         prompt: &str,
         rng: &mut R,
     ) -> Result<(DecodedOutput, DecodeTrace), DecodeError> {
-        if !session.satisfiable() {
-            return Err(DecodeError::UnsatRules);
-        }
-        let mut policy = JitPolicy {
+        let mut job = SessionJob {
             session,
-            lookahead: self.lookahead,
-        };
-        let mut trace = DecodeTrace::default();
-        let mut out = decode_loop(
-            self.model,
-            schema,
-            prompt,
-            &self.sampler,
             rng,
-            &mut policy,
-            Some(&mut trace),
-        )?;
-        policy.fill_stats(&mut out.stats);
-        Ok((out, trace))
+            trace: Some(DecodeTrace::default()),
+        };
+        let out = self.run(&mut job, schema, prompt)?;
+        Ok((out, job.trace.unwrap_or_default()))
     }
 
-    /// Decodes a batch of records lock-step: each round asks every live
-    /// lane's solver for its allowed characters, runs **one**
-    /// [`LanguageModel::forward_batch`] over all live contexts, then
-    /// samples and commits each lane from its own RNG.
+    fn run<R: Rng>(
+        &self,
+        job: &mut SessionJob<'_, R>,
+        schema: &DecodeSchema,
+        prompt: &str,
+    ) -> Result<DecodedOutput, DecodeError> {
+        decode_lane(
+            self.model,
+            schema,
+            &self.sampler,
+            self.lookahead,
+            job,
+            prompt,
+        )
+    }
+
+    /// Decodes a group of records lock-step, one `(session, prompt, rng)`
+    /// per lane: each round asks every live lane's solver for its allowed
+    /// characters, runs **one** [`LanguageModel::forward_batch`] over all
+    /// live contexts, then samples and commits each lane from its own RNG.
     ///
     /// Lanes that finish their schema, dead-end, or start unsatisfiable
     /// drop out of the batch; the survivors keep draining in smaller
     /// rounds until none remain. Lane `i`'s result is byte-identical to
-    /// `self.decode(&mut sessions[i], schema, prompts[i], &mut rngs[i])`:
-    /// each lane sees the same per-record sequence of solver queries,
-    /// logits (the model's batch contract), and RNG draws as the serial
-    /// loop, so only the *grouping* of model calls changes. The one
-    /// reordering — the round computes constraint masks before logits
-    /// where the serial loop interleaves them per character — touches
-    /// neither the RNG nor any value either computation reads
-    /// (DESIGN.md §8).
-    ///
-    /// Under [`Self::with_shared_lanes`] the decoded *bytes* keep that
-    /// guarantee but the solver-side stats need not: lanes at a shared
-    /// schema position adopt one lane's interval analysis instead of
-    /// re-deriving it, so their `solver_checks` can come out below the
-    /// serial decode's (never above — adopted knowledge only answers
-    /// queries earlier).
-    ///
-    /// # Panics
-    /// Panics unless `sessions`, `prompts`, and `rngs` have equal lengths.
+    /// [`Self::decode`] on lane `i`'s triple: each lane sees the same
+    /// per-record sequence of solver queries, logits (the model's batch
+    /// contract), and RNG draws as a serial decode, so only the *grouping*
+    /// of model calls changes (DESIGN.md §8).
     pub fn decode_batch<R: Rng>(
         &self,
-        sessions: &mut [JitSession],
         schema: &DecodeSchema,
-        prompts: &[&str],
-        rngs: &mut [R],
+        lanes: &mut [(&mut JitSession, &str, &mut R)],
     ) -> Vec<Result<DecodedOutput, DecodeError>> {
-        let n = sessions.len();
-        assert_eq!(prompts.len(), n, "one prompt per session");
-        assert_eq!(rngs.len(), n, "one RNG per session");
-        let mut batcher = ContinuousBatcher::new(schema.clone(), self.sampler, n.max(1))
-            .with_lookahead(self.lookahead)
-            .with_shared_lanes(self.shared_lanes);
-        let mut results: Vec<Option<Result<DecodedOutput, DecodeError>>> =
-            (0..n).map(|_| None).collect();
-        let settle =
-            |f: FinishedLane<SliceJob<'_, R>>,
-             results: &mut Vec<Option<Result<DecodedOutput, DecodeError>>>| {
-                if let Some(r) = results.get_mut(f.tag as usize) {
-                    *r = Some(f.result);
-                }
+        let mut batcher = ContinuousBatcher::new(schema.clone(), self.sampler, lanes.len())
+            .with_lookahead(self.lookahead);
+        let mut results: Vec<Result<DecodedOutput, DecodeError>> = lanes
+            .iter()
+            .map(|_| Err(DecodeError::Internal("lane never resolved")))
+            .collect();
+        let mut settle = |f: FinishedLane<SessionJob<'_, R>>| {
+            if let Some(r) = results.get_mut(f.tag as usize) {
+                *r = f.result;
+            }
+        };
+        for (i, (session, prompt, rng)) in lanes.iter_mut().enumerate() {
+            let job = SessionJob {
+                session,
+                rng: &mut **rng,
+                trace: None,
             };
-        for (i, (session, rng)) in sessions.iter_mut().zip(rngs.iter_mut()).enumerate() {
-            match batcher.admit(self.model, SliceJob { session, rng }, prompts[i], i as u64) {
+            match batcher.admit(self.model, job, prompt, i as u64) {
                 AdmitOutcome::Seated => {}
-                AdmitOutcome::Finished(f) => settle(f, &mut results),
-                AdmitOutcome::Full(_) => {
-                    // Unreachable: the batcher was sized to the group.
-                    results[i] = Some(Err(DecodeError::Internal("no free lane slot")));
-                }
+                AdmitOutcome::Finished(f) => settle(f),
+                // Unreachable (the batcher was sized to the group); the
+                // lane keeps its "never resolved" error.
+                AdmitOutcome::Full(_) => {}
             }
         }
         while !batcher.is_idle() {
-            let round = batcher.step(self.model);
-            for f in round.finished {
-                settle(f, &mut results);
-            }
+            batcher
+                .step(self.model)
+                .finished
+                .into_iter()
+                .for_each(&mut settle);
         }
         results
-            .into_iter()
-            .map(|r| r.unwrap_or(Err(DecodeError::Internal("lane never resolved"))))
-            .collect()
     }
 }
 
-/// [`LaneJob`] over borrowed per-record state: how [`JitDecoder::decode_batch`]
-/// feeds the continuous-batching engine a fixed group.
-struct SliceJob<'a, R: Rng> {
+/// The session-backed [`LaneJob`]: character sets come from the transition
+/// system, commits become partial instantiations. Borrowed per-record
+/// state, so one type serves the serial, traced and fixed-group drivers.
+struct SessionJob<'a, R: Rng> {
     session: &'a mut JitSession,
     rng: &'a mut R,
+    trace: Option<DecodeTrace>,
 }
 
-impl<R: Rng> LaneJob for SliceJob<'_, R> {
+impl<R: Rng> LaneJob for SessionJob<'_, R> {
     type Rng = R;
-    fn session(&self) -> &JitSession {
-        self.session
+    fn admissible(&mut self) -> bool {
+        self.session.satisfiable()
     }
-    fn session_mut(&mut self) -> &mut JitSession {
-        self.session
+    fn allowed(
+        &mut self,
+        k: usize,
+        spec: &VarSpec,
+        st: &VarState,
+        lookahead: Lookahead,
+    ) -> CharOptions {
+        allowed_chars(self.session, k, spec, st, lookahead)
+    }
+    fn commit(&mut self, k: usize, value: i64) {
+        self.session.fix(k, value);
     }
     fn rng_mut(&mut self) -> &mut R {
         self.rng
+    }
+    fn fill_stats(&self, stats: &mut DecodeStats) {
+        self.session.fill_stats(stats);
+    }
+    fn trace_mut(&mut self) -> Option<&mut DecodeTrace> {
+        self.trace.as_mut()
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::batch::record_seed;
     use crate::schema::DecodeSchema;
-    use lejit_lm::{NgramLm, Vocab};
+    use lejit_lm::{NgramLm, TokenId, Vocab};
     use lejit_rules::{ground_rule, parse_rules, GroundCtx, RuleSet};
     use lejit_telemetry::CoarseField;
     use rand::rngs::StdRng;
@@ -620,6 +401,26 @@ pub(crate) mod tests {
             solver.assert(g);
         }
         (session, schema)
+    }
+
+    /// `decode_batch` over fresh `session_for(total, 8)` lanes, lane `i`
+    /// drawing from `record_seed(base, i)`.
+    fn decode_group<M: LanguageModel>(
+        decoder: &JitDecoder<'_, M>,
+        totals: &[i64],
+        prompt: &str,
+        base: u64,
+    ) -> Vec<Result<DecodedOutput, DecodeError>> {
+        let mut owned: Vec<(JitSession, StdRng)> = totals
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| {
+                let rng = StdRng::seed_from_u64(record_seed(base, i as u64));
+                (session_for(t, 8).0, rng)
+            })
+            .collect();
+        let mut lanes: Vec<_> = owned.iter_mut().map(|(s, r)| (s, prompt, r)).collect();
+        decoder.decode_batch(&DecodeSchema::fine_series(5, 60), &mut lanes)
     }
 
     #[test]
@@ -724,7 +525,7 @@ pub(crate) mod tests {
     #[test]
     fn all_neg_inf_logits_fall_back_to_uniform_over_allowed() {
         // Regression: when the mask leaves only -inf-scored tokens,
-        // `decode_loop` used to panic on "non-empty allowed set always
+        // the decode step used to panic on "non-empty allowed set always
         // yields a sample". The feasible set is still correct, so the
         // decoder now draws uniformly from it instead.
         let model = AllNegInfLm {
@@ -748,25 +549,14 @@ pub(crate) mod tests {
         let serial: Vec<DecodedOutput> = (0..6)
             .map(|i| {
                 let (mut session, schema) = session_for(100, 8);
-                let mut rng = StdRng::seed_from_u64(crate::batch::record_seed(33, i));
+                let mut rng = StdRng::seed_from_u64(record_seed(33, i));
                 decoder
                     .decode(&mut session, &schema, prompt, &mut rng)
                     .unwrap()
             })
             .collect();
 
-        let mut sessions = Vec::new();
-        let mut schema = None;
-        for _ in 0..6 {
-            let (s, sc) = session_for(100, 8);
-            sessions.push(s);
-            schema = Some(sc);
-        }
-        let schema = schema.unwrap();
-        let mut rngs: Vec<StdRng> = (0..6)
-            .map(|i| StdRng::seed_from_u64(crate::batch::record_seed(33, i)))
-            .collect();
-        let got = decoder.decode_batch(&mut sessions, &schema, &[prompt; 6], &mut rngs);
+        let got = decode_group(&decoder, &[100; 6], prompt, 33);
         for (i, (s, g)) in serial.iter().zip(&got).enumerate() {
             let g = g.as_ref().unwrap_or_else(|e| panic!("lane {i}: {e}"));
             assert_eq!(s.text, g.text, "lane {i} text diverged");
@@ -788,85 +578,18 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn shared_lanes_keep_bytes_and_cut_total_checks() {
-        // With identically grounded lanes opted in via `with_shared_lanes`,
-        // interval analyses are derived once per shared schema position
-        // instead of once per lane: bytes match the serial guided decode
-        // exactly, and the batch's total solver checks drop below it.
-        let model = toy_model();
-        let decoder = JitDecoder::new(&model, SamplerConfig::default())
-            .with_lookahead(Lookahead::IntervalGuided)
-            .with_shared_lanes(true);
-        let serial_decoder = JitDecoder::new(&model, SamplerConfig::default())
-            .with_lookahead(Lookahead::IntervalGuided);
-        let prompt = "T=100;E=8;R=0;G=70;C=12;D=0|";
-        let serial: Vec<DecodedOutput> = (0..6)
-            .map(|i| {
-                let (mut session, schema) = session_for(100, 8);
-                let mut rng = StdRng::seed_from_u64(crate::batch::record_seed(33, i));
-                serial_decoder
-                    .decode(&mut session, &schema, prompt, &mut rng)
-                    .unwrap()
-            })
-            .collect();
-
-        let mut sessions = Vec::new();
-        let mut schema = None;
-        for _ in 0..6 {
-            let (s, sc) = session_for(100, 8);
-            sessions.push(s);
-            schema = Some(sc);
-        }
-        let schema = schema.unwrap();
-        let mut rngs: Vec<StdRng> = (0..6)
-            .map(|i| StdRng::seed_from_u64(crate::batch::record_seed(33, i)))
-            .collect();
-        let got = decoder.decode_batch(&mut sessions, &schema, &[prompt; 6], &mut rngs);
-        let mut serial_checks = 0u64;
-        let mut batch_checks = 0u64;
-        for (i, (s, g)) in serial.iter().zip(&got).enumerate() {
-            let g = g.as_ref().unwrap_or_else(|e| panic!("lane {i}: {e}"));
-            assert_eq!(s.text, g.text, "lane {i} text diverged");
-            assert_eq!(s.values, g.values, "lane {i} values diverged");
-            assert!(
-                g.stats.solver_checks <= s.stats.solver_checks,
-                "lane {i}: sharing can only remove checks ({} > {})",
-                g.stats.solver_checks,
-                s.stats.solver_checks
-            );
-            serial_checks += s.stats.solver_checks;
-            batch_checks += g.stats.solver_checks;
-        }
-        assert!(
-            batch_checks < serial_checks,
-            "shared lanes saved nothing ({batch_checks} vs {serial_checks})"
-        );
-    }
-
-    #[test]
     fn batch_decode_reports_per_lane_errors_and_drains_survivors() {
         // Lane 1 starts unsatisfiable (total=400 over 5 values ≤ 60); the
         // other lanes must decode exactly as if lane 1 never existed.
         let model = toy_model();
         let decoder = JitDecoder::new(&model, SamplerConfig::default());
         let prompt = "T=100;E=8;R=0;G=70;C=12;D=0|";
-        let totals = [100i64, 400, 100];
-        let mut sessions = Vec::new();
-        let mut schema = None;
-        for &t in &totals {
-            let (s, sc) = session_for(t, 8);
-            sessions.push(s);
-            schema = Some(sc);
-        }
-        let schema = schema.unwrap();
-        let mut rngs: Vec<StdRng> = (0..3)
-            .map(|i| StdRng::seed_from_u64(crate::batch::record_seed(90, i)))
-            .collect();
-        let got = decoder.decode_batch(&mut sessions, &schema, &[prompt; 3], &mut rngs);
+        let schema = DecodeSchema::fine_series(5, 60);
+        let got = decode_group(&decoder, &[100, 400, 100], prompt, 90);
         assert_eq!(got[1].as_ref().unwrap_err(), &DecodeError::UnsatRules);
         for &i in &[0usize, 2] {
             let (mut session, _) = session_for(100, 8);
-            let mut rng = StdRng::seed_from_u64(crate::batch::record_seed(90, i as u64));
+            let mut rng = StdRng::seed_from_u64(record_seed(90, i as u64));
             let serial = decoder
                 .decode(&mut session, &schema, prompt, &mut rng)
                 .unwrap();
@@ -900,7 +623,7 @@ pub(crate) mod tests {
         let serial: Vec<DecodedOutput> = (0..4)
             .map(|i| {
                 let (mut session, schema) = session_for(100, 8);
-                let mut rng = StdRng::seed_from_u64(crate::batch::record_seed(55, i));
+                let mut rng = StdRng::seed_from_u64(record_seed(55, i));
                 serial_decoder
                     .decode(&mut session, &schema, prompt, &mut rng)
                     .unwrap()
@@ -909,22 +632,95 @@ pub(crate) mod tests {
 
         let batch_model = BatchedGpt::new(&gpt, 4);
         let batch_decoder = JitDecoder::new(&batch_model, SamplerConfig::default());
-        let mut sessions = Vec::new();
-        let mut schema = None;
-        for _ in 0..4 {
-            let (s, sc) = session_for(100, 8);
-            sessions.push(s);
-            schema = Some(sc);
-        }
-        let schema = schema.unwrap();
-        let mut rngs: Vec<StdRng> = (0..4)
-            .map(|i| StdRng::seed_from_u64(crate::batch::record_seed(55, i)))
-            .collect();
-        let got = batch_decoder.decode_batch(&mut sessions, &schema, &[prompt; 4], &mut rngs);
+        let got = decode_group(&batch_decoder, &[100; 4], prompt, 55);
         for (i, (s, g)) in serial.iter().zip(&got).enumerate() {
             let g = g.as_ref().unwrap_or_else(|e| panic!("lane {i}: {e}"));
             assert_eq!(s.text, g.text, "lane {i} text diverged");
             assert_eq!(s.values, g.values, "lane {i} values diverged");
+        }
+    }
+
+    #[test]
+    fn error_precedence_is_the_same_serial_and_in_a_batcher_lane() {
+        // One admission sequence (unsat → digit ids → prompt ids) and one
+        // per-character step serve both drivers, so whichever failures a
+        // record combines, `decode` and a `decode_batch` lane seated beside
+        // a healthy neighbour report the same one.
+        let full = toy_model();
+        let vocab_without = |gone: &[char]| {
+            let chars: String = full
+                .vocab()
+                .chars()
+                .iter()
+                .filter(|c| !gone.contains(c))
+                .collect();
+            let vocab = Vocab::from_corpus(&chars);
+            let seqs = vec![vocab.encode("1,2").unwrap()];
+            NgramLm::train(vocab, &seqs, 2)
+        };
+        let no_dot = vocab_without(&['.']);
+        let no_nine = vocab_without(&['9']);
+        let prompt = "T=100;E=8;R=0;G=70;C=12;D=0|";
+        // (model, lookahead, lane total, prompt, expected error)
+        let cases: [(&NgramLm, Lookahead, i64, &str, DecodeError); 6] = [
+            (
+                &full,
+                Lookahead::default(),
+                400,
+                prompt,
+                DecodeError::UnsatRules,
+            ),
+            (
+                &full,
+                Lookahead::default(),
+                400,
+                "X",
+                DecodeError::UnsatRules,
+            ),
+            (
+                &full,
+                Lookahead::default(),
+                100,
+                "X",
+                DecodeError::MissingChar('X'),
+            ),
+            (
+                &no_nine,
+                Lookahead::default(),
+                100,
+                "X",
+                DecodeError::MissingChar('9'),
+            ),
+            (
+                &no_dot,
+                Lookahead::default(),
+                100,
+                "",
+                DecodeError::MissingChar('.'),
+            ),
+            (
+                &full,
+                Lookahead::ImmediateOnly,
+                100,
+                prompt,
+                DecodeError::DeadEnd {
+                    var: "fine4".into(),
+                    prefix: 25,
+                },
+            ),
+        ];
+        for (n, (model, lookahead, total, prompt, want)) in cases.into_iter().enumerate() {
+            let decoder =
+                JitDecoder::new(model, SamplerConfig::default()).with_lookahead(lookahead);
+            let (mut session, schema) = session_for(total, 8);
+            let mut rng = StdRng::seed_from_u64(record_seed(7, 1));
+            let serial = decoder
+                .decode(&mut session, &schema, prompt, &mut rng)
+                .unwrap_err();
+            // Lane 1 is the case; lane 0 is its neighbour.
+            let lane = decode_group(&decoder, &[100, total], prompt, 7).swap_remove(1);
+            assert_eq!(lane.unwrap_err(), serial, "case {n}");
+            assert_eq!(serial, want, "case {n}");
         }
     }
 

@@ -1,67 +1,90 @@
-//! Continuous batching: lane slots that refill as individual records finish.
+//! The lane engine: the one place a character is decided.
 //!
-//! [`crate::decoder::JitDecoder::decode_batch`] decodes a *fixed group* —
-//! every lane starts together and the batch drains until the last lane
-//! finishes. A serving workload doesn't arrive in groups: requests trickle
-//! in, and a finished lane should hand its slot to the next queued request
-//! immediately instead of idling until the group drains. This module is the
-//! shared engine for both shapes: [`ContinuousBatcher`] owns a fixed set of
-//! lane *slots*, [`ContinuousBatcher::admit`] seats a job in the
-//! lowest-indexed free slot, and each [`ContinuousBatcher::step`] advances
-//! every seated lane by one character with **one**
-//! [`LanguageModel::forward_batch`] over the live contexts. `decode_batch`
-//! is now a thin driver over this engine (admit the whole group, step until
-//! idle); `lejit-serve` runs the same engine against a request queue,
-//! refilling slots between steps.
+//! A *lane* is one record mid-decode: its walk over the schema plus the
+//! caller's [`LaneJob`] (mask source, RNG, optional trace sink). Every
+//! decoding front-end drives the same two per-lane functions:
+//!
+//! ```text
+//! admit ─► mask ─► logits ─► apply ─┐      mask:  walk literals, ask the job
+//!           ▲ │                     │             which characters may follow
+//!           │ └─► finish            │      apply: argmax, -inf mask, sample,
+//!           └───────────────────────┘             commit, trace
+//! ```
+//!
+//! `finish` is the schema end; a typed [`DecodeError`] out of any stage
+//! ends the lane the same way.
+//!
+//! Serial, traced and vanilla decoding ([`crate::JitDecoder::decode`],
+//! [`crate::JitDecoder::decode_traced`], [`crate::VanillaDecoder::decode`])
+//! run one lane to completion with [`LanguageModel::next_logits`] between
+//! the two functions. [`ContinuousBatcher`] owns a fixed set of lane
+//! *slots*: [`ContinuousBatcher::admit`] seats a job in the lowest free
+//! slot, and each [`ContinuousBatcher::step`] masks every seated lane, runs
+//! **one** [`LanguageModel::forward_batch`] over the live contexts, and
+//! applies each row — [`crate::JitDecoder::decode_batch`] admits a fixed
+//! group and steps until idle; `lejit-serve` refills slots from a request
+//! queue between steps.
 //!
 //! # Determinism under arbitrary arrival interleaving
 //!
-//! Each job carries its own session and its own RNG stream, and a step
-//! touches them strictly per-lane: the constraint mask consults only that
-//! lane's session, the batched forward pass returns each row exactly as a
+//! Each job carries its own mask source and its own RNG stream, and both
+//! per-lane functions touch nothing else: the mask consults only that
+//! lane's job, the batched forward pass returns each row exactly as a
 //! serial `next_logits` on that lane's context would (the
 //! [`LanguageModel::forward_batch`] contract), and sampling draws only from
-//! that lane's RNG. No shared mutable state crosses lanes (cross-lane
-//! interval *sharing* is opt-in and only legal when the bases are
-//! identical; even then every guided tier is exact, so bytes are
-//! unaffected). A record admitted into slot 3 of a half-busy batcher
+//! that lane's RNG. A record admitted into slot 3 of a half-busy batcher
 //! therefore sees the *same* sequence of solver queries, logits, and RNG
 //! draws as a solo serial decode — its output is byte-identical no matter
 //! when it arrived or which lanes ran beside it. That is the property the
 //! arrival-order proptests and the CI determinism matrix's
 //! `LEJIT_ARRIVAL_SEED` axis pin down.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
-
 use rand::Rng;
 
-use lejit_lm::{sample_token, LanguageModel, SamplerConfig, TokenId};
+use lejit_lm::{sample_token, LanguageModel, SamplerConfig, TokenId, Vocab};
 
-use crate::decoder::{fill_session_stats, DecodeError, DecodeStats, DecodedOutput};
-use crate::schema::{DecodeSchema, SchemaItem};
-use crate::session::JitSession;
-use crate::transition::{allowed_chars, CharOptions, Lookahead, VarState};
+use crate::decoder::{DecodeError, DecodeStats, DecodedOutput};
+use crate::schema::{DecodeSchema, SchemaItem, VarSpec};
+use crate::trace::{DecodeTrace, TraceStep};
+use crate::transition::{CharOptions, Lookahead, VarState};
 
-/// One unit of decode work a lane slot can host: a grounded session plus a
-/// private RNG stream. The batch driver implements this over borrowed
-/// slices; `lejit-serve` implements it over owned per-request state (and
-/// uses the job handed back in [`FinishedLane`] to write the response and
-/// recycle the session into its pool).
+/// One unit of decode work a lane can host: the source of its character
+/// masks plus a private RNG stream. A session-backed job answers from
+/// [`crate::allowed_chars`] / [`crate::JitSession::fix`]; the vanilla job
+/// answers structurally and commits nothing. `lejit-serve` implements this
+/// over owned per-request state and uses the job handed back in
+/// [`FinishedLane`] to write the response and recycle the session.
 pub trait LaneJob {
     /// The RNG type driving this job's sampling.
     type Rng: Rng;
-    /// The job's solver session (shared view, e.g. as a sharing donor).
-    fn session(&self) -> &JitSession;
-    /// The job's solver session (for queries and commits).
-    fn session_mut(&mut self) -> &mut JitSession;
+    /// Admission check, run before the first character: `false` fails the
+    /// lane with [`DecodeError::UnsatRules`].
+    fn admissible(&mut self) -> bool;
+    /// The characters that may follow state `st` of variable `k`, under the
+    /// engine's lookahead policy.
+    fn allowed(
+        &mut self,
+        k: usize,
+        spec: &VarSpec,
+        st: &VarState,
+        lookahead: Lookahead,
+    ) -> CharOptions;
+    /// Variable `k` committed to `value` (its terminator was emitted).
+    fn commit(&mut self, k: usize, value: i64);
     /// The job's private RNG stream.
     fn rng_mut(&mut self) -> &mut Self::Rng;
+    /// Copies the mask source's cost counters into a finished lane's stats.
+    fn fill_stats(&self, stats: &mut DecodeStats);
+    /// Where to record each generated character, if anywhere.
+    fn trace_mut(&mut self) -> Option<&mut DecodeTrace> {
+        None
+    }
 }
 
-/// Per-lane schema-walk bookkeeping, carried across lock-step rounds.
+/// Per-lane schema-walk bookkeeping.
 struct LaneState {
     context: Vec<TokenId>,
+    digit_tokens: [TokenId; 10],
     values: Vec<i64>,
     text: String,
     stats: DecodeStats,
@@ -75,10 +98,28 @@ struct LaneState {
     skip_next_literal_char: bool,
 }
 
+fn tok(vocab: &Vocab, c: char) -> Result<TokenId, DecodeError> {
+    vocab.id_of(c).ok_or(DecodeError::MissingChar(c))
+}
+
 impl LaneState {
-    fn new(capacity: usize) -> LaneState {
-        LaneState {
-            context: Vec::with_capacity(capacity + 64),
+    /// The work before a lane's first character: the job's admission check,
+    /// then the digit and prompt token ids.
+    fn admit<J: LaneJob>(job: &mut J, vocab: &Vocab, prompt: &str) -> Result<Self, DecodeError> {
+        if !job.admissible() {
+            return Err(DecodeError::UnsatRules);
+        }
+        let mut digit_tokens = [0; 10];
+        for (t, c) in digit_tokens.iter_mut().zip('0'..='9') {
+            *t = tok(vocab, c)?;
+        }
+        let mut context = Vec::with_capacity(prompt.len() + 64);
+        for c in prompt.chars() {
+            context.push(tok(vocab, c)?);
+        }
+        Ok(LaneState {
+            context,
+            digit_tokens,
             values: Vec::new(),
             text: String::new(),
             stats: DecodeStats::default(),
@@ -86,40 +127,181 @@ impl LaneState {
             var_idx: 0,
             var: None,
             skip_next_literal_char: false,
-        }
+        })
     }
 
-    /// Emits pending literal characters and parks the lane on its next
-    /// variable (leaving `var` set) or at the schema end (`var` stays
-    /// `None`). Mirrors the literal arm of the serial decode loop exactly.
-    fn advance<F>(&mut self, schema: &DecodeSchema, tok: &F) -> Result<(), DecodeError>
-    where
-        F: Fn(char) -> Result<TokenId, DecodeError>,
-    {
-        while self.var.is_none() && self.item_idx < schema.items.len() {
-            match &schema.items[self.item_idx] {
-                SchemaItem::Literal(s) => {
+    /// Emits pending literal characters, parks the lane on its next
+    /// variable, and asks the job which characters may follow. `Ok(None)`
+    /// means the schema is complete. Runs before the logits are computed,
+    /// so a dead end costs no forward pass.
+    fn mask<J: LaneJob>(
+        &mut self,
+        job: &mut J,
+        schema: &DecodeSchema,
+        vocab: &Vocab,
+        lookahead: Lookahead,
+    ) -> Result<Option<CharOptions>, DecodeError> {
+        while self.var.is_none() {
+            match schema.items.get(self.item_idx) {
+                None => return Ok(None),
+                Some(SchemaItem::Literal(s)) => {
                     for (i, c) in s.chars().enumerate() {
                         if i == 0 && self.skip_next_literal_char {
                             self.skip_next_literal_char = false;
                             continue;
                         }
-                        self.context.push(tok(c)?);
+                        self.context.push(tok(vocab, c)?);
                         self.text.push(c);
                         self.stats.tokens += 1;
                         self.stats.forced_tokens += 1;
                     }
                     self.item_idx += 1;
                 }
-                SchemaItem::Variable(_) => {
+                Some(SchemaItem::Variable(_)) => {
                     let term_char = schema.terminator_of(self.var_idx);
-                    let term_token = tok(term_char)?;
-                    self.var = Some((VarState::start(), term_char, term_token));
+                    self.var = Some((VarState::start(), term_char, tok(vocab, term_char)?));
                 }
             }
         }
+        let (Some(SchemaItem::Variable(spec)), Some((st, _, _))) =
+            (schema.items.get(self.item_idx), self.var.as_ref())
+        else {
+            return Err(DecodeError::Internal(
+                "live lane parked on a non-variable schema item",
+            ));
+        };
+        let opts = job.allowed(self.var_idx, spec, st, lookahead);
+        if opts.is_dead_end() {
+            return Err(DecodeError::DeadEnd {
+                var: spec.name.clone(),
+                prefix: st.prefix,
+            });
+        }
+        Ok(Some(opts))
+    }
+
+    /// Decides one character from `logits` under the mask `opts` that
+    /// [`Self::mask`] just returned: count the intervention, mask, sample
+    /// from the job's RNG, emit, and on a terminator commit the value.
+    fn apply<J: LaneJob>(
+        &mut self,
+        job: &mut J,
+        schema: &DecodeSchema,
+        vocab: &Vocab,
+        sampler: &SamplerConfig,
+        opts: &CharOptions,
+        logits: &[f32],
+    ) -> Result<(), DecodeError> {
+        let (Some(SchemaItem::Variable(spec)), Some((st, term_char, term_token))) =
+            (schema.items.get(self.item_idx), self.var.as_mut())
+        else {
+            return Err(DecodeError::Internal(
+                "masked lane has no in-progress variable",
+            ));
+        };
+        let (term_char, term_token) = (*term_char, *term_token);
+        // Unconstrained argmax, for intervention accounting. `total_cmp`:
+        // panic-free on NaN and a deterministic total order on ties.
+        let argmax = logits
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .map(|(t, _)| t as TokenId)
+            .unwrap_or(0);
+        let mut allowed_tokens: Vec<TokenId> = opts
+            .digits
+            .iter()
+            .map(|&d| self.digit_tokens[d as usize])
+            .collect();
+        if opts.terminator {
+            allowed_tokens.push(term_token);
+        }
+        let intervened = !allowed_tokens.contains(&argmax);
+        self.stats.forced_choices += u64::from(allowed_tokens.len() == 1);
+        self.stats.interventions += u64::from(intervened);
+
+        let mut masked = vec![f32::NEG_INFINITY; logits.len()];
+        for &t in &allowed_tokens {
+            masked[t as usize] = logits[t as usize];
+        }
+        // A model can assign -inf to every allowed token (e.g. a character
+        // it never saw in training); the mask then leaves no finite logit
+        // and sampling has no distribution to draw from. The allowed set is
+        // still exactly the feasible set, so fall back to a uniform draw
+        // over it rather than failing.
+        let rng = job.rng_mut();
+        let chosen = match sample_token(&masked, sampler, rng) {
+            Some(t) => t,
+            None => allowed_tokens[rng.random_range(0..allowed_tokens.len())],
+        };
+        self.stats.tokens += 1;
+        self.context.push(chosen);
+
+        if let Some(trace) = job.trace_mut() {
+            trace.steps.push(TraceStep {
+                var: spec.name.clone(),
+                prefix: st.prefix,
+                prefix_len: st.len,
+                allowed_digits: opts.digits.clone(),
+                terminator_allowed: opts.terminator,
+                chosen: vocab.char_of(chosen),
+                intervened,
+            });
+        }
+
+        if chosen == term_token && opts.terminator {
+            let value = st.prefix;
+            self.text.push(term_char);
+            self.values.push(value);
+            job.commit(self.var_idx, value);
+            self.skip_next_literal_char = true;
+            self.var = None;
+            self.var_idx += 1;
+            self.item_idx += 1;
+            return Ok(());
+        }
+        let d = self
+            .digit_tokens
+            .iter()
+            .position(|&t| t == chosen)
+            .ok_or(DecodeError::Internal(
+                "sampled token is neither an allowed digit nor the terminator",
+            ))? as u8;
+        self.text.push(char::from(b'0' + d));
+        st.push(d);
         Ok(())
     }
+
+    /// The finished record, with the job's cost counters folded in.
+    fn finish<J: LaneJob>(self, job: &J) -> DecodedOutput {
+        let mut stats = self.stats;
+        job.fill_stats(&mut stats);
+        DecodedOutput {
+            values: self.values,
+            text: self.text,
+            stats,
+        }
+    }
+}
+
+/// Runs one lane to completion, one [`LanguageModel::next_logits`] per
+/// generated character: the serial driver behind `decode`, `decode_traced`
+/// and the vanilla decoder.
+pub(crate) fn decode_lane<M: LanguageModel, J: LaneJob>(
+    model: &M,
+    schema: &DecodeSchema,
+    sampler: &SamplerConfig,
+    lookahead: Lookahead,
+    job: &mut J,
+    prompt: &str,
+) -> Result<DecodedOutput, DecodeError> {
+    let vocab = model.vocab();
+    let mut lane = LaneState::admit(job, vocab, prompt)?;
+    while let Some(opts) = lane.mask(job, schema, vocab, lookahead)? {
+        let logits = model.next_logits(&lane.context);
+        lane.apply(job, schema, vocab, sampler, &opts, &logits)?;
+    }
+    Ok(lane.finish(job))
 }
 
 /// A seated lane: the caller's job plus the engine's walk state.
@@ -129,6 +311,19 @@ struct LaneSlot<J: LaneJob> {
     lane: LaneState,
     /// Prefix of `lane.text` already reported through [`StepOutcome::chunks`].
     chunk_mark: usize,
+}
+
+impl<J: LaneJob> LaneSlot<J> {
+    /// The text emitted since the last report, if any.
+    fn take_chunk(&mut self) -> Option<(u64, String)> {
+        let delta = &self.lane.text[self.chunk_mark..];
+        if delta.is_empty() {
+            return None;
+        }
+        let chunk = (self.tag, delta.to_string());
+        self.chunk_mark = self.lane.text.len();
+        Some(chunk)
+    }
 }
 
 /// A lane that left the batcher: the caller's tag and job handed back,
@@ -152,15 +347,6 @@ pub struct StepOutcome<J: LaneJob> {
     pub chunks: Vec<(u64, String)>,
 }
 
-impl<J: LaneJob> StepOutcome<J> {
-    fn empty() -> Self {
-        StepOutcome {
-            finished: Vec::new(),
-            chunks: Vec::new(),
-        }
-    }
-}
-
 /// What [`ContinuousBatcher::admit`] did with the offered job.
 pub enum AdmitOutcome<J: LaneJob> {
     /// The job was seated in a free lane slot and will advance on the next
@@ -178,29 +364,27 @@ pub enum AdmitOutcome<J: LaneJob> {
 /// A fixed-width set of decode lanes refilled per-record: the engine behind
 /// both [`crate::JitDecoder::decode_batch`] and `lejit-serve`.
 ///
-/// The schema, lookahead policy, and sharing flag are fixed per batcher;
-/// every admitted job decodes the same schema (its session supplies the
-/// rules, its prompt the conditioning). The model is passed per call so the
-/// batcher borrows nothing long-term — callers must pass the *same* model
-/// to every call on one batcher (its vocabulary defines the token ids the
-/// seated lanes hold).
+/// The schema and lookahead policy are fixed per batcher; every admitted
+/// job decodes the same schema (its mask source supplies the rules, its
+/// prompt the conditioning). The model is passed per call so the batcher
+/// borrows nothing long-term — callers must pass the *same* model to every
+/// call on one batcher (its vocabulary defines the token ids the seated
+/// lanes hold).
 pub struct ContinuousBatcher<J: LaneJob> {
     schema: DecodeSchema,
     sampler: SamplerConfig,
     lookahead: Lookahead,
-    shared_lanes: bool,
     slots: Vec<Option<LaneSlot<J>>>,
 }
 
 impl<J: LaneJob> ContinuousBatcher<J> {
     /// A batcher with `capacity` lane slots over `schema`, decoding with
-    /// `sampler` and full solver lookahead.
+    /// `sampler` and the default lookahead.
     pub fn new(schema: DecodeSchema, sampler: SamplerConfig, capacity: usize) -> Self {
         ContinuousBatcher {
             schema,
             sampler,
-            lookahead: Lookahead::Full,
-            shared_lanes: false,
+            lookahead: Lookahead::default(),
             slots: (0..capacity.max(1)).map(|_| None).collect(),
         }
     }
@@ -209,24 +393,6 @@ impl<J: LaneJob> ContinuousBatcher<J> {
     pub fn with_lookahead(mut self, lookahead: Lookahead) -> Self {
         self.lookahead = lookahead;
         self
-    }
-
-    /// Enables cross-lane interval-analysis sharing. Only legal when every
-    /// admitted job's session carries an *identical* grounded base system —
-    /// see [`crate::JitDecoder::with_shared_lanes`] for the contract.
-    pub fn with_shared_lanes(mut self, shared: bool) -> Self {
-        self.shared_lanes = shared;
-        self
-    }
-
-    /// Total number of lane slots.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Number of currently seated lanes.
-    pub fn in_flight(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
     }
 
     /// Whether at least one slot is free.
@@ -251,320 +417,104 @@ impl<J: LaneJob> ContinuousBatcher<J> {
         prompt: &str,
         tag: u64,
     ) -> AdmitOutcome<J> {
-        let Some(free) = self.slots.iter().position(|s| s.is_none()) else {
+        let Some(free) = self.slots.iter_mut().find(|s| s.is_none()) else {
             return AdmitOutcome::Full(job);
         };
-        if !job.session_mut().satisfiable() {
-            return AdmitOutcome::Finished(FinishedLane {
+        match LaneState::admit(&mut job, model.vocab(), prompt) {
+            Ok(lane) => {
+                *free = Some(LaneSlot {
+                    job,
+                    tag,
+                    lane,
+                    chunk_mark: 0,
+                });
+                AdmitOutcome::Seated
+            }
+            Err(e) => AdmitOutcome::Finished(FinishedLane {
                 tag,
                 job,
-                result: Err(DecodeError::UnsatRules),
-            });
+                result: Err(e),
+            }),
         }
-        let vocab = model.vocab();
-        let mut lane = LaneState::new(prompt.len());
-        for c in prompt.chars() {
-            match vocab.id_of(c) {
-                Some(t) => lane.context.push(t),
-                None => {
-                    return AdmitOutcome::Finished(FinishedLane {
-                        tag,
-                        job,
-                        result: Err(DecodeError::MissingChar(c)),
-                    });
-                }
-            }
-        }
-        self.slots[free] = Some(LaneSlot {
-            job,
-            tag,
-            lane,
-            chunk_mark: 0,
-        });
-        AdmitOutcome::Seated
     }
 
-    /// Advances every seated lane by one character: pending literals are
-    /// emitted, lanes reaching the schema end finish, each live lane's
-    /// solver is asked for its allowed next characters (masks before
-    /// logits, so a dead end costs no forward pass), one batched forward
-    /// pass covers all live contexts, and each lane samples and commits
-    /// from its own RNG — the exact per-character round of
-    /// [`crate::JitDecoder::decode_batch`], which is now a driver over this
-    /// method.
+    /// Advances every seated lane by one character: each lane is masked in
+    /// slot order (lanes reaching the schema end or a dead end finish here,
+    /// before the forward pass), one batched forward pass covers all live
+    /// contexts, and each lane applies its row from its own RNG.
     pub fn step<M: LanguageModel>(&mut self, model: &M) -> StepOutcome<J> {
-        let mut out = StepOutcome::empty();
-        if self.is_idle() {
-            return out;
-        }
+        let mut out = StepOutcome {
+            finished: Vec::new(),
+            chunks: Vec::new(),
+        };
         let vocab = model.vocab();
-        let tok = |c: char| -> Result<TokenId, DecodeError> {
-            vocab.id_of(c).ok_or(DecodeError::MissingChar(c))
-        };
-        let digit_tokens: Vec<TokenId> = match ('0'..='9').map(tok).collect() {
-            Ok(t) => t,
-            Err(e) => {
-                // The vocabulary lacks a digit: no lane can make progress.
-                for i in 0..self.slots.len() {
-                    self.finish_err(i, e.clone(), &mut out);
-                }
-                return out;
-            }
-        };
-        let n = self.slots.len();
-
-        // Phase A: walk lanes parked between variables through their
-        // pending literals; a lane reaching the schema end finishes.
-        for i in 0..n {
+        let mut pending: Vec<(usize, CharOptions)> = Vec::new();
+        for i in 0..self.slots.len() {
             let Some(slot) = self.slots[i].as_mut() else {
                 continue;
             };
-            if slot.lane.var.is_some() {
-                continue;
-            }
-            if let Err(e) = slot.lane.advance(&self.schema, &tok) {
-                self.finish_err(i, e, &mut out);
-                continue;
-            }
-            if slot.lane.var.is_none() {
-                self.finish_ok(i, &mut out);
+            match slot
+                .lane
+                .mask(&mut slot.job, &self.schema, vocab, self.lookahead)
+            {
+                Ok(Some(opts)) => pending.push((i, opts)),
+                Ok(None) => self.finish(i, None, &mut out),
+                Err(e) => self.finish(i, Some(e), &mut out),
             }
         }
-
-        // Phase B: constraint masks in slot order (no RNG involved), so a
-        // dead-ended lane drops out before the round's forward pass. With
-        // `shared_lanes` on, the first lane at each (variable, decoded
-        // values) position donates its interval analysis to the rest — a
-        // `BTreeMap` so no hasher state can order anything observable
-        // (determinism lint L1); values are cloned into the key because the
-        // donor lookup needs the slots mutably.
-        let mut leaders: BTreeMap<(usize, Vec<i64>), usize> = BTreeMap::new();
-        let mut pending: Vec<usize> = Vec::new();
-        let mut options: Vec<CharOptions> = Vec::new();
-        for i in 0..n {
-            if self.slots[i].is_none() {
-                continue;
-            }
-            if self.shared_lanes {
-                let key = {
-                    let Some(slot) = self.slots[i].as_ref() else {
-                        continue;
-                    };
-                    (slot.lane.var_idx, slot.lane.values.clone())
-                };
-                match leaders.entry(key) {
-                    Entry::Occupied(leader) => {
-                        // The leader ran earlier this round, so l < i.
-                        let l = *leader.get();
-                        let (donors, rest) = self.slots.split_at_mut(i);
-                        if let (Some(Some(donor)), Some(Some(adopter))) =
-                            (donors.get(l), rest.first_mut())
-                        {
-                            let k = adopter.lane.var_idx;
-                            adopter
-                                .job
-                                .session_mut()
-                                .adopt_analysis_from(donor.job.session(), k);
-                        }
-                    }
-                    Entry::Vacant(slot) => {
-                        slot.insert(i);
-                    }
-                }
-            }
-            let lookahead = self.lookahead;
-            let verdict: Result<CharOptions, DecodeError> = {
-                let Some(slot) = self.slots[i].as_mut() else {
+        if !pending.is_empty() {
+            let logits_rows = {
+                let contexts: Vec<&[TokenId]> = pending
+                    .iter()
+                    .filter_map(|(i, _)| self.slots[*i].as_ref().map(|s| s.lane.context.as_slice()))
+                    .collect();
+                model.forward_batch(&contexts)
+            };
+            for (row, (i, opts)) in pending.iter().enumerate() {
+                let Some(slot) = self.slots[*i].as_mut() else {
                     continue;
                 };
-                let spec = match self.schema.items.get(slot.lane.item_idx) {
-                    Some(SchemaItem::Variable(spec)) => Some(spec),
-                    _ => None,
+                let applied = match logits_rows.get(row) {
+                    Some(logits) => slot.lane.apply(
+                        &mut slot.job,
+                        &self.schema,
+                        vocab,
+                        &self.sampler,
+                        opts,
+                        logits,
+                    ),
+                    None => Err(DecodeError::Internal(
+                        "batched forward returned too few rows",
+                    )),
                 };
-                match (spec, slot.lane.var.as_ref()) {
-                    (Some(spec), Some((st, _, _))) => {
-                        let var_idx = slot.lane.var_idx;
-                        let opts =
-                            allowed_chars(slot.job.session_mut(), var_idx, spec, st, lookahead);
-                        if opts.is_dead_end() {
-                            Err(DecodeError::DeadEnd {
-                                var: spec.name.clone(),
-                                prefix: st.prefix,
-                            })
-                        } else {
-                            Ok(opts)
-                        }
-                    }
-                    (None, _) => Err(DecodeError::Internal(
-                        "live lane parked on a non-variable schema item",
-                    )),
-                    (_, None) => Err(DecodeError::Internal(
-                        "live lane has no in-progress variable",
-                    )),
-                }
-            };
-            match verdict {
-                Ok(opts) => {
-                    pending.push(i);
-                    options.push(opts);
-                }
-                Err(e) => self.finish_err(i, e, &mut out),
-            }
-        }
-        if pending.is_empty() {
-            self.sweep_chunks(&mut out);
-            return out;
-        }
-
-        // Phase C: one batched forward pass for the whole round.
-        let logits_rows = {
-            let contexts: Vec<&[TokenId]> = pending
-                .iter()
-                .filter_map(|&i| self.slots[i].as_ref().map(|s| s.lane.context.as_slice()))
-                .collect();
-            model.forward_batch(&contexts)
-        };
-
-        // Phase D: sample and commit each lane in slot order, from its own
-        // RNG — the exact per-character step of the serial loop.
-        for (row, &i) in pending.iter().enumerate() {
-            let opts = &options[row];
-            let Some(logits) = logits_rows.get(row) else {
-                self.finish_err(
-                    i,
-                    DecodeError::Internal("batched forward returned too few rows"),
-                    &mut out,
-                );
-                continue;
-            };
-            let Some(slot) = self.slots[i].as_mut() else {
-                continue;
-            };
-            let lane = &mut slot.lane;
-            let Some((st, term_char, term_token)) = lane.var.as_mut() else {
-                self.finish_err(
-                    i,
-                    DecodeError::Internal("pending lane has no in-progress variable"),
-                    &mut out,
-                );
-                continue;
-            };
-            let (term_char, term_token) = (*term_char, *term_token);
-            // `total_cmp`: panic-free on NaN, deterministic on ties.
-            let argmax = logits
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(t, _)| t as TokenId)
-                .unwrap_or(0);
-            let mut allowed_tokens: Vec<TokenId> = opts
-                .digits
-                .iter()
-                .map(|&d| digit_tokens[d as usize])
-                .collect();
-            if opts.terminator {
-                allowed_tokens.push(term_token);
-            }
-            if allowed_tokens.len() == 1 {
-                lane.stats.forced_choices += 1;
-            }
-            if !allowed_tokens.contains(&argmax) {
-                lane.stats.interventions += 1;
-            }
-            let mut masked = vec![f32::NEG_INFINITY; logits.len()];
-            for &t in &allowed_tokens {
-                masked[t as usize] = logits[t as usize];
-            }
-            let rng = slot.job.rng_mut();
-            let chosen = match sample_token(&masked, &self.sampler, rng) {
-                Some(t) => t,
-                None => allowed_tokens[rng.random_range(0..allowed_tokens.len())],
-            };
-            lane.stats.tokens += 1;
-            lane.context.push(chosen);
-            if chosen == term_token && opts.terminator {
-                let value = st.prefix;
-                lane.text.push(term_char);
-                lane.values.push(value);
-                let k = lane.var_idx;
-                slot.job.session_mut().fix(k, value);
-                lane.skip_next_literal_char = true;
-                lane.var = None;
-                lane.var_idx += 1;
-                lane.item_idx += 1;
-            } else {
-                match digit_tokens.iter().position(|&t| t == chosen) {
-                    Some(d) => {
-                        lane.text.push(char::from(b'0' + d as u8));
-                        st.push(d as u8);
-                    }
-                    None => {
-                        self.finish_err(
-                            i,
-                            DecodeError::Internal(
-                                "sampled token is neither an allowed digit nor the terminator",
-                            ),
-                            &mut out,
-                        );
-                    }
+                if let Err(e) = applied {
+                    self.finish(*i, Some(e), &mut out);
                 }
             }
         }
-
-        self.sweep_chunks(&mut out);
+        // Text deltas of the lanes still seated (finishing lanes flushed
+        // theirs inside `finish`, before the slot emptied).
+        let seated = self.slots.iter_mut().flatten();
+        out.chunks.extend(seated.filter_map(LaneSlot::take_chunk));
         out
     }
 
-    /// Emits the text deltas of still-seated lanes into `out.chunks`.
-    /// (Finishing lanes flush their final delta inside `finish_ok` /
-    /// `finish_err`, before the slot empties.)
-    fn sweep_chunks(&mut self, out: &mut StepOutcome<J>) {
-        for slot in self.slots.iter_mut().flatten() {
-            if slot.lane.text.len() > slot.chunk_mark {
-                out.chunks
-                    .push((slot.tag, slot.lane.text[slot.chunk_mark..].to_string()));
-                slot.chunk_mark = slot.lane.text.len();
-            }
-        }
-    }
-
-    /// Finishes slot `i` successfully: flushes its final chunk, copies the
-    /// session's solver-side counters into the stats, and frees the slot.
-    fn finish_ok(&mut self, i: usize, out: &mut StepOutcome<J>) {
+    /// Empties slot `i` into `out.finished` — successfully, or with `err` —
+    /// after flushing its last chunk (stream consumers of a failing lane
+    /// already saw the text before it).
+    fn finish(&mut self, i: usize, err: Option<DecodeError>, out: &mut StepOutcome<J>) {
         let Some(mut slot) = self.slots.get_mut(i).and_then(Option::take) else {
             return;
         };
-        if slot.lane.text.len() > slot.chunk_mark {
-            out.chunks
-                .push((slot.tag, slot.lane.text[slot.chunk_mark..].to_string()));
-        }
-        let mut stats = slot.lane.stats;
-        fill_session_stats(slot.job.session(), &mut stats);
-        out.finished.push(FinishedLane {
-            tag: slot.tag,
-            job: slot.job,
-            result: Ok(DecodedOutput {
-                values: std::mem::take(&mut slot.lane.values),
-                text: std::mem::take(&mut slot.lane.text),
-                stats,
-            }),
-        });
-    }
-
-    /// Finishes slot `i` with `err`: flushes any partial chunk (stream
-    /// consumers already saw that text) and frees the slot.
-    fn finish_err(&mut self, i: usize, err: DecodeError, out: &mut StepOutcome<J>) {
-        let Some(slot) = self.slots.get_mut(i).and_then(Option::take) else {
-            return;
+        out.chunks.extend(slot.take_chunk());
+        let result = match err {
+            Some(e) => Err(e),
+            None => Ok(slot.lane.finish(&slot.job)),
         };
-        if slot.lane.text.len() > slot.chunk_mark {
-            out.chunks
-                .push((slot.tag, slot.lane.text[slot.chunk_mark..].to_string()));
-        }
         out.finished.push(FinishedLane {
             tag: slot.tag,
             job: slot.job,
-            result: Err(err),
+            result,
         });
     }
 }

@@ -19,19 +19,22 @@
 //! * [`transition`] — the character-level transition system built on the
 //!   fly (Fig. 2): which digits / terminator may follow the current digit
 //!   prefix, with or without solver lookahead,
-//! * [`decoder`] — the JIT decode loop gluing model, schema, and session,
-//!   serial ([`JitDecoder::decode`]) and lock-step batched
-//!   ([`JitDecoder::decode_batch`]),
-//! * [`lanes`] — the continuous-batching engine: fixed lane slots refilled
-//!   per-record ([`ContinuousBatcher`]), shared by `decode_batch` (admit a
-//!   group, drain it) and the `lejit-serve` request scheduler,
+//! * [`lanes`] — the lane engine, the one place a character is decided
+//!   (admit → mask → logits → apply → finish, behind the [`LaneJob`]
+//!   seam), and [`ContinuousBatcher`], its fixed lane slots refilled
+//!   per-record for `decode_batch` and the `lejit-serve` scheduler,
+//! * [`decoder`] — the solver-backed drivers over that engine: serial
+//!   ([`JitDecoder::decode`]), traced ([`JitDecoder::decode_traced`]) and
+//!   lock-step batched ([`JitDecoder::decode_batch`]), plus the error and
+//!   stats types every path reports,
 //! * [`pool`] — warm solver-session pools keyed by rule-set fingerprint
 //!   ([`SessionPool`]), recycling grounded sessions across requests,
 //! * [`batch`] — the determinism-preserving parallel/batched harness:
 //!   per-record RNG seeding, the record-level thread pool, and the
 //!   model-level batch scheduler,
 //! * [`vanilla`] — structurally-forced but rule-free decoding (the Vanilla
-//!   GPT-2 baseline) and rejection sampling on top of it,
+//!   GPT-2 baseline, the same engine with a structural mask source) and
+//!   rejection sampling on top of it,
 //! * [`repair`] — post-hoc SMT repair (Fig. 1a's yellow path): arbitrary
 //!   and nearest-L1 correction of invalid outputs,
 //! * [`tasks`] — the two paper tasks built on the same engine and the same
@@ -42,7 +45,7 @@
 //! checks):
 //!
 //! ```
-//! use lejit_core::{DecodeSchema, JitDecoder, JitSession, Lookahead};
+//! use lejit_core::{DecodeSchema, JitDecoder, JitSession};
 //! use lejit_lm::{NgramLm, SamplerConfig, Vocab};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
@@ -54,8 +57,7 @@
 //! let schema = DecodeSchema::fine_series(2, 60);
 //! let mut session = JitSession::new(&schema);
 //!
-//! let decoder = JitDecoder::new(&model, SamplerConfig::default())
-//!     .with_lookahead(Lookahead::IntervalGuided);
+//! let decoder = JitDecoder::new(&model, SamplerConfig::default());
 //! let out = decoder
 //!     .decode(&mut session, &schema, "", &mut StdRng::seed_from_u64(7))
 //!     .unwrap();

@@ -49,7 +49,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::decoder::{fill_session_stats, DecodeStats};
+use crate::decoder::DecodeStats;
 use crate::session::JitSession;
 
 /// FNV-1a 64-bit hash. Used for pool fingerprints because std's
@@ -129,7 +129,7 @@ impl SessionPool {
             self.stats.misses += 1;
         }
         let mut baseline = DecodeStats::default();
-        fill_session_stats(&session, &mut baseline);
+        session.fill_stats(&mut baseline);
         let evictions = std::mem::take(&mut self.unattributed_evictions);
         session
             .solver_mut()
@@ -218,7 +218,7 @@ mod tests {
         assert_eq!(a.session.solver().stats().pool_evictions, 1);
         // Per-request delta view: the acquire carries the eviction.
         let mut after = DecodeStats::default();
-        crate::decoder::fill_session_stats(&a.session, &mut after);
+        a.session.fill_stats(&mut after);
         let mut delta = after;
         delta.rebase_against(&a.baseline);
         assert_eq!(delta.pool_hits, 1);
@@ -227,7 +227,7 @@ mod tests {
         pool.release(3, a.session);
         let b = pool.acquire(3, bare_session);
         let mut after_b = DecodeStats::default();
-        crate::decoder::fill_session_stats(&b.session, &mut after_b);
+        b.session.fill_stats(&mut after_b);
         let mut delta_b = after_b;
         delta_b.rebase_against(&b.baseline);
         assert_eq!(delta_b.pool_evictions, 0);

@@ -18,6 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use lejit_smt::{Model, SatResult, Solver, TermId, VarId};
 
+use crate::decoder::DecodeStats;
 use crate::schema::{DecodeSchema, SchemaItem};
 
 /// Bucket stride of the hull sweep: one bucket per decimal decade, matching
@@ -211,9 +212,26 @@ impl JitSession {
         self.cache_hits
     }
 
-    /// The current fix epoch (bumped by every [`Self::fix`]).
-    pub fn fix_epoch(&self) -> u64 {
-        self.fix_epoch
+    /// Copies this session's solver-side counters (session caches plus the
+    /// underlying [`lejit_smt::SolverStats`] cost profile) into `stats`, so
+    /// every decode path reports the same per-check cost breakdown. The
+    /// copied values are the session's *lifetime* totals — see
+    /// [`DecodeStats::rebase_against`] for per-decode deltas on reused
+    /// sessions.
+    pub fn fill_stats(&self, stats: &mut DecodeStats) {
+        stats.solver_checks = self.checks;
+        stats.solver_checks_saved = self.checks_saved;
+        stats.cache_hits = self.cache_hits;
+        let s = self.solver.stats();
+        stats.solver_pivots = s.pivots;
+        stats.solver_bnb_nodes = s.bnb_nodes;
+        stats.theory_propagations = s.theory_propagations;
+        stats.theory_explanations = s.theory_explanations;
+        stats.encode_cache_hits = s.encode_cache_hits;
+        stats.encode_cache_misses = s.encode_cache_misses;
+        stats.pool_hits = s.pool_hits;
+        stats.pool_misses = s.pool_misses;
+        stats.pool_evictions = s.pool_evictions;
     }
 
     /// Whether the full constraint system is currently satisfiable.
@@ -447,43 +465,6 @@ impl JitSession {
             Ok(None) | Err(_) => cache.hull = None,
         }
         cache.hull
-    }
-
-    /// Adopts `donor`'s current interval analysis of variable `k` — hull,
-    /// witnesses, certified gaps, completeness — into this session's cache
-    /// at this session's current fix epoch, along with the donor's carried
-    /// witness model when this session has none. A no-op when this session
-    /// already has a current analysis for `k` or the donor has none.
-    ///
-    /// Soundness precondition (the caller's responsibility): both sessions'
-    /// *live constraint systems are identical* — same grounded base, same
-    /// fixed values. [`JitDecoder::decode_batch`] uses this to share one
-    /// interval analysis across batch lanes parked at the same schema
-    /// position with the same decoded values, instead of letting every lane
-    /// re-derive the identical hull; it only does so when the caller has
-    /// declared the lanes identically grounded. All adopted knowledge is
-    /// exact (witnesses come from satisfying models, gaps from UNSAT
-    /// certificates), so adoption changes which *tier* answers a guided
-    /// query — never the answer — and decoded bytes are untouched.
-    ///
-    /// The avoided range analysis is credited to
-    /// [`Self::solver_checks_saved`] at the same two-check rate [`Self::hull`]
-    /// charges.
-    ///
-    /// [`JitDecoder::decode_batch`]: crate::decoder::JitDecoder::decode_batch
-    pub(crate) fn adopt_analysis_from(&mut self, donor: &JitSession, k: usize) {
-        if self.intervals[k].valid && self.intervals[k].epoch == self.fix_epoch {
-            return;
-        }
-        if !(donor.intervals[k].valid && donor.intervals[k].epoch == donor.fix_epoch) {
-            return;
-        }
-        self.intervals[k] = donor.intervals[k].clone();
-        self.intervals[k].epoch = self.fix_epoch;
-        self.checks_saved += 2;
-        if self.witness_model.is_none() {
-            self.witness_model = donor.witness_model.clone();
-        }
     }
 
     /// [`Self::value_feasible`] routed through the interval-guided tiers
@@ -971,14 +952,14 @@ mod tests {
         let mut s = paper_session();
         let cp = s.checkpoint();
         s.fix(0, 20);
-        let branch_epoch = s.fix_epoch();
+        let branch_epoch = s.fix_epoch;
         s.rollback(cp);
-        assert_eq!(s.fix_epoch(), 0);
+        assert_eq!(s.fix_epoch, 0);
         s.fix(0, 30);
         assert!(
-            s.fix_epoch() > branch_epoch,
+            s.fix_epoch > branch_epoch,
             "post-rollback epoch {} must be fresh, not reuse {branch_epoch}",
-            s.fix_epoch()
+            s.fix_epoch
         );
         // The fix really is 30 now, not the rolled-back 20.
         assert!(s.value_feasible(0, 30));

@@ -11,17 +11,16 @@
 //! JIT (LeJIT), vanilla, rejection sampling, and post-hoc repair.
 
 use std::fmt;
+use std::sync::OnceLock;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use lejit_lm::LanguageModel;
 use lejit_lm::SamplerConfig;
 use lejit_rules::{ground_rule, GroundCtx, RuleSet};
-use lejit_smt::TermId;
+use lejit_smt::{Solver, TermId};
 use lejit_telemetry::{encode_prompt, CoarseField, CoarseSignals, PROMPT_SEPARATOR};
 
-use crate::batch::{par_batches_with, record_seed};
 use crate::decoder::{DecodeError, DecodedOutput, JitDecoder};
 use crate::pool::{fnv1a64, PooledSession, SessionPool};
 use crate::repair::{repair_nearest, RepairError};
@@ -35,25 +34,13 @@ use crate::vanilla::{RejectionOutcome, RejectionSampler, VanillaDecoder};
 pub struct TaskConfig {
     /// Sampling hyperparameters.
     pub sampler: SamplerConfig,
-    /// Lookahead policy for the JIT decoder.
-    ///
-    /// Defaults to [`Lookahead::IntervalGuided`], which answers every query
-    /// identically to [`Lookahead::Full`] with ~5× fewer solver checks;
-    /// `Full` stays selectable for ablations and debugging.
+    /// Lookahead policy for the JIT decoder ([`Lookahead::default`]:
+    /// interval-guided, which answers every query identically to
+    /// [`Lookahead::Full`] with ~5× fewer solver checks; `Full` stays
+    /// selectable for ablations and debugging).
     pub lookahead: Lookahead,
     /// Attempt budget for rejection sampling.
     pub rejection_budget: u32,
-    /// Worker threads for record-level parallel decoding
-    /// ([`crate::batch::par_records`]); `0` means "use the process-global
-    /// default" ([`minipool::global_threads`]). Output is byte-identical
-    /// for every value — this is purely a throughput knob.
-    pub threads: usize,
-    /// Records decoded lock-step per batched forward pass
-    /// ([`crate::batch::par_batches_with`] →
-    /// [`JitDecoder::decode_batch`]); `0` or `1` means unbatched (one
-    /// record per model call). Like `threads`, purely a throughput knob:
-    /// output is byte-identical for every value.
-    pub batch_size: usize,
     /// Whether solver sessions built by the tasks run theory propagation
     /// inside the SAT search ([`lejit_smt::TheoryConfig::propagate`]; on by
     /// default). Decode outputs are byte-identical either way — propagated
@@ -68,10 +55,8 @@ impl Default for TaskConfig {
     fn default() -> Self {
         TaskConfig {
             sampler: SamplerConfig::default(),
-            lookahead: Lookahead::IntervalGuided,
+            lookahead: Lookahead::default(),
             rejection_budget: 10_000,
-            threads: 0,
-            batch_size: 1,
             theory_propagate: true,
         }
     }
@@ -84,6 +69,43 @@ fn apply_theory_config(config: &TaskConfig, session: &mut JitSession) {
     let mut cfg = session.solver_mut().theory_config();
     cfg.propagate = config.theory_propagate;
     session.solver_mut().set_theory_config(cfg);
+}
+
+/// Grounds `rules` into `session`'s current solver frame. The coarse
+/// fields are the constants of `coarse` when given (imputation) and the
+/// schema's coarse variables otherwise (synthesis); the fine series is the
+/// schema's first `window_len` `fine{t}` variables.
+fn ground_rules(
+    session: &mut JitSession,
+    rules: &RuleSet,
+    coarse: Option<&CoarseSignals>,
+    window_len: usize,
+) {
+    fn var_term(solver: &mut Solver, name: &str) -> TermId {
+        let v = solver
+            .pool()
+            .find_var(name)
+            .expect("schema declared the variable");
+        solver.var(v)
+    }
+    let solver = session.solver_mut();
+    let coarse_terms: Vec<TermId> = CoarseField::ALL
+        .into_iter()
+        .map(|f| match coarse {
+            Some(c) => solver.int(c.get(f)),
+            None => var_term(solver, f.name()),
+        })
+        .collect();
+    let ctx = GroundCtx {
+        coarse: coarse_terms.try_into().expect("six coarse fields"),
+        fine: (0..window_len)
+            .map(|t| var_term(solver, &format!("fine{t}")))
+            .collect(),
+    };
+    for rule in &rules.rules {
+        let g = ground_rule(solver.pool_mut(), &ctx, rule);
+        solver.assert(g);
+    }
 }
 
 /// Errors from task-level pipelines.
@@ -130,6 +152,7 @@ pub struct Imputer<'m, M: LanguageModel> {
     window_len: usize,
     bandwidth: i64,
     config: TaskConfig,
+    pool_key: OnceLock<u64>,
 }
 
 impl<'m, M: LanguageModel> Imputer<'m, M> {
@@ -147,7 +170,12 @@ impl<'m, M: LanguageModel> Imputer<'m, M> {
             window_len,
             bandwidth,
             config,
+            pool_key: OnceLock::new(),
         }
+    }
+
+    fn decoder(&self) -> JitDecoder<'m, M> {
+        JitDecoder::new(self.model, self.config.sampler).with_lookahead(self.config.lookahead)
     }
 
     /// The imputation rule set.
@@ -182,41 +210,25 @@ impl<'m, M: LanguageModel> Imputer<'m, M> {
     /// strengthens the system outside [`JitSession::fix`], so the carried
     /// witness model and epoch-keyed caches must not keep answering.
     pub fn ground_in(&self, session: &mut JitSession, coarse: &CoarseSignals) {
-        let solver = session.solver_mut();
-        let coarse_terms: Vec<TermId> = CoarseField::ALL
-            .into_iter()
-            .map(|f| solver.int(coarse.get(f)))
-            .collect();
-        let fine_terms: Vec<TermId> = (0..self.window_len)
-            .map(|t| {
-                let v = solver
-                    .pool()
-                    .find_var(&format!("fine{t}"))
-                    .expect("schema declared fine variables");
-                solver.var(v)
-            })
-            .collect();
-        let ctx = GroundCtx {
-            coarse: coarse_terms.try_into().expect("six coarse fields"),
-            fine: fine_terms,
-        };
-        for rule in &self.rules.rules {
-            let g = ground_rule(solver.pool_mut(), &ctx, rule);
-            solver.assert(g);
-        }
+        ground_rules(session, &self.rules, Some(coarse), self.window_len);
     }
 
     /// The session-pool fingerprint for this imputer: everything that
     /// shapes a pooled session's warm caches (the rule set and the schema
     /// geometry). Imputers with equal keys produce interchangeable pooled
     /// sessions; a collision is harmless (shelved sessions carry no rules —
-    /// see [`SessionPool`]'s soundness protocol).
+    /// see [`SessionPool`]'s soundness protocol). Computed once per
+    /// imputer, on first use: formatting a mined rule set costs ~50 µs, which
+    /// a per-request caller must not pay again and a caller that never pools
+    /// must not pay at all.
     pub fn pool_key(&self) -> u64 {
-        let desc = format!(
-            "{:?}|w={}|b={}",
-            self.rules, self.window_len, self.bandwidth
-        );
-        fnv1a64(desc.as_bytes())
+        *self.pool_key.get_or_init(|| {
+            let desc = format!(
+                "{:?}|w={}|b={}",
+                self.rules, self.window_len, self.bandwidth
+            );
+            fnv1a64(desc.as_bytes())
+        })
     }
 
     /// The conditioning prompt for a window (coarse text plus separator) —
@@ -227,35 +239,21 @@ impl<'m, M: LanguageModel> Imputer<'m, M> {
         p
     }
 
-    /// LeJIT imputation: guaranteed rule-compliant output.
+    /// LeJIT imputation: guaranteed rule-compliant output, from a session
+    /// built fresh for this window. The decode runs inside a
+    /// [`JitSession::checkpoint`] frame like every other path, so the solver
+    /// trajectory (and its counters) matches the pooled and grouped decodes
+    /// of the same window.
     pub fn impute<R: Rng>(
         &self,
         coarse: &CoarseSignals,
         rng: &mut R,
     ) -> Result<DecodedOutput, DecodeError> {
         let (mut session, schema) = self.build_session(coarse);
-        self.impute_in(&mut session, &schema, coarse, rng)
-    }
-
-    /// LeJIT imputation against a caller-provided session for this window
-    /// (from [`Self::build_session`]).
-    ///
-    /// The decode runs inside a [`JitSession::checkpoint`] frame and rolls
-    /// back before returning, so one grounded session serves repeated draws
-    /// and retries on the same window without re-grounding the rules —
-    /// and its interval/memo caches stay warm across calls. The decoded
-    /// output is identical to [`Self::impute`] on a fresh session.
-    pub fn impute_in<R: Rng>(
-        &self,
-        session: &mut JitSession,
-        schema: &DecodeSchema,
-        coarse: &CoarseSignals,
-        rng: &mut R,
-    ) -> Result<DecodedOutput, DecodeError> {
-        let decoder =
-            JitDecoder::new(self.model, self.config.sampler).with_lookahead(self.config.lookahead);
         let cp = session.checkpoint();
-        let out = decoder.decode(session, schema, &self.prompt(coarse), rng);
+        let out = self
+            .decoder()
+            .decode(&mut session, &schema, &self.prompt(coarse), rng);
         session.rollback(cp);
         out
     }
@@ -280,19 +278,20 @@ impl<'m, M: LanguageModel> Imputer<'m, M> {
         rng: &mut R,
     ) -> Result<DecodedOutput, DecodeError> {
         let schema = self.schema();
+        let key = self.pool_key();
         let PooledSession {
             mut session,
             baseline,
-        } = pool.acquire(self.pool_key(), || JitSession::new(&schema));
+        } = pool.acquire(key, || JitSession::new(&schema));
         apply_theory_config(&self.config, &mut session);
         let cp = session.checkpoint();
         self.ground_in(&mut session, coarse);
         session.invalidate_derived();
-        let decoder =
-            JitDecoder::new(self.model, self.config.sampler).with_lookahead(self.config.lookahead);
-        let out = decoder.decode(&mut session, &schema, &self.prompt(coarse), rng);
+        let out = self
+            .decoder()
+            .decode(&mut session, &schema, &self.prompt(coarse), rng);
         session.rollback(cp);
-        pool.release(self.pool_key(), session);
+        pool.release(key, session);
         out.map(|mut o| {
             o.stats.rebase_against(&baseline);
             o
@@ -304,7 +303,10 @@ impl<'m, M: LanguageModel> Imputer<'m, M> {
     ///
     /// Each window gets its own freshly grounded session and its own RNG;
     /// window `i`'s result is byte-identical to
-    /// `self.impute(&windows[i], &mut rngs[i])`.
+    /// `self.impute(&windows[i], &mut rngs[i])`. For a whole window set,
+    /// distribute groups over workers with [`crate::par_batches_with`] and a
+    /// worker-local model (a batched model such as `lejit_lm::BatchedGpt` is
+    /// not `Sync`).
     ///
     /// # Panics
     /// Panics unless `rngs.len() == windows.len()`.
@@ -314,64 +316,27 @@ impl<'m, M: LanguageModel> Imputer<'m, M> {
         rngs: &mut [R],
     ) -> Vec<Result<DecodedOutput, DecodeError>> {
         assert_eq!(rngs.len(), windows.len(), "one RNG per window");
-        let mut sessions = Vec::with_capacity(windows.len());
-        let mut schema = None;
-        for w in windows {
-            let (s, sc) = self.build_session(w);
-            sessions.push(s);
-            schema = Some(sc);
-        }
-        let Some(schema) = schema else {
-            return Vec::new();
-        };
-        let prompts: Vec<String> = windows.iter().map(|w| self.prompt(w)).collect();
-        let prompt_refs: Vec<&str> = prompts.iter().map(|p| p.as_str()).collect();
-        let decoder =
-            JitDecoder::new(self.model, self.config.sampler).with_lookahead(self.config.lookahead);
+        let schema = self.schema();
         // Checkpoint/rollback framing keeps each lane's solver trajectory
         // exactly the serial `impute`'s.
-        let cps: Vec<_> = sessions.iter_mut().map(|s| s.checkpoint()).collect();
-        let out = decoder.decode_batch(&mut sessions, &schema, &prompt_refs, rngs);
-        for (s, cp) in sessions.iter_mut().zip(cps) {
-            s.rollback(cp);
+        let mut owned: Vec<_> = windows
+            .iter()
+            .map(|w| {
+                let mut session = self.build_session(w).0;
+                let cp = session.checkpoint();
+                (session, cp, self.prompt(w))
+            })
+            .collect();
+        let mut lanes: Vec<_> = owned
+            .iter_mut()
+            .zip(rngs)
+            .map(|((session, _, prompt), rng)| (session, prompt.as_str(), rng))
+            .collect();
+        let out = self.decoder().decode_batch(&schema, &mut lanes);
+        for (mut session, cp, _) in owned {
+            session.rollback(cp);
         }
         out
-    }
-
-    /// LeJIT imputation of a whole window set: groups of
-    /// [`TaskConfig::batch_size`] windows are decoded lock-step
-    /// ([`Self::impute_group`]) and distributed over
-    /// [`TaskConfig::threads`] workers, with window `i` drawing from a
-    /// fresh `StdRng` seeded by [`record_seed`]`(base_seed, i)`.
-    ///
-    /// Output is byte-identical for every `(threads, batch_size)` pair —
-    /// `(1, 1)` runs serial `impute` calls in a plain loop. Note the model
-    /// is shared across workers, so model-level batching needs an `M`
-    /// that is both `Sync` and overrides
-    /// [`LanguageModel::forward_batch`]; interior-mutability wrappers like
-    /// `lejit_lm::BatchedGpt` are not `Sync` and belong in worker-local
-    /// state (see the bench crate's pipelines for that pattern).
-    pub fn impute_batch(
-        &self,
-        windows: &[CoarseSignals],
-        base_seed: u64,
-    ) -> Vec<Result<DecodedOutput, DecodeError>>
-    where
-        M: Sync,
-    {
-        par_batches_with(
-            self.config.threads,
-            windows.len(),
-            self.config.batch_size,
-            || (),
-            |(), span| {
-                let mut rngs: Vec<StdRng> = span
-                    .clone()
-                    .map(|i| StdRng::seed_from_u64(record_seed(base_seed, i as u64)))
-                    .collect();
-                self.impute_group(&windows[span], &mut rngs)
-            },
-        )
     }
 
     /// Vanilla imputation: structural masking only, rules ignored.
@@ -486,25 +451,7 @@ impl<'m, M: LanguageModel> Synthesizer<'m, M> {
         let schema = self.schema();
         let mut session = JitSession::new(&schema);
         apply_theory_config(&self.config, &mut session);
-        let solver = session.solver_mut();
-        let coarse_terms: Vec<TermId> = CoarseField::ALL
-            .into_iter()
-            .map(|f| {
-                let v = solver
-                    .pool()
-                    .find_var(f.name())
-                    .expect("schema declared coarse variables");
-                solver.var(v)
-            })
-            .collect();
-        let ctx = GroundCtx {
-            coarse: coarse_terms.try_into().expect("six coarse fields"),
-            fine: Vec::new(),
-        };
-        for rule in &self.rules.rules {
-            let g = ground_rule(solver.pool_mut(), &ctx, rule);
-            solver.assert(g);
-        }
+        ground_rules(&mut session, &self.rules, None, 0);
         (session, schema)
     }
 
@@ -552,77 +499,6 @@ impl<'m, M: LanguageModel> Synthesizer<'m, M> {
         Ok((Self::signals_from(&out.values), out))
     }
 
-    /// LeJIT synthesis of a group of records, lock-step through batched
-    /// forward passes ([`JitDecoder::decode_batch`]).
-    ///
-    /// Each record gets its own freshly grounded session and its own RNG;
-    /// record `i`'s decoded text and values are byte-identical to
-    /// `self.synthesize(&mut rngs[i])`. Because every lane is grounded
-    /// from the same [`Self::build_session`], the batch decodes with
-    /// [`JitDecoder::with_shared_lanes`]: lanes at the same schema
-    /// position with the same values so far share one interval analysis,
-    /// so per-lane `solver_checks` can come in below the serial run's
-    /// (the answers — and hence the bytes — are unchanged).
-    pub fn synthesize_group<R: Rng>(
-        &self,
-        rngs: &mut [R],
-    ) -> Vec<Result<(CoarseSignals, DecodedOutput), DecodeError>> {
-        let count = rngs.len();
-        let mut sessions = Vec::with_capacity(count);
-        let mut schema = None;
-        for _ in 0..count {
-            let (s, sc) = self.build_session();
-            sessions.push(s);
-            schema = Some(sc);
-        }
-        let Some(schema) = schema else {
-            return Vec::new();
-        };
-        let prompts = vec![""; count];
-        let decoder = JitDecoder::new(self.model, self.config.sampler)
-            .with_lookahead(self.config.lookahead)
-            .with_shared_lanes(true);
-        let cps: Vec<_> = sessions.iter_mut().map(|s| s.checkpoint()).collect();
-        let outs = decoder.decode_batch(&mut sessions, &schema, &prompts, rngs);
-        for (s, cp) in sessions.iter_mut().zip(cps) {
-            s.rollback(cp);
-        }
-        outs.into_iter()
-            .map(|r| r.map(|out| (Self::signals_from(&out.values), out)))
-            .collect()
-    }
-
-    /// LeJIT synthesis of `count` records: groups of
-    /// [`TaskConfig::batch_size`] records decode lock-step
-    /// ([`Self::synthesize_group`]) across [`TaskConfig::threads`]
-    /// workers, record `i` drawing from a fresh `StdRng` seeded by
-    /// [`record_seed`]`(base_seed, i)`.
-    ///
-    /// Output is byte-identical for every `(threads, batch_size)` pair.
-    /// The same `Sync`/`forward_batch` note as [`Imputer::impute_batch`]
-    /// applies to the shared model.
-    pub fn synthesize_batch(
-        &self,
-        count: usize,
-        base_seed: u64,
-    ) -> Vec<Result<(CoarseSignals, DecodedOutput), DecodeError>>
-    where
-        M: Sync,
-    {
-        par_batches_with(
-            self.config.threads,
-            count,
-            self.config.batch_size,
-            || (),
-            |(), span| {
-                let mut rngs: Vec<StdRng> = span
-                    .map(|i| StdRng::seed_from_u64(record_seed(base_seed, i as u64)))
-                    .collect();
-                self.synthesize_group(&mut rngs)
-            },
-        )
-    }
-
     /// Vanilla synthesis: structural masking only.
     pub fn synthesize_vanilla<R: Rng>(
         &self,
@@ -658,6 +534,7 @@ impl<'m, M: LanguageModel> Synthesizer<'m, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::record_seed;
     use lejit_lm::{NgramLm, Vocab};
     use lejit_rules::parse_rules;
     use lejit_telemetry::{
@@ -940,116 +817,6 @@ mod tests {
             let (s_fresh, o_fresh) = synth.synthesize(&mut rng_fresh).unwrap();
             assert_eq!(o_reused.text, o_fresh.text, "sample {i}");
             assert_eq!(s_reused, s_fresh, "sample {i}");
-        }
-    }
-
-    #[test]
-    fn reused_session_imputation_matches_fresh() {
-        let d = dataset();
-        let model = imputation_model(&d);
-        let imputer = Imputer::new(
-            &model,
-            paper_ruleset(),
-            d.window_len,
-            d.bandwidth,
-            TaskConfig::default(),
-        );
-        let w = &d.test[0];
-        let (mut session, schema) = imputer.build_session(&w.coarse);
-        for i in 0..3u64 {
-            let mut rng_reused = StdRng::seed_from_u64(910 + i);
-            let mut rng_fresh = StdRng::seed_from_u64(910 + i);
-            let reused = imputer
-                .impute_in(&mut session, &schema, &w.coarse, &mut rng_reused)
-                .unwrap();
-            let fresh = imputer.impute(&w.coarse, &mut rng_fresh).unwrap();
-            assert_eq!(reused.text, fresh.text, "draw {i}");
-            assert!(imputer.rules().compliant(&w.coarse, &reused.values));
-        }
-    }
-
-    #[test]
-    fn batched_imputation_is_byte_identical_to_serial() {
-        let d = dataset();
-        let model = imputation_model(&d);
-        let windows: Vec<CoarseSignals> = d.test.iter().take(6).map(|w| w.coarse).collect();
-        let serial = Imputer::new(
-            &model,
-            paper_ruleset(),
-            d.window_len,
-            d.bandwidth,
-            TaskConfig::default(),
-        );
-        let reference: Vec<String> = windows
-            .iter()
-            .enumerate()
-            .map(|(i, w)| {
-                let mut rng = StdRng::seed_from_u64(record_seed(77, i as u64));
-                serial.impute(w, &mut rng).unwrap().text
-            })
-            .collect();
-        for (threads, batch_size) in [(1, 1), (1, 4), (2, 3), (4, 8)] {
-            let imputer = Imputer::new(
-                &model,
-                paper_ruleset(),
-                d.window_len,
-                d.bandwidth,
-                TaskConfig {
-                    threads,
-                    batch_size,
-                    ..TaskConfig::default()
-                },
-            );
-            let texts: Vec<String> = imputer
-                .impute_batch(&windows, 77)
-                .into_iter()
-                .map(|r| r.unwrap().text)
-                .collect();
-            assert_eq!(texts, reference, "threads={threads} batch={batch_size}");
-        }
-    }
-
-    #[test]
-    fn batched_synthesis_is_byte_identical_to_serial() {
-        let d = dataset();
-        let model = synthesis_model(&d);
-        let rules = parse_rules(
-            "rule a: egress_total <= total_ingress;
-             rule b: drops <= total_ingress;",
-        )
-        .unwrap();
-        let hi = [
-            d.train_max(CoarseField::TotalIngress),
-            d.train_max(CoarseField::EcnBytes),
-            d.train_max(CoarseField::RetransBytes),
-            d.train_max(CoarseField::EgressTotal),
-            d.train_max(CoarseField::ConnCount),
-            d.train_max(CoarseField::Drops),
-        ];
-        let serial = Synthesizer::new(&model, rules.clone(), hi, TaskConfig::default());
-        let reference: Vec<String> = (0..6u64)
-            .map(|i| {
-                let mut rng = StdRng::seed_from_u64(record_seed(88, i));
-                serial.synthesize(&mut rng).unwrap().1.text
-            })
-            .collect();
-        for (threads, batch_size) in [(1, 1), (1, 8), (2, 4)] {
-            let synth = Synthesizer::new(
-                &model,
-                rules.clone(),
-                hi,
-                TaskConfig {
-                    threads,
-                    batch_size,
-                    ..TaskConfig::default()
-                },
-            );
-            let texts: Vec<String> = synth
-                .synthesize_batch(6, 88)
-                .into_iter()
-                .map(|r| r.unwrap().1.text)
-                .collect();
-            assert_eq!(texts, reference, "threads={threads} batch={batch_size}");
         }
     }
 

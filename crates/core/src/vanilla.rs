@@ -14,9 +14,10 @@ use rand::Rng;
 
 use lejit_lm::{LanguageModel, SamplerConfig};
 
-use crate::decoder::{decode_loop, DecodeError, DecodePolicy, DecodedOutput};
+use crate::decoder::{DecodeError, DecodeStats, DecodedOutput};
+use crate::lanes::{decode_lane, LaneJob};
 use crate::schema::{DecodeSchema, VarSpec};
-use crate::transition::{CharOptions, VarState};
+use crate::transition::{CharOptions, Lookahead, VarState};
 
 /// Structural-only masking: everything that keeps the output *parseable*,
 /// nothing that keeps it *correct*.
@@ -52,23 +53,34 @@ impl<'m, M: LanguageModel> VanillaDecoder<'m, M> {
         prompt: &str,
         rng: &mut R,
     ) -> Result<DecodedOutput, DecodeError> {
-        struct StructuralPolicy;
-        impl DecodePolicy for StructuralPolicy {
-            fn allowed(&mut self, _k: usize, spec: &VarSpec, st: &VarState) -> CharOptions {
-                structural_options(spec, st)
-            }
-            fn commit(&mut self, _k: usize, _value: i64) {}
-        }
-        decode_loop(
+        decode_lane(
             self.model,
             schema,
-            prompt,
             &self.sampler,
-            rng,
-            &mut StructuralPolicy,
-            None,
+            Lookahead::default(),
+            &mut StructuralJob(rng),
+            prompt,
         )
     }
+}
+
+/// The rule-free [`LaneJob`]: structural masks, always admissible, nothing
+/// to commit and no solver to report on.
+struct StructuralJob<'a, R: Rng>(&'a mut R);
+
+impl<R: Rng> LaneJob for StructuralJob<'_, R> {
+    type Rng = R;
+    fn admissible(&mut self) -> bool {
+        true
+    }
+    fn allowed(&mut self, _k: usize, spec: &VarSpec, st: &VarState, _: Lookahead) -> CharOptions {
+        structural_options(spec, st)
+    }
+    fn commit(&mut self, _k: usize, _value: i64) {}
+    fn rng_mut(&mut self) -> &mut R {
+        self.0
+    }
+    fn fill_stats(&self, _stats: &mut DecodeStats) {}
 }
 
 /// The result of rejection sampling.
@@ -190,6 +202,52 @@ mod tests {
             // exceed the *declared* hi (no rule enforcement).
             assert!(out.values.iter().all(|&v| v < 100));
         }
+    }
+
+    #[test]
+    fn vanilla_bytes_match_the_pre_lane_engine_golden() {
+        // Captured from the dedicated vanilla loop before vanilla decoding
+        // moved onto the lane engine (fig3/fig4 baselines depend on these
+        // bytes): seed → text, and the summed per-emit counters.
+        const GOLDEN: [&str; 20] = [
+            "35,25,23.",
+            "32,25,22.",
+            "14,35,31.",
+            "33,32,25.",
+            "17,4,33.",
+            "13,33,36.",
+            "45,20,26.",
+            "30,58,20.",
+            "5,38,23.",
+            "0,25,35.",
+            "8,2,21.",
+            "1,22,23.",
+            "26,31,37.",
+            "15,24,24.",
+            "33,31,26.",
+            "31,24,37.",
+            "7,3,35.",
+            "34,35,37.",
+            "34,6,28.",
+            "4,22,32.",
+        ];
+        let model = toy_model();
+        let dec = VanillaDecoder::new(&model, SamplerConfig::default());
+        let schema = DecodeSchema::fine_series(3, 60);
+        let (mut tokens, mut interventions, mut forced_choices) = (0, 0, 0);
+        for (seed, want) in GOLDEN.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(seed as u64);
+            let out = dec.decode(&schema, "", &mut rng).unwrap();
+            assert_eq!(&out.text, want, "seed {seed}");
+            assert_eq!(
+                out.stats.solver_checks, 0,
+                "no solver behind a vanilla lane"
+            );
+            tokens += out.stats.tokens;
+            interventions += out.stats.interventions;
+            forced_choices += out.stats.forced_choices;
+        }
+        assert_eq!((tokens, interventions, forced_choices), (170, 46, 51));
     }
 
     #[test]

@@ -13,8 +13,9 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use lejit_core::{
-    record_seed, AdmitOutcome, ContinuousBatcher, DecodedOutput, FinishedLane, Imputer, JitSession,
-    LaneJob, TaskConfig,
+    allowed_chars, record_seed, AdmitOutcome, CharOptions, ContinuousBatcher, DecodeStats,
+    DecodeTrace, DecodedOutput, FinishedLane, Imputer, JitDecoder, JitSession, LaneJob, Lookahead,
+    TaskConfig, VarSpec, VarState,
 };
 use lejit_lm::{NgramLm, Vocab};
 use lejit_rules::parse_rules;
@@ -56,22 +57,33 @@ fn imputer<'m>(model: &'m NgramLm, d: &lejit_telemetry::Dataset) -> Imputer<'m, 
     )
 }
 
-/// An owned per-request job, as `lejit-serve` seats them.
+/// An owned per-request job, as `lejit-serve` seats them — plus an optional
+/// trace sink.
 struct OwnedJob {
     session: JitSession,
     rng: StdRng,
+    trace: Option<DecodeTrace>,
 }
 
 impl LaneJob for OwnedJob {
     type Rng = StdRng;
-    fn session(&self) -> &JitSession {
-        &self.session
+    fn admissible(&mut self) -> bool {
+        self.session.satisfiable()
     }
-    fn session_mut(&mut self) -> &mut JitSession {
-        &mut self.session
+    fn allowed(&mut self, k: usize, spec: &VarSpec, st: &VarState, la: Lookahead) -> CharOptions {
+        allowed_chars(&mut self.session, k, spec, st, la)
+    }
+    fn commit(&mut self, k: usize, value: i64) {
+        self.session.fix(k, value);
     }
     fn rng_mut(&mut self) -> &mut StdRng {
         &mut self.rng
+    }
+    fn fill_stats(&self, stats: &mut DecodeStats) {
+        self.session.fill_stats(stats);
+    }
+    fn trace_mut(&mut self) -> Option<&mut DecodeTrace> {
+        self.trace.as_mut()
     }
 }
 
@@ -151,6 +163,7 @@ fn run_interleaved(
             let job = OwnedJob {
                 session,
                 rng: StdRng::seed_from_u64(record_seed(base_seed, i as u64)),
+                trace: None,
             };
             match batcher.admit(model, job, &imputer.prompt(&windows[i]), i as u64) {
                 AdmitOutcome::Seated => {}
@@ -194,6 +207,62 @@ fn arrival_seed_axis_is_byte_identical() {
     let imp = imputer(&model, &d);
     let windows: Vec<CoarseSignals> = d.test.iter().take(8).map(|w| w.coarse).collect();
     run_interleaved(&imp, &model, &windows, 4242, 3, arrival_seed);
+}
+
+#[test]
+fn traced_lane_beside_untraced_lanes_matches_serial_trace() {
+    // Tracing is a sink on the job, filled by the one per-character apply
+    // step — so a traced lane can sit in a batch of any width, and records
+    // exactly what a solo `decode_traced` of the same record would.
+    let d = dataset();
+    let model = imputation_model(&d);
+    let imp = imputer(&model, &d);
+    let windows: Vec<CoarseSignals> = d.test.iter().take(4).map(|w| w.coarse).collect();
+    let traced_lane = 2usize;
+    let rng_for = |i: usize| StdRng::seed_from_u64(record_seed(515, i as u64));
+
+    let (mut session, schema) = imp.build_session(&windows[traced_lane]);
+    let (want_out, want_trace) = JitDecoder::new(&model, TaskConfig::default().sampler)
+        .decode_traced(
+            &mut session,
+            &schema,
+            &imp.prompt(&windows[traced_lane]),
+            &mut rng_for(traced_lane),
+        )
+        .unwrap();
+
+    let mut batcher: ContinuousBatcher<OwnedJob> =
+        ContinuousBatcher::new(imp.schema(), TaskConfig::default().sampler, 4);
+    for (i, w) in windows.iter().enumerate() {
+        let job = OwnedJob {
+            session: imp.build_session(w).0,
+            rng: rng_for(i),
+            trace: (i == traced_lane).then(DecodeTrace::default),
+        };
+        assert!(matches!(
+            batcher.admit(&model, job, &imp.prompt(w), i as u64),
+            AdmitOutcome::Seated
+        ));
+    }
+    let mut finished = Vec::new();
+    while !batcher.is_idle() {
+        finished.extend(batcher.step(&model).finished);
+    }
+    assert_eq!(finished.len(), windows.len());
+    for f in finished {
+        let out = f.result.unwrap();
+        if f.tag as usize != traced_lane {
+            assert!(f.job.trace.is_none());
+            continue;
+        }
+        let trace = f.job.trace.unwrap();
+        assert_eq!(out.text, want_out.text);
+        assert_eq!(format!("{trace:?}"), format!("{want_trace:?}"));
+        assert_eq!(
+            trace.steps.len() as u64,
+            out.stats.tokens - out.stats.forced_tokens
+        );
+    }
 }
 
 proptest! {

@@ -9,12 +9,16 @@
 //! [`JitSession`] rolled back between records, a model-level batch lane)
 //! behaving like fresh state.
 
-use lejit_core::{par_records, par_records_with, record_seed, Imputer, Synthesizer, TaskConfig};
+use lejit_core::{
+    par_batches_with, par_records, par_records_with, record_seed, DecodedOutput, Imputer,
+    Synthesizer, TaskConfig,
+};
 use lejit_lm::{BatchedGpt, CachedGpt, GptConfig, TinyGpt};
 use lejit_lm::{NgramLm, Vocab};
 use lejit_rules::parse_rules;
 use lejit_telemetry::{
-    encode_imputation_example, encode_synthesis_example, generate, CoarseField, TelemetryConfig,
+    encode_imputation_example, encode_synthesis_example, generate, CoarseField, CoarseSignals,
+    TelemetryConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -48,6 +52,35 @@ fn synthesis_model(d: &lejit_telemetry::Dataset) -> NgramLm {
     let vocab = Vocab::from_corpus(&corpus);
     let seqs: Vec<Vec<_>> = texts.iter().map(|t| vocab.encode(t).unwrap()).collect();
     NgramLm::train(vocab, &seqs, 5)
+}
+
+/// Imputes `windows` the way the figure binaries do: groups of `batch`
+/// windows decode lock-step ([`Imputer::impute_group`]) across `threads`
+/// workers, window `i` drawing from `record_seed(base_seed, i)`.
+fn impute_all(
+    imputer: &Imputer<'_, NgramLm>,
+    windows: &[CoarseSignals],
+    base_seed: u64,
+    threads: usize,
+    batch: usize,
+) -> Vec<DecodedOutput> {
+    par_batches_with(
+        threads,
+        windows.len(),
+        batch,
+        || (),
+        |(), span| {
+            let mut rngs: Vec<StdRng> = span
+                .clone()
+                .map(|i| StdRng::seed_from_u64(record_seed(base_seed, i as u64)))
+                .collect();
+            imputer
+                .impute_group(&windows[span], &mut rngs)
+                .into_iter()
+                .map(|r| r.unwrap())
+                .collect()
+        },
+    )
 }
 
 #[test]
@@ -149,48 +182,44 @@ fn batched_imputation_matrix_is_byte_identical() {
     // propagations/explanations and Tseitin-cache traffic):
     // batching and threading may regroup model calls but must not change
     // any per-record solver work.
-    let decode_all = |threads: usize, batch: usize| -> Vec<String> {
-        let imputer = Imputer::new(
-            &model,
-            rules.clone(),
-            d.window_len,
-            d.bandwidth,
-            TaskConfig {
-                threads,
-                batch_size: batch,
-                ..TaskConfig::default()
-            },
-        );
-        imputer
-            .impute_batch(&windows, base_seed)
-            .into_iter()
-            .map(|r| {
-                let o = r.unwrap();
-                let s = o.stats;
-                format!(
-                    "{}|checks={} pivots={} bnb={} props={}/{} enc={}/{}",
-                    o.text,
-                    s.solver_checks,
-                    s.solver_pivots,
-                    s.solver_bnb_nodes,
-                    s.theory_propagations,
-                    s.theory_explanations,
-                    s.encode_cache_hits,
-                    s.encode_cache_misses,
-                )
-            })
-            .collect()
+    let imputer = Imputer::new(
+        &model,
+        rules,
+        d.window_len,
+        d.bandwidth,
+        TaskConfig::default(),
+    );
+    let print = |o: DecodedOutput| -> String {
+        let s = o.stats;
+        format!(
+            "{}|checks={} pivots={} bnb={} props={}/{} enc={}/{}",
+            o.text,
+            s.solver_checks,
+            s.solver_pivots,
+            s.solver_bnb_nodes,
+            s.theory_propagations,
+            s.theory_explanations,
+            s.encode_cache_hits,
+            s.encode_cache_misses,
+        )
     };
 
-    let sequential = decode_all(1, 1);
-    assert_eq!(sequential.len(), windows.len());
+    // The reference is the serial entry point, one window at a time.
+    let sequential: Vec<String> = windows
+        .iter()
+        .enumerate()
+        .map(|(i, w)| {
+            let mut rng = StdRng::seed_from_u64(record_seed(base_seed, i as u64));
+            print(imputer.impute(w, &mut rng).unwrap())
+        })
+        .collect();
     for threads in [1, 4] {
         for batch in [1, 8] {
-            assert_eq!(
-                decode_all(threads, batch),
-                sequential,
-                "threads={threads} batch={batch}"
-            );
+            let got: Vec<String> = impute_all(&imputer, &windows, base_seed, threads, batch)
+                .into_iter()
+                .map(print)
+                .collect();
+            assert_eq!(got, sequential, "threads={threads} batch={batch}");
         }
     }
 }
@@ -221,18 +250,14 @@ fn theory_propagation_onoff_is_byte_identical_end_to_end() {
             d.window_len,
             d.bandwidth,
             TaskConfig {
-                threads,
-                batch_size: batch,
                 theory_propagate: propagate,
                 ..TaskConfig::default()
             },
         );
         let mut props = 0u64;
-        let texts = imputer
-            .impute_batch(&windows, base_seed)
+        let texts = impute_all(&imputer, &windows, base_seed, threads, batch)
             .into_iter()
-            .map(|r| {
-                let o = r.unwrap();
+            .map(|o| {
                 props += o.stats.theory_propagations;
                 o.text
             })
@@ -253,58 +278,6 @@ fn theory_propagation_onoff_is_byte_identical_end_to_end() {
             assert!(
                 props_on > 0,
                 "threads={threads} batch={batch}: on-path never propagated"
-            );
-        }
-    }
-}
-
-#[test]
-fn batched_synthesis_matrix_is_byte_identical() {
-    let d = dataset();
-    let model = synthesis_model(&d);
-    let rules = parse_rules(
-        "rule a: egress_total <= total_ingress;
-         rule b: drops <= total_ingress;
-         rule c: conn_count >= 1;",
-    )
-    .unwrap();
-    let hi = [
-        d.train_max(CoarseField::TotalIngress),
-        d.train_max(CoarseField::EcnBytes),
-        d.train_max(CoarseField::RetransBytes),
-        d.train_max(CoarseField::EgressTotal),
-        d.train_max(CoarseField::ConnCount),
-        d.train_max(CoarseField::Drops),
-    ];
-    let n_samples = 16usize;
-    let base_seed = 777u64;
-
-    let draw_all = |threads: usize, batch: usize| -> Vec<String> {
-        let synth = Synthesizer::new(
-            &model,
-            rules.clone(),
-            hi,
-            TaskConfig {
-                threads,
-                batch_size: batch,
-                ..TaskConfig::default()
-            },
-        );
-        synth
-            .synthesize_batch(n_samples, base_seed)
-            .into_iter()
-            .map(|r| r.unwrap().1.text)
-            .collect()
-    };
-
-    let sequential = draw_all(1, 1);
-    assert_eq!(sequential.len(), n_samples);
-    for threads in [1, 4] {
-        for batch in [1, 8] {
-            assert_eq!(
-                draw_all(threads, batch),
-                sequential,
-                "threads={threads} batch={batch}"
             );
         }
     }

@@ -114,11 +114,6 @@ impl<T> RequestQueue<T> {
         self.readable.notify_all();
     }
 
-    /// Whether [`Self::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
-
     /// Number of queued items right now.
     pub fn len(&self) -> usize {
         self.lock().items.len()

@@ -46,9 +46,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use lejit_core::{
-    record_seed, AdmitOutcome, ContinuousBatcher, DecodeError, DecodeSchema, DecodeStats,
-    FinishedLane, Imputer, JitSession, LaneJob, Lookahead, PoolStats, PooledSession,
-    SessionCheckpoint, SessionPool, TaskConfig,
+    allowed_chars, record_seed, AdmitOutcome, CharOptions, ContinuousBatcher, DecodeError,
+    DecodeSchema, DecodeStats, FinishedLane, Imputer, JitSession, LaneJob, Lookahead, PoolStats,
+    PooledSession, SessionCheckpoint, SessionPool, TaskConfig, VarSpec, VarState,
 };
 use lejit_lm::{LanguageModel, SamplerConfig};
 use lejit_rules::{parse_rules, RuleSet};
@@ -86,8 +86,6 @@ pub struct ServeConfig {
     pub base_seed: u64,
     /// Sampling hyperparameters.
     pub sampler: SamplerConfig,
-    /// Lookahead policy (every tier is exact; this is a cost knob).
-    pub lookahead: Lookahead,
 }
 
 impl Default for ServeConfig {
@@ -101,7 +99,6 @@ impl Default for ServeConfig {
             bandwidth: 60,
             base_seed: 600,
             sampler: SamplerConfig::default(),
-            lookahead: Lookahead::IntervalGuided,
         }
     }
 }
@@ -187,16 +184,30 @@ struct ServeJob {
 impl LaneJob for ServeJob {
     type Rng = StdRng;
 
-    fn session(&self) -> &JitSession {
-        &self.session
+    fn admissible(&mut self) -> bool {
+        self.session.satisfiable()
     }
 
-    fn session_mut(&mut self) -> &mut JitSession {
-        &mut self.session
+    fn allowed(
+        &mut self,
+        k: usize,
+        spec: &VarSpec,
+        st: &VarState,
+        lookahead: Lookahead,
+    ) -> CharOptions {
+        allowed_chars(&mut self.session, k, spec, st, lookahead)
+    }
+
+    fn commit(&mut self, k: usize, value: i64) {
+        self.session.fix(k, value);
     }
 
     fn rng_mut(&mut self) -> &mut StdRng {
         &mut self.rng
+    }
+
+    fn fill_stats(&self, stats: &mut DecodeStats) {
+        self.session.fill_stats(stats);
     }
 }
 
@@ -432,21 +443,23 @@ impl<M: LanguageModel + Sync> Server<M> {
         let mut pool = SessionPool::new(self.config.pool_per_key);
         let schema = DecodeSchema::fine_series(self.config.window_len, self.config.bandwidth);
         let mut batcher: ContinuousBatcher<ServeJob> =
-            ContinuousBatcher::new(schema, self.config.sampler, self.config.lanes)
-                .with_lookahead(self.config.lookahead);
+            ContinuousBatcher::new(schema, self.config.sampler, self.config.lanes);
+        // The server rule set's imputer (and its pool fingerprint), built
+        // once; only a request with an inline override builds its own.
+        let imputer = self.imputer(self.rules.clone());
         let mut streams = StreamRoutes::new();
         let mut pool_seen = PoolStats::default();
         loop {
             while batcher.has_free_slot() {
                 match self.queue.try_pop() {
-                    Some(req) => self.seat(&mut batcher, &mut pool, &mut streams, req),
+                    Some(req) => self.seat(&mut batcher, &mut pool, &mut streams, &imputer, req),
                     None => break,
                 }
             }
             if batcher.is_idle() {
                 match self.queue.pop_wait() {
                     Some(req) => {
-                        self.seat(&mut batcher, &mut pool, &mut streams, req);
+                        self.seat(&mut batcher, &mut pool, &mut streams, &imputer, req);
                         continue;
                     }
                     None => break, // closed and drained
@@ -468,12 +481,17 @@ impl<M: LanguageModel + Sync> Server<M> {
         self.sync_pool_metrics(&pool, &mut pool_seen);
     }
 
-    fn task_config(&self) -> TaskConfig {
-        TaskConfig {
-            sampler: self.config.sampler,
-            lookahead: self.config.lookahead,
-            ..TaskConfig::default()
-        }
+    fn imputer(&self, rules: RuleSet) -> Imputer<'_, M> {
+        Imputer::new(
+            &self.model,
+            rules,
+            self.config.window_len,
+            self.config.bandwidth,
+            TaskConfig {
+                sampler: self.config.sampler,
+                ..TaskConfig::default()
+            },
+        )
     }
 
     /// Seats one request: acquire a warm session under the rule-set
@@ -484,25 +502,22 @@ impl<M: LanguageModel + Sync> Server<M> {
         batcher: &mut ContinuousBatcher<ServeJob>,
         pool: &mut SessionPool,
         streams: &mut StreamRoutes,
-        req: Request,
+        server_rules: &Imputer<'_, M>,
+        mut req: Request,
     ) {
-        let rules = match req.rules {
-            Some(r) => r,
-            None => self.rules.clone(),
+        let inline;
+        let imputer = match req.rules.take() {
+            Some(rules) => {
+                inline = self.imputer(rules);
+                &inline
+            }
+            None => server_rules,
         };
-        let imputer = Imputer::new(
-            &self.model,
-            rules,
-            self.config.window_len,
-            self.config.bandwidth,
-            self.task_config(),
-        );
         let key = imputer.pool_key();
-        let schema = imputer.schema();
         let PooledSession {
             mut session,
             baseline,
-        } = pool.acquire(key, || JitSession::new(&schema));
+        } = pool.acquire(key, || JitSession::new(&imputer.schema()));
         let cp = session.checkpoint();
         imputer.ground_in(&mut session, &req.coarse);
         session.invalidate_derived();
