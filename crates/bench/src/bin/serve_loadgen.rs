@@ -7,8 +7,7 @@
 //!
 //! `--smoke` shrinks every phase for CI (seconds end to end). The default
 //! scale pushes the open-loop burst past 1 000 concurrent in-flight
-//! requests. Results go to stdout, `results/<scale>/serve_loadgen.txt`,
-//! and `BENCH_serve.json`.
+//! requests. Results go to stdout and `results/<scale>/serve_loadgen.txt`.
 //!
 //! Latency here is wall-clock and hardware-dependent; the byte-level
 //! serving contract (responses independent of arrival order and lane
@@ -343,7 +342,7 @@ fn main() {
     }
     let title = format!("Serving: lejit-serve load generation ({scale})");
     print_table(&title, &table);
-    println!(
+    let totals = format!(
         "server totals: completed {} / failed {} / rejected {}; pool {} hits / {} misses / {} evictions",
         metrics.completed,
         metrics.failed,
@@ -352,57 +351,13 @@ fn main() {
         metrics.pool_misses,
         metrics.pool_evictions,
     );
+    println!("{totals}");
 
-    // Persist: results/<scale>/serve_loadgen.txt + BENCH_serve.json.
+    // Persist: results/<scale>/serve_loadgen.txt.
     let results_dir = format!("results/{scale}");
     let _ = std::fs::create_dir_all(&results_dir);
-    let mut text = format!("== {title} ==\n\n{}", table.render());
-    text.push_str(&format!(
-        "\nserver totals: completed {} / failed {} / rejected {}; pool {} hits / {} misses / {} evictions\n",
-        metrics.completed,
-        metrics.failed,
-        metrics.rejected,
-        metrics.pool_hits,
-        metrics.pool_misses,
-        metrics.pool_evictions,
-    ));
+    let text = format!("== {title} ==\n\n{}\n{totals}\n", table.render());
     let _ = std::fs::write(format!("{results_dir}/serve_loadgen.txt"), &text);
-
-    let phases: Vec<serde_json::Value> = reports
-        .iter()
-        .map(|r| {
-            serde_json::json!({
-                "phase": r.label,
-                "clients": r.clients,
-                "requests": r.requests,
-                "ok": r.ok,
-                "errors": r.errors,
-                "peak_in_flight": r.peak_in_flight,
-                "p50_ms": r.p50.as_secs_f64() * 1e3,
-                "p99_ms": r.p99.as_secs_f64() * 1e3,
-                "records_per_sec": r.records_per_sec,
-            })
-        })
-        .collect();
-    let server_totals = serde_json::json!({
-        "completed": metrics.completed,
-        "failed": metrics.failed,
-        "rejected": metrics.rejected,
-        "pool_hits": metrics.pool_hits,
-        "pool_misses": metrics.pool_misses,
-        "pool_evictions": metrics.pool_evictions,
-    });
-    let doc = serde_json::json!({
-        "bench": "serve_loadgen",
-        "scale": scale,
-        "shards": config.shards,
-        "lanes": config.lanes,
-        "queue_cap": config.queue_cap,
-        "phases": phases,
-        "server": server_totals,
-    });
-    let rendered = serde_json::to_string_pretty(&doc).unwrap_or_default();
-    let _ = std::fs::write("BENCH_serve.json", rendered);
 
     if !smoke {
         let open = reports.last().expect("open-loop phase ran");

@@ -14,7 +14,7 @@ use lejit_core::{
     par_batches_with, par_records, par_records_with, record_seed, DecodeError, DecodeStats,
     Imputer, Lookahead, SessionPool, Synthesizer, TaskConfig,
 };
-use lejit_lm::{BatchedGpt, CachedGpt, LanguageModel, SamplerConfig};
+use lejit_lm::{CachedGpt, LanguageModel, SamplerConfig};
 use lejit_metrics::{
     burst_accuracy, emd, jsd, mae, mean_acf_distance, p99_relative_error, violation_stats,
     BurstAccuracy,
@@ -187,11 +187,10 @@ pub fn run_imputation_threads(
 /// [`run_imputation`] for LeJIT full rules through the *model-level
 /// batched* path: record groups of `batch` ([`lejit_core::batch_spans`])
 /// are distributed across `threads` workers, each worker steps its group
-/// lock-step through one [`BatchedGpt`] forward pass per character
-/// ([`Imputer::impute_group`]).
+/// lock-step through one [`CachedGpt`] forward pass per character
+/// ([`Imputer::impute_group`]); the worker-local cache grows to the group
+/// width on first use.
 ///
-/// [`BatchedGpt`] is interior-mutable (not `Sync`), so it lives in the
-/// worker-`init` closure, like [`CachedGpt`] in the record-level runners.
 /// Outputs are byte-identical to [`run_imputation_threads`] at the same
 /// seed for every `(threads, batch)` — batching only changes how many
 /// KV-cache lanes share each GEMM-shaped weight sweep.
@@ -210,7 +209,7 @@ pub fn run_imputation_batched(
         threads,
         coarse.len(),
         batch,
-        || BatchedGpt::new(&env.gpt, batch.max(1)),
+        || CachedGpt::new(&env.gpt),
         |model, span| {
             let imp = Imputer::new(
                 &*model,
@@ -570,31 +569,6 @@ pub fn fig5_synthesis(env: &BenchEnv) -> Table {
     table
 }
 
-/// One A1 configuration's machine-readable cost profile, consumed by the
-/// `ablation_lookahead` binary to emit `BENCH_solver.json` (the CI solver
-/// benchmark artifact). Per-character rates are `0.0` when the run
-/// generated no characters.
-pub struct SolverBenchRow {
-    /// Configuration label (matches the table's first column).
-    pub label: String,
-    /// Records that dead-ended.
-    pub dead_ends: usize,
-    /// Records decoded to completion.
-    pub completed: usize,
-    /// Theory checks per generated character.
-    pub checks_per_char: f64,
-    /// Simplex pivots per generated character.
-    pub pivots_per_char: f64,
-    /// Branch-and-bound nodes per generated character.
-    pub bnb_per_char: f64,
-    /// Theory propagations per generated character.
-    pub props_per_char: f64,
-    /// Lazy explanation clauses materialized per generated character.
-    pub explains_per_char: f64,
-    /// Mean wall-clock seconds per sample.
-    pub sec_per_sample: f64,
-}
-
 /// Ablation A1: solver lookahead policy — full per-digit probing vs the
 /// interval-guided tiers vs no lookahead at all (dead-end rate, compliance,
 /// and per-character solver cost) — plus the serving configuration
@@ -606,12 +580,6 @@ pub struct SolverBenchRow {
 /// propagation effect, read at the full tier where theory conflicts are
 /// dense and at the guided tier where checks are already near-trivial).
 pub fn ablation_lookahead(env: &BenchEnv) -> Table {
-    ablation_lookahead_detailed(env).0
-}
-
-/// [`ablation_lookahead`] plus the machine-readable [`SolverBenchRow`]s
-/// behind the table, for `BENCH_solver.json`.
-pub fn ablation_lookahead_detailed(env: &BenchEnv) -> (Table, Vec<SolverBenchRow>) {
     let windows = env.eval_windows();
     let d = &env.dataset;
     let mut table = Table::new(&[
@@ -629,7 +597,6 @@ pub fn ablation_lookahead_detailed(env: &BenchEnv) -> (Table, Vec<SolverBenchRow
         "pool evictions",
         "sec/sample",
     ]);
-    let mut rows = Vec::new();
     for (label, lookahead, pooled, propagate) in [
         ("full (LeJIT)", Lookahead::Full, false, true),
         ("full (no propagation)", Lookahead::Full, false, false),
@@ -701,7 +668,6 @@ pub fn ablation_lookahead_detailed(env: &BenchEnv) -> (Table, Vec<SolverBenchRow
                     total.solver_pivots += s.solver_pivots;
                     total.solver_bnb_nodes += s.solver_bnb_nodes;
                     total.theory_propagations += s.theory_propagations;
-                    total.theory_explanations += s.theory_explanations;
                     total.encode_cache_hits += s.encode_cache_hits;
                     total.encode_cache_misses += s.encode_cache_misses;
                     total.pool_hits += s.pool_hits;
@@ -715,18 +681,11 @@ pub fn ablation_lookahead_detailed(env: &BenchEnv) -> (Table, Vec<SolverBenchRow
             }
         }
         let stats = violation_stats(&env.mined.imputation, &completed);
-        let rate = |n: u64| {
-            if generated_chars == 0 {
-                0.0
-            } else {
-                n as f64 / generated_chars as f64
-            }
-        };
         let per_char = |n: u64| {
             if generated_chars == 0 {
                 "-".to_string()
             } else {
-                format!("{:.2}", rate(n))
+                format!("{:.2}", n as f64 / generated_chars as f64)
             }
         };
         let encode_total = total.encode_cache_hits + total.encode_cache_misses;
@@ -760,19 +719,8 @@ pub fn ablation_lookahead_detailed(env: &BenchEnv) -> (Table, Vec<SolverBenchRow
             },
             format!("{wall:.4}"),
         ]);
-        rows.push(SolverBenchRow {
-            label: label.to_string(),
-            dead_ends,
-            completed: completed.len(),
-            checks_per_char: rate(total.solver_checks),
-            pivots_per_char: rate(total.solver_pivots),
-            bnb_per_char: rate(total.solver_bnb_nodes),
-            props_per_char: rate(total.theory_propagations),
-            explains_per_char: rate(total.theory_explanations),
-            sec_per_sample: wall,
-        });
     }
-    (table, rows)
+    table
 }
 
 /// Thread-scaling study: LeJIT full-rule imputation wall time vs worker
@@ -880,9 +828,9 @@ pub fn batch_scaling(env: &BenchEnv) -> Table {
 }
 
 /// Model-side decode throughput: tokens/s through the trained GPT when
-/// appending one token per KV-cache lane per step — one lane (the serial
-/// [`CachedGpt`] shape) vs several lanes sharing each weight sweep
-/// ([`lejit_lm::TinyGpt::append_tokens_batch`]).
+/// appending one token per KV-cache lane per step — one lane (a single
+/// [`LanguageModel::next_logits`] call) vs several lanes sharing each
+/// weight sweep ([`lejit_lm::TinyGpt::append_tokens_batch`]).
 ///
 /// This isolates the GEMV→GEMM effect that the end-to-end tables dilute:
 /// at bench scale the SMT solver dominates LeJIT's wall clock (the tiny

@@ -600,11 +600,11 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn batch_decode_with_batched_gpt_matches_serial_cached_gpt() {
-        // End-to-end bit-identity across the whole stack: GEMM-shaped
-        // batched GPT inference + lock-step constrained decoding must
-        // reproduce the serial KV-cached path byte for byte.
-        use lejit_lm::{BatchedGpt, CachedGpt, GptConfig, TinyGpt};
+    fn batch_decode_over_a_wide_gpt_cache_matches_one_record_at_a_time() {
+        // End-to-end bit-identity across the whole stack: four lanes
+        // sharing each GEMM-shaped forward step + lock-step constrained
+        // decoding must reproduce the one-lane KV-cached path byte for byte.
+        use lejit_lm::{CachedGpt, GptConfig, TinyGpt};
         let vocab = Vocab::from_corpus("0123456789,;|=.TERGCD");
         let gpt = TinyGpt::new(
             GptConfig {
@@ -630,7 +630,7 @@ pub(crate) mod tests {
             })
             .collect();
 
-        let batch_model = BatchedGpt::new(&gpt, 4);
+        let batch_model = CachedGpt::new(&gpt);
         let batch_decoder = JitDecoder::new(&batch_model, SamplerConfig::default());
         let got = decode_group(&batch_decoder, &[100; 4], prompt, 55);
         for (i, (s, g)) in serial.iter().zip(&got).enumerate() {

@@ -305,8 +305,7 @@ impl<'m, M: LanguageModel> Imputer<'m, M> {
     /// window `i`'s result is byte-identical to
     /// `self.impute(&windows[i], &mut rngs[i])`. For a whole window set,
     /// distribute groups over workers with [`crate::par_batches_with`] and a
-    /// worker-local model (a batched model such as `lejit_lm::BatchedGpt` is
-    /// not `Sync`).
+    /// worker-local model (`lejit_lm::CachedGpt` is not `Sync`).
     ///
     /// # Panics
     /// Panics unless `rngs.len() == windows.len()`.

@@ -13,7 +13,7 @@ use lejit_core::{
     par_batches_with, par_records, par_records_with, record_seed, DecodedOutput, Imputer,
     Synthesizer, TaskConfig,
 };
-use lejit_lm::{BatchedGpt, CachedGpt, GptConfig, TinyGpt};
+use lejit_lm::{CachedGpt, GptConfig, TinyGpt};
 use lejit_lm::{NgramLm, Vocab};
 use lejit_rules::parse_rules;
 use lejit_telemetry::{
@@ -341,11 +341,11 @@ fn reused_session_clause_db_stays_bounded_over_long_synthesis_run() {
 }
 
 #[test]
-fn gpt_batched_lanes_match_serial_cached_across_matrix() {
-    // The full model-level batching stack — worker-local BatchedGpt lanes
-    // stepped lock-step through GEMM-shaped kernels — must reproduce the
-    // serial per-record CachedGpt path byte for byte at every
-    // (threads, batch) pair.
+fn gpt_wide_lanes_match_one_record_at_a_time_across_matrix() {
+    // The full model-level batching stack — a worker-local CachedGpt whose
+    // cache grows to the group width, lanes stepped lock-step through
+    // GEMM-shaped kernels — must reproduce a fresh one-lane CachedGpt per
+    // record byte for byte at every (threads, batch) pair.
     let d = dataset();
     let gpt = TinyGpt::new(
         GptConfig {
@@ -388,7 +388,7 @@ fn gpt_batched_lanes_match_serial_cached_across_matrix() {
                 threads,
                 windows.len(),
                 batch,
-                || BatchedGpt::new(&gpt, batch),
+                || CachedGpt::new(&gpt),
                 |model, span| {
                     let imputer = Imputer::new(
                         &*model,

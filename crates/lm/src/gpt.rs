@@ -336,33 +336,19 @@ impl TinyGpt {
     }
 }
 
-// Row-level (single-position) inference kernels used by the KV cache.
+// Per-row kernels and weight accessors for the KV-cached step in
+// `crate::cache`, which stacks lane activations into a `Matrix` and runs
+// every projection through `Matrix::affine` against these weights.
 impl TinyGpt {
-    fn row_affine(x: &[f32], w: &Matrix, b: &Matrix) -> Vec<f32> {
-        debug_assert_eq!(x.len(), w.rows());
-        debug_assert_eq!(b.cols(), w.cols());
-        let mut out: Vec<f32> = b.row(0).to_vec();
-        for (k, &xv) in x.iter().enumerate() {
-            if xv == 0.0 {
-                continue;
-            }
-            for (o, &wv) in out.iter_mut().zip(w.row(k)) {
-                *o += xv * wv;
-            }
-        }
-        out
-    }
-
-    fn ln_row(x: &[f32], gamma: &Matrix, beta: &Matrix) -> Vec<f32> {
+    fn ln_row(x: &[f32], gamma: &Matrix, beta: &Matrix, out: &mut [f32]) {
         const EPS: f32 = 1e-5;
         let n = x.len() as f32;
         let mean: f32 = x.iter().sum::<f32>() / n;
         let var: f32 = x.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
         let rstd = 1.0 / (var + EPS).sqrt();
-        x.iter()
-            .enumerate()
-            .map(|(c, &v)| (v - mean) * rstd * gamma.get(0, c) + beta.get(0, c))
-            .collect()
+        for (c, (o, &v)) in out.iter_mut().zip(x).enumerate() {
+            *o = (v - mean) * rstd * gamma.get(0, c) + beta.get(0, c);
+        }
     }
 
     pub(crate) fn tok_embedding_row(&self, tok: TokenId) -> &[f32] {
@@ -373,59 +359,29 @@ impl TinyGpt {
         self.params[self.layout.pos_emb].row(pos)
     }
 
-    /// Applies a block's first (`pre_attn = true`) or second LayerNorm.
-    pub(crate) fn apply_layer_norm(&self, layer: usize, pre_attn: bool, x: &[f32]) -> Vec<f32> {
+    /// Applies a block's first (`pre_attn = true`) or second LayerNorm to
+    /// `x`, writing `out`.
+    pub(crate) fn apply_layer_norm(
+        &self,
+        layer: usize,
+        pre_attn: bool,
+        x: &[f32],
+        out: &mut [f32],
+    ) {
         let b = &self.layout.blocks[layer];
         let (g, be) = if pre_attn {
             (b.ln1_g, b.ln1_b)
         } else {
             (b.ln2_g, b.ln2_b)
         };
-        Self::ln_row(x, &self.params[g], &self.params[be])
+        Self::ln_row(x, &self.params[g], &self.params[be], out);
     }
 
-    pub(crate) fn attn_qkv_row(&self, layer: usize, a: &[f32]) -> Vec<f32> {
-        let b = &self.layout.blocks[layer];
-        Self::row_affine(a, &self.params[b.attn_w], &self.params[b.attn_b])
+    pub(crate) fn final_layer_norm(&self, x: &[f32], out: &mut [f32]) {
+        let (g, be) = (self.layout.ln_f_g, self.layout.ln_f_b);
+        Self::ln_row(x, &self.params[g], &self.params[be], out);
     }
 
-    pub(crate) fn attn_proj_row(&self, layer: usize, x: &[f32]) -> Vec<f32> {
-        let b = &self.layout.blocks[layer];
-        Self::row_affine(x, &self.params[b.proj_w], &self.params[b.proj_b])
-    }
-
-    pub(crate) fn mlp_row(&self, layer: usize, x: &[f32]) -> Vec<f32> {
-        let b = &self.layout.blocks[layer];
-        let mut mid = Self::row_affine(x, &self.params[b.fc_w], &self.params[b.fc_b]);
-        for v in &mut mid {
-            *v = crate::tensor::gelu(*v);
-        }
-        Self::row_affine(&mid, &self.params[b.out_w], &self.params[b.out_b])
-    }
-
-    pub(crate) fn final_layer_norm(&self, x: &[f32]) -> Vec<f32> {
-        Self::ln_row(
-            x,
-            &self.params[self.layout.ln_f_g],
-            &self.params[self.layout.ln_f_b],
-        )
-    }
-
-    pub(crate) fn head_row(&self, x: &[f32]) -> Vec<f32> {
-        Self::row_affine(
-            x,
-            &self.params[self.layout.head_w],
-            &self.params[self.layout.head_b],
-        )
-    }
-}
-
-// Weight accessors for the batched (multi-lane) inference kernels in
-// `crate::cache`. The batched path stacks lane activations into a `Matrix`
-// and runs them through `Matrix::affine` against these weights; per lane the
-// result is bit-identical to the row kernels above (same bias-init,
-// ascending-k, zero-skip accumulation), so batching is output-invisible.
-impl TinyGpt {
     /// A block's attention QKV projection `(W: d×3d, b: 1×3d)`.
     pub(crate) fn attn_qkv_weights(&self, layer: usize) -> (&Matrix, &Matrix) {
         let b = &self.layout.blocks[layer];

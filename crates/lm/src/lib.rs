@@ -26,10 +26,9 @@
 //!
 //! The decoding engine in `lejit-core` only depends on the [`LanguageModel`]
 //! trait, mirroring the paper's claim that LeJIT is LLM-agnostic. For
-//! throughput, [`cache`] adds KV-cached incremental inference — single-lane
-//! ([`CachedGpt`]) and batched ([`BatchedGpt`], a multi-sequence
-//! [`BatchKvCache`] stepped through GEMM-shaped kernels) — both
-//! bit-identical to the plain forward pass semantics the trait promises.
+//! throughput, [`cache`] adds KV-cached incremental inference: one
+//! multi-lane [`KvCache`] stepped through GEMM-shaped kernels and one
+//! wrapper, [`CachedGpt`], whose single-context call is a batch of one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,7 +43,7 @@ pub mod serialize;
 pub mod tensor;
 pub mod tokenizer;
 
-pub use cache::{BatchKvCache, BatchedGpt, CachedGpt, KvCache};
+pub use cache::{CachedGpt, KvCache};
 pub use gpt::{GptConfig, TinyGpt};
 pub use ngram::NgramLm;
 pub use sample::{cross_entropy, perplexity, sample_token, LogitsProcessor, SamplerConfig};
@@ -71,10 +70,10 @@ pub trait LanguageModel {
     ///
     /// The default simply loops [`LanguageModel::next_logits`], so every
     /// model (e.g. the n-gram LM) supports batch callers out of the box.
-    /// Models with a real batched forward path — [`cache::BatchedGpt`] —
-    /// override this to do GEMM-shaped work, with the contract that each
-    /// returned row is **bit-identical** to the serial call on the same
-    /// context: batching may change throughput, never output.
+    /// Models with a real batched forward path — [`CachedGpt`] — override
+    /// this to do GEMM-shaped work, with the contract that each returned
+    /// row is **bit-identical** to the single call on the same context:
+    /// batching may change throughput, never output.
     fn forward_batch(&self, contexts: &[&[TokenId]]) -> Vec<Vec<f32>> {
         contexts.iter().map(|c| self.next_logits(c)).collect()
     }

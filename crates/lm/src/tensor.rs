@@ -135,26 +135,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Appends one row, growing the backing buffer amortized-O(1).
-    ///
-    /// `Vec::extend_from_slice` doubles capacity when full, so appending
-    /// `n` rows costs O(n·cols) total — unlike rebuilding the matrix per
-    /// row, which is O(n²·cols).
-    ///
-    /// # Panics
-    /// Panics if `row.len() != self.cols()`.
-    pub fn push_row(&mut self, row: &[f32]) {
-        assert_eq!(row.len(), self.cols, "push_row width mismatch");
-        self.data.extend_from_slice(row);
-        self.rows += 1;
-    }
-
-    /// Reserves capacity for at least `additional` more rows, so a known
-    /// sequence of [`Matrix::push_row`] calls never reallocates.
-    pub fn reserve_rows(&mut self, additional: usize) {
-        self.data.reserve(additional * self.cols);
-    }
-
     /// Matrix product `self · other`, blocked and row-parallel.
     ///
     /// Output rows are computed in `MM_BLOCK_I`-row chunks distributed
@@ -204,11 +184,10 @@ impl Matrix {
     /// Batched affine map `self · w + bias` (bias broadcast to every row),
     /// blocked and row-parallel like [`Matrix::matmul`].
     ///
-    /// This is the kernel behind the batched forward path: each row of
-    /// `self` is one lane's activation, and the per-row result is
-    /// **bit-identical** to the serial single-row kernel the KV cache uses
-    /// (initialize the output with `bias`, then accumulate `x[k] · w[k][j]`
-    /// in ascending-`k` order, skipping `x[k] == 0.0`). Batching therefore
+    /// This is the kernel behind the KV-cached forward step: each row of
+    /// `self` is one lane's activation, and each output row is computed on
+    /// its own (initialize with `bias`, then accumulate `x[k] · w[k][j]` in
+    /// ascending-`k` order, skipping `x[k] == 0.0`). Batching therefore
     /// changes how many rows share one sweep of `w`, never the float result
     /// of any individual row — the foundation of the workspace's
     /// "byte-identical at any `LEJIT_BATCH`" contract.
@@ -590,26 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn push_row_appends_and_amortizes() {
-        let mut a = Matrix::zeros(0, 3);
-        a.reserve_rows(4);
-        for r in 0..4 {
-            let base = (r * 3) as f32;
-            a.push_row(&[base, base + 1.0, base + 2.0]);
-        }
-        assert_eq!(a.rows(), 4);
-        assert_eq!(a.cols(), 3);
-        assert_eq!(a.data(), (0..12).map(|v| v as f32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "width mismatch")]
-    fn push_row_wrong_width_panics() {
-        let mut a = Matrix::zeros(1, 3);
-        a.push_row(&[1.0, 2.0]);
-    }
-
-    #[test]
     fn blocked_matmul_matches_naive_across_thread_counts() {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
@@ -635,15 +594,15 @@ mod tests {
     }
 
     #[test]
-    fn affine_matches_serial_row_kernel_bitwise() {
+    fn affine_rows_match_naive_accumulation_bitwise() {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(13);
         let x = Matrix::randn(9, 48, 1.0, &mut rng);
         let w = Matrix::randn(48, 144, 1.0, &mut rng);
         let b = Matrix::randn(1, 144, 1.0, &mut rng);
         let batched = x.affine(&w, &b);
-        // Reference: the exact accumulation order of the serial row kernel
-        // (bias init, ascending k, skip zero inputs).
+        // Reference: the documented per-row accumulation order (bias init,
+        // ascending k, skip zero inputs).
         for r in 0..x.rows() {
             let mut serial: Vec<f32> = b.row(0).to_vec();
             for (k, &xv) in x.row(r).iter().enumerate() {

@@ -97,28 +97,4 @@ proptest! {
         prop_assert_eq!(a_t.matmul_at(&at), naive_matmul_at(&a_t, &at));
         minipool::set_global_threads(1);
     }
-
-    /// Growing a matrix row-by-row with `push_row` matches building it from
-    /// the concatenated buffer in one shot.
-    #[test]
-    fn push_row_equals_from_vec(
-        rows in 0usize..=30,
-        cols in 1usize..=16,
-        seed in 0u64..=1_000_000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let full = rand_matrix(rows.max(1), cols, &mut rng);
-        let target_rows = rows.min(full.rows());
-        let mut grown = Matrix::zeros(0, cols);
-        grown.reserve_rows(target_rows);
-        for r in 0..target_rows {
-            grown.push_row(full.row(r));
-        }
-        let expect = Matrix::from_vec(
-            target_rows,
-            cols,
-            full.data()[..target_rows * cols].to_vec(),
-        );
-        prop_assert_eq!(grown, expect);
-    }
 }

@@ -19,6 +19,9 @@
 //! sampling RNG stream (default: derived from `id` via the same splitmix64
 //! record seeding the batch paths use); `stream` opts into chunk events;
 //! `rules` overrides the server's rule set with an inline DSL program.
+//! `coarse` entries are counts in `0..=`[`MAX_COARSE`]; anything else is a
+//! `bad_request`. A line longer than [`MAX_LINE_BYTES`] or not UTF-8 is
+//! answered with `bad_request` and ends the connection.
 //!
 //! Responses:
 //!
@@ -36,6 +39,18 @@
 use lejit_core::DecodeError;
 use lejit_telemetry::CoarseSignals;
 use serde_json::Value;
+
+/// Largest accepted `coarse` entry. The fields are per-window byte and
+/// packet counts; 2⁴⁰ is far above any real window and a factor of 2²³
+/// below `i64::MAX`, so grounding (sums of six entries times rule
+/// coefficients) stays in range while those coefficients are small — true
+/// of the server rule set and of mined ones. It does not cover an inline
+/// `rules` override that writes a huge constant itself.
+pub const MAX_COARSE: i64 = 1 << 40;
+
+/// Longest accepted request line, newline excluded (inline rule sets are a
+/// few KiB).
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// A parsed request line.
 #[derive(Clone, Debug, PartialEq)]
@@ -98,12 +113,16 @@ pub fn parse_line(line: &str) -> Result<Op, String> {
                 Value::Array(items) if items.len() == 6 => {
                     let mut vals = [0i64; 6];
                     for (slot, item) in vals.iter_mut().zip(items) {
-                        match item {
-                            Value::Number(n) => match n.as_i64() {
-                                Some(x) => *slot = x,
-                                None => return Err("`coarse` entries must be integers".to_string()),
-                            },
-                            _ => return Err("`coarse` entries must be integers".to_string()),
+                        let entry = match item {
+                            Value::Number(n) => n.as_i64(),
+                            _ => None,
+                        };
+                        match entry {
+                            Some(x) if (0..=MAX_COARSE).contains(&x) => *slot = x,
+                            Some(_) => {
+                                return Err(format!("`coarse` entries must be in 0..={MAX_COARSE}"))
+                            }
+                            None => return Err("`coarse` entries must be integers".to_string()),
                         }
                     }
                     CoarseSignals(vals)
@@ -294,6 +313,18 @@ mod tests {
         assert!(parse_line(r#"{"id":3}"#).is_err());
         assert!(parse_line(r#"{"op":"impute","coarse":[1,2]}"#).is_err());
         assert!(parse_line(r#"{"op":"teleport"}"#).is_err());
+    }
+
+    #[test]
+    fn coarse_entries_outside_the_count_range_are_rejected() {
+        let line = |x: i64| format!(r#"{{"op":"impute","coarse":[{x},8,0,70,12,0]}}"#);
+        for bad in [-1, MAX_COARSE + 1, i64::MAX, i64::MIN, i64::MIN + 1] {
+            let err = parse_line(&line(bad)).unwrap_err();
+            assert!(err.contains("0..="), "{bad}: {err}");
+        }
+        for good in [0, MAX_COARSE] {
+            assert!(parse_line(&line(good)).is_ok(), "{good}");
+        }
     }
 
     #[test]

@@ -31,15 +31,19 @@
 //! draining), and a loopback self-connection wakes the blocking acceptor.
 //! Shards finish every seated lane and every queued request — blocking
 //! [`RequestQueue::pop_wait`] returns `None` only once the queue is closed
-//! *and* empty — then the reader sockets are shut down so blocked readers
-//! see EOF and exit. Every admitted request gets exactly one terminal
-//! response; nothing is lost or duplicated.
+//! *and* empty — then the *read* half of every open connection is shut
+//! down: a reader gets the lines the client had already sent (each refused
+//! with `shutting_down` over the still-open write half) and then EOF, and
+//! exits. Every line a client sent before the drain gets exactly one
+//! terminal response, an answer or a refusal; nothing is lost or
+//! duplicated. (Linux keeps received bytes readable after a read-side
+//! shutdown; a platform that discards them drops those refusals.)
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 use rand::rngs::StdRng;
@@ -57,6 +61,7 @@ use lejit_telemetry::CoarseSignals;
 use crate::protocol::{
     parse_line, render_bad_request, render_chunk, render_decode_err, render_drain_ack, render_ok,
     render_overloaded, render_pong, render_shutting_down, render_stats, ImputeRequest, Op,
+    MAX_LINE_BYTES,
 };
 use crate::queue::{PushError, RequestQueue};
 
@@ -211,6 +216,12 @@ impl LaneJob for ServeJob {
     }
 }
 
+/// Locks `m`, poisoned or not: every value guarded here is left consistent
+/// between statements, so a panicked holder has broken nothing.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Writes one response line under the connection's write lock (the whole
 /// line, including the newline, inside one lock hold — concurrent writers
 /// interleave lines, never bytes). Line and newline leave in one `write`:
@@ -221,12 +232,39 @@ fn write_line(conn: &Mutex<TcpStream>, line: &str) {
     let mut framed = Vec::with_capacity(line.len() + 1);
     framed.extend_from_slice(line.as_bytes());
     framed.push(b'\n');
-    let mut stream = match conn.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
+    let mut stream = lock(conn);
     let _ = stream.write_all(&framed);
     let _ = stream.flush();
+}
+
+/// One attempt to read a request line.
+enum LineRead {
+    Line(String),
+    /// End of stream or a read error: the client left.
+    Closed,
+    /// Not a line this server will parse; the `bad_request` detail.
+    Rejected(String),
+}
+
+/// Reads one `\n`-terminated line, pulling in at most
+/// [`MAX_LINE_BYTES`]` + 1` bytes — a client that never sends a newline
+/// costs that much memory and no more.
+fn read_request_line(reader: &mut impl BufRead) -> LineRead {
+    let mut buf = Vec::new();
+    let mut capped = reader.take(MAX_LINE_BYTES as u64 + 1);
+    match capped.read_until(b'\n', &mut buf) {
+        Ok(0) | Err(_) => return LineRead::Closed,
+        Ok(_) => {}
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > MAX_LINE_BYTES {
+        return LineRead::Rejected(format!("request line exceeds {MAX_LINE_BYTES} bytes"));
+    }
+    match String::from_utf8(buf) {
+        Ok(line) => LineRead::Line(line),
+        Err(_) => LineRead::Rejected("request line is not UTF-8".to_string()),
+    }
 }
 
 /// Which connections a shard must route chunk events to: `tag →
@@ -267,18 +305,11 @@ impl<M: LanguageModel + Sync> Server<M> {
 
     /// Snapshot of the cumulative counters.
     pub fn metrics(&self) -> ServeMetrics {
-        match self.metrics.lock() {
-            Ok(g) => *g,
-            Err(poisoned) => *poisoned.into_inner(),
-        }
+        *lock(&self.metrics)
     }
 
     fn with_metrics(&self, f: impl FnOnce(&mut ServeMetrics)) {
-        let mut g = match self.metrics.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        f(&mut g);
+        f(&mut lock(&self.metrics));
     }
 
     fn draining(&self) -> bool {
@@ -298,9 +329,12 @@ impl<M: LanguageModel + Sync> Server<M> {
     /// Serves until a `shutdown` op completes its graceful drain.
     pub fn run(&self, listener: TcpListener) -> std::io::Result<()> {
         let addr = listener.local_addr()?;
-        // Write halves of every accepted connection, so drain can unblock
-        // readers stuck in `read` by shutting the sockets down.
-        let conns: Mutex<Vec<Arc<Mutex<TcpStream>>>> = Mutex::new(Vec::new());
+        // Write halves of the open connections, so drain can unblock
+        // readers stuck in `read`. A reader takes its entry out when it
+        // exits, which is what lets a closed connection's socket go.
+        let conns: Mutex<BTreeMap<u64, Arc<Mutex<TcpStream>>>> = Mutex::new(BTreeMap::new());
+        let conns = &conns;
+        let mut next_conn = 0u64;
         thread::scope(|s| {
             let workers = s.spawn(|| {
                 minipool::ThreadPool::new(self.config.shards)
@@ -327,45 +361,48 @@ impl<M: LanguageModel + Sync> Server<M> {
                     Ok(w) => Arc::new(Mutex::new(w)),
                     Err(_) => continue,
                 };
-                {
-                    let mut held = match conns.lock() {
-                        Ok(g) => g,
-                        Err(poisoned) => poisoned.into_inner(),
-                    };
-                    held.push(Arc::clone(&conn));
-                }
-                s.spawn(move || self.serve_conn(stream, conn, addr));
+                let conn_id = next_conn;
+                next_conn += 1;
+                lock(conns).insert(conn_id, Arc::clone(&conn));
+                s.spawn(move || {
+                    self.serve_conn(stream, conn, addr);
+                    lock(conns).remove(&conn_id);
+                });
             }
             // Shards drain every queued and in-flight request before the
-            // sockets go down, so terminal responses always get out. Their
-            // panic-freedom is a lint invariant (L2); a violated invariant
-            // surfaces as missing responses, not a torn-down scope.
+            // readers are told to stop, so terminal responses always get
+            // out. Their panic-freedom is a lint invariant (L2); a violated
+            // invariant surfaces as missing responses, not a torn-down
+            // scope.
             let _ = workers.join();
-            let held = match conns.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            for conn in held.iter() {
-                let stream = match conn.lock() {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                let _ = stream.shutdown(Shutdown::Both);
+            // Read halves only: a reader still holding lines the client
+            // sent before the drain refuses each one over its write half,
+            // then sees EOF.
+            for conn in lock(conns).values() {
+                let _ = lock(conn).shutdown(Shutdown::Read);
             }
-            // Scope exit joins the reader threads, which now see EOF.
+            // Scope exit joins the reader threads.
         });
         Ok(())
     }
 
     /// One connection's read loop: control ops are answered inline, decode
     /// requests are admitted onto the queue or refused with a typed
-    /// response.
+    /// response. An oversized or non-UTF-8 line is answered and ends this
+    /// connection only (there is no resynchronizing with its framing): the
+    /// socket is shut down here and closed once the caller has dropped the
+    /// registry's handle and any in-flight request its own.
     fn serve_conn(&self, stream: TcpStream, conn: Arc<Mutex<TcpStream>>, addr: SocketAddr) {
-        let reader = BufReader::new(stream);
-        for line in reader.lines() {
-            let line = match line {
-                Ok(l) => l,
-                Err(_) => break,
+        let mut reader = BufReader::new(stream);
+        loop {
+            let line = match read_request_line(&mut reader) {
+                LineRead::Line(l) => l,
+                LineRead::Closed => break,
+                LineRead::Rejected(detail) => {
+                    write_line(&conn, &render_bad_request(&detail));
+                    let _ = reader.get_ref().shutdown(Shutdown::Both);
+                    break;
+                }
             };
             if line.trim().is_empty() {
                 continue;

@@ -1,16 +1,19 @@
 //! End-to-end tests over a live TCP server: arrival-order determinism
 //! against a serial [`Imputer`] reference, typed overload under a
-//! saturating burst, and graceful drain with no lost or duplicated
-//! responses.
+//! saturating burst, graceful drain with no lost or duplicated responses,
+//! and hostile input (out-of-range counts, oversized and non-UTF-8 lines)
+//! that must cost a typed response and nothing else.
 
 use std::collections::BTreeMap;
+use std::io::ErrorKind::{TimedOut, WouldBlock};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::time::Duration;
 
 use lejit_core::{record_seed, Imputer, TaskConfig};
 use lejit_lm::{NgramLm, Vocab};
 use lejit_rules::{parse_rules, RuleSet};
-use lejit_serve::protocol::render_ok;
+use lejit_serve::protocol::{render_ok, MAX_LINE_BYTES};
 use lejit_serve::{ServeConfig, Server};
 use lejit_telemetry::{
     encode_imputation_example, generate, CoarseSignals, Dataset, TelemetryConfig,
@@ -84,6 +87,61 @@ fn read_lines(reader: &mut BufReader<TcpStream>, n: usize) -> Vec<String> {
         out.push(line.trim_end().to_string());
     }
     out
+}
+
+/// One response line, or `None` if the connection closed or stayed quiet
+/// for ten seconds — so a server that stopped answering fails the test
+/// instead of hanging it.
+fn read_reply(reader: &mut BufReader<TcpStream>) -> Option<String> {
+    let timeout = Some(Duration::from_secs(10));
+    reader.get_ref().set_read_timeout(timeout).unwrap();
+    let mut line = String::new();
+    match reader.read_line(&mut line) {
+        Ok(n) if n > 0 => Some(line.trim_end().to_string()),
+        _ => None,
+    }
+}
+
+/// Whether the server has closed this connection (EOF or reset, as
+/// opposed to merely having nothing to say).
+fn is_closed(reader: &mut BufReader<TcpStream>) -> bool {
+    let timeout = Some(Duration::from_secs(10));
+    reader.get_ref().set_read_timeout(timeout).unwrap();
+    match reader.read_line(&mut String::new()) {
+        Ok(n) => n == 0,
+        Err(e) => !matches!(e.kind(), TimedOut | WouldBlock),
+    }
+}
+
+/// Whether the server process still owns a socket for the connection
+/// whose client end is `reader` — an answered-and-shut-down socket that
+/// is never closed pins an fd and a receive buffer. Read from the kernel's
+/// table (an unowned or closed socket has inode 0 or no row); `false`
+/// where there is no such table.
+fn server_holds_socket(server: SocketAddr, reader: &BufReader<TcpStream>) -> bool {
+    let client = reader.get_ref().local_addr().unwrap();
+    let hex = |a: SocketAddr| format!("0100007F:{:04X}", a.port());
+    let table = std::fs::read_to_string("/proc/net/tcp").unwrap_or_default();
+    table.lines().any(|row| {
+        let f: Vec<&str> = row.split_whitespace().collect();
+        f.len() > 9 && f[1] == hex(server) && f[2] == hex(client) && f[9] != "0"
+    })
+}
+
+/// The byte-exact response a healthy server gives request `id` for
+/// `coarse` under its default per-id seed.
+fn expected_reply(d: &Dataset, cfg: &ServeConfig, id: usize, coarse: &CoarseSignals) -> String {
+    let model = imputation_model(d);
+    let imputer = Imputer::new(
+        &model,
+        rules(),
+        d.window_len,
+        d.bandwidth,
+        TaskConfig::default(),
+    );
+    let mut rng = StdRng::seed_from_u64(record_seed(cfg.base_seed, id as u64));
+    let out = imputer.impute(coarse, &mut rng).unwrap();
+    render_ok(id as u64, &out.text, &out.values)
 }
 
 fn response_id(line: &str) -> u64 {
@@ -337,5 +395,122 @@ fn ping_round_trip_does_not_wait_out_a_delayed_ack() {
     assert!(
         median < std::time::Duration::from_millis(5),
         "median ping round trip {median:?}: the response left in two segments"
+    );
+}
+
+#[test]
+fn out_of_range_counts_get_a_typed_response_and_leave_the_shard_serving() {
+    // A count the grounder cannot negate or sum used to panic the shard
+    // worker; with one shard every later request then waited forever.
+    let d = dataset();
+    let cfg = ServeConfig {
+        shards: 1,
+        ..config(&d)
+    };
+    let valid = d.test[0].coarse;
+    let server = Server::new(imputation_model(&d), rules(), cfg);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let mut replies: Vec<(i64, Option<String>, Option<String>)> = Vec::new();
+    std::thread::scope(|s| {
+        let run = s.spawn(|| server.run(listener).unwrap());
+        let (mut reader, mut stream) = connect(addr);
+        for (i, bad) in [i64::MAX, i64::MIN, i64::MIN + 1, -1]
+            .into_iter()
+            .enumerate()
+        {
+            let mut coarse = valid;
+            coarse.0[0] = bad;
+            writeln!(stream, "{}", impute_line(100 + i, &coarse)).unwrap();
+            let typed = read_reply(&mut reader);
+            writeln!(stream, "{}", impute_line(i, &valid)).unwrap();
+            replies.push((bad, typed, read_reply(&mut reader)));
+        }
+        shutdown(addr);
+        run.join().unwrap();
+    });
+    for (i, (bad, typed, after)) in replies.iter().enumerate() {
+        let typed = typed.as_deref().unwrap_or("<no response>");
+        assert!(
+            typed.contains(r#""ok":false"#) && typed.contains(r#""error":""#),
+            "coarse[0] = {bad}: {typed}"
+        );
+        assert_eq!(
+            after.as_deref(),
+            Some(expected_reply(&d, &cfg, i, &valid).as_str()),
+            "valid request after coarse[0] = {bad}"
+        );
+    }
+}
+
+#[test]
+fn oversized_and_non_utf8_lines_cost_one_connection_and_nothing_else() {
+    let d = dataset();
+    let cfg = ServeConfig {
+        shards: 1,
+        ..config(&d)
+    };
+    let valid = d.test[0].coarse;
+    let server = Server::new(imputation_model(&d), rules(), cfg);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let mut hostile: Vec<(&str, Option<String>, bool, bool)> = Vec::new();
+    let mut bystander = None;
+    // One byte past the cap and a megabyte past it, neither with a
+    // newline; a line that ends but is not text.
+    let just_over = vec![b'x'; MAX_LINE_BYTES + 1];
+    let endless = vec![b'x'; 1 << 20];
+    let cases: [(&str, &[u8]); 3] = [
+        ("one byte over", &just_over),
+        ("endless", &endless),
+        ("non-UTF-8", b"\xff\xfe\n"),
+    ];
+    std::thread::scope(|s| {
+        let run = s.spawn(|| server.run(listener).unwrap());
+        let (mut by_reader, mut by_stream) = connect(addr);
+        for (what, bytes) in cases {
+            let (mut reader, mut stream) = connect(addr);
+            // The server stops reading at the cap, so the rest of the line
+            // is written from the side. A server that answered but kept
+            // the socket would leave this write blocked: it must end, in
+            // success or in a reset, well inside its timeout.
+            let timeout = Some(Duration::from_secs(10));
+            stream.set_write_timeout(timeout).unwrap();
+            let writer = s.spawn(move || stream.write_all(bytes));
+            let reply = read_reply(&mut reader);
+            let mut closed = is_closed(&mut reader);
+            // The reader thread lets go of the socket just after it shuts
+            // it down; give that a moment.
+            for _ in 0..200 {
+                if !server_holds_socket(addr, &reader) {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            closed &= !server_holds_socket(addr, &reader);
+            let write_ended = match writer.join().unwrap() {
+                Ok(()) => true,
+                Err(e) => !matches!(e.kind(), TimedOut | WouldBlock),
+            };
+            hostile.push((what, reply, closed, write_ended));
+        }
+        // A connection opened before the hostile ones is still served.
+        writeln!(by_stream, "{}", impute_line(7, &valid)).unwrap();
+        bystander = read_reply(&mut by_reader);
+        shutdown(addr);
+        run.join().unwrap();
+    });
+    for (what, reply, closed, write_ended) in &hostile {
+        let reply = reply.as_deref().unwrap_or("<no response>");
+        assert!(
+            reply.contains(r#""error":"bad_request""#),
+            "{what}: {reply}"
+        );
+        assert!(closed, "{what}: connection left open");
+        assert!(write_ended, "{what}: the client's write never returned");
+    }
+    assert_eq!(
+        bystander.as_deref(),
+        Some(expected_reply(&d, &cfg, 7, &valid).as_str())
     );
 }
