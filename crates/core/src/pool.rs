@@ -20,9 +20,10 @@
 //!    cold miss),
 //! 2. [`JitSession::checkpoint`] — open a frame,
 //! 3. ground the request's rules/constants via [`JitSession::solver_mut`],
-//! 4. [`JitSession::invalidate_derived`] — the carried witness model and
-//!    epoch-keyed caches describe the weaker pre-grounding system and must
-//!    not answer for the strengthened one,
+//! 4. [`JitSession::invalidate_derived`] — a fresh fix epoch: hulls and
+//!    witnesses tagged with the old one describe the weaker pre-grounding
+//!    system and must not answer for the strengthened one (nothing else
+//!    is carried between requests),
 //! 5. decode,
 //! 6. [`JitSession::rollback`] — physically retract the frame's clauses,
 //! 7. [`SessionPool::release`] — shelve for the next request.

@@ -14,9 +14,9 @@
 //! *dynamic partial instantiation*: once `I_2 = 25` is fixed, every later
 //! query is answered relative to it.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use lejit_smt::{Model, SatResult, Solver, TermId, VarId};
+use lejit_smt::{SatResult, Solver, TermId, VarId};
 
 use crate::decoder::DecodeStats;
 use crate::schema::{DecodeSchema, SchemaItem};
@@ -99,33 +99,15 @@ pub struct JitSession {
     vars: Vec<VarId>,
     var_terms: Vec<TermId>,
     checks: u64,
-    /// Advanced by every [`Self::fix`]; all interval-guided caches are keyed
-    /// or tagged by this epoch so a fix invalidates them wholesale.
+    /// Advanced by every [`Self::fix`]; the per-variable interval knowledge
+    /// is tagged by this epoch so a fix invalidates it wholesale.
     fix_epoch: u64,
     /// The next epoch [`Self::fix`] will assign. Strictly monotonic over the
     /// session's whole life — epochs are never reused, so cache entries from
     /// a rolled-back branch can never collide with post-rollback state.
     next_epoch: u64,
     intervals: Vec<VarIntervals>,
-    /// Memo of exact guided query results, keyed by
-    /// `(fix_epoch, variable, prefix, extra_digits)` — epoch first, so a
-    /// rollback can cut off a frame's epochs as one range. Repeated states across
-    /// a decode (and across rejection-sampling retries against the same
-    /// session) hit this instead of the solver. A `BTreeMap` (not `HashMap`)
-    /// so iteration order can never leak per-process hasher state into
-    /// anything observable (determinism lint L1).
-    memo: BTreeMap<(u64, usize, i64, usize), bool>,
-    cache_hits: u64,
     checks_saved: u64,
-    /// The most recent satisfying model of the live constraint system, when
-    /// one is known. Carried *across fix epochs*: [`Self::fix`] keeps it iff
-    /// the model already assigns the fixed variable the fixed value (adding
-    /// a constraint the model satisfies cannot invalidate it), and
-    /// [`Self::rollback`] always keeps it (retracting assertions only
-    /// weakens the system). While present, any guided window query some
-    /// model value lands in is answered feasible with no solver call — and
-    /// without even computing the new epoch's hull.
-    witness_model: Option<Model>,
 }
 
 impl JitSession {
@@ -156,20 +138,7 @@ impl JitSession {
             fix_epoch: 0,
             next_epoch: 1,
             intervals: vec![VarIntervals::default(); n],
-            memo: BTreeMap::new(),
-            cache_hits: 0,
             checks_saved: 0,
-            witness_model: None,
-        }
-    }
-
-    /// Captures the solver's current model (if any) as the carried witness
-    /// model. Any model the solver exposes satisfies the live assertions —
-    /// `check_assuming` models satisfy a superset of them — so harvesting
-    /// unconditionally is sound.
-    fn harvest_model(&mut self) {
-        if let Some(m) = self.solver.model() {
-            self.witness_model = Some(m.clone());
         }
     }
 
@@ -199,20 +168,15 @@ impl JitSession {
     }
 
     /// Number of solver checks the interval-guided lookahead avoided: each
-    /// guided query resolved from the hull, a witness, or the memo would
-    /// have cost one check under [`Lookahead::Full`].
+    /// guided query resolved from the hull, a witness or a certified gap
+    /// would have cost one check under [`Lookahead::Full`].
     ///
     /// [`Lookahead::Full`]: crate::transition::Lookahead::Full
     pub fn solver_checks_saved(&self) -> u64 {
         self.checks_saved
     }
 
-    /// Number of guided queries answered from the exact-result memo cache.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
-    }
-
-    /// Copies this session's solver-side counters (session caches plus the
+    /// Copies this session's solver-side counters (its own plus the
     /// underlying [`lejit_smt::SolverStats`] cost profile) into `stats`, so
     /// every decode path reports the same per-check cost breakdown. The
     /// copied values are the session's *lifetime* totals — see
@@ -221,7 +185,6 @@ impl JitSession {
     pub fn fill_stats(&self, stats: &mut DecodeStats) {
         stats.solver_checks = self.checks;
         stats.solver_checks_saved = self.checks_saved;
-        stats.cache_hits = self.cache_hits;
         let s = self.solver.stats();
         stats.solver_pivots = s.pivots;
         stats.solver_bnb_nodes = s.bnb_nodes;
@@ -241,27 +204,17 @@ impl JitSession {
     /// solver could not vouch for, preserving the zero-violation guarantee.
     pub fn satisfiable(&mut self) -> bool {
         self.checks += 1;
-        let sat = matches!(self.solver.check(), Ok(SatResult::Sat));
-        if sat {
-            self.harvest_model();
-        }
-        sat
+        matches!(self.solver.check(), Ok(SatResult::Sat))
     }
 
     /// Fixes variable `k` to `value` (partial instantiation). Permanent
     /// unless made inside a [`Self::checkpoint`] frame that is later rolled
     /// back.
     ///
-    /// Assigns a globally fresh fix epoch: cached hulls, witnesses, and memo
-    /// entries from before the fix describe a weaker constraint system and
-    /// stop matching — and because epochs are never reused, neither can
-    /// entries from a branch that [`Self::rollback`] has since discarded.
-    ///
-    /// The carried witness model is kept across the epoch boundary when it
-    /// already assigns `value` to variable `k` — a satisfying model of the
-    /// old system that satisfies the new constraint is a satisfying model of
-    /// the new system — so interval-guided probes it covers keep being
-    /// answered for free at the new epoch. An inconsistent model is dropped.
+    /// Assigns a globally fresh fix epoch: cached hulls, witnesses and gaps
+    /// from before the fix describe a weaker constraint system and stop
+    /// matching — and because epochs are never reused, neither can those of
+    /// a branch that [`Self::rollback`] has since discarded.
     pub fn fix(&mut self, k: usize, value: i64) {
         let t = self.var_terms[k];
         let c = self.solver.int(value);
@@ -269,13 +222,6 @@ impl JitSession {
         self.solver.assert(eq);
         self.fix_epoch = self.next_epoch;
         self.next_epoch += 1;
-        if self
-            .witness_model
-            .as_ref()
-            .is_some_and(|m| m.int_value(self.vars[k]) != Some(value))
-        {
-            self.witness_model = None;
-        }
     }
 
     /// Opens a rollback frame: later [`Self::fix`] calls (and any extra
@@ -284,11 +230,11 @@ impl JitSession {
     /// This is what lets one session be *reused across records and across
     /// rejection-sampling retries*: decode a record inside a frame, then
     /// roll back to the pristine grounded rules instead of rebuilding the
-    /// session (and re-grounding every rule) from scratch. Interval and
-    /// memo caches from the checkpointed epoch stay valid across the
-    /// rollback — they described the base constraint system and that is
-    /// exactly what gets restored — so repeated decodes against one session
-    /// get warmer and warmer lookahead tiers.
+    /// session (and re-grounding every rule) from scratch. Interval
+    /// knowledge tagged with the checkpointed epoch stays valid across the
+    /// rollback — it described the base constraint system and that is
+    /// exactly what gets restored — so the first variable of every record
+    /// decoded against one session starts with a warm hull.
     ///
     /// Rollback physically retracts the frame's clauses from the solver
     /// (see [`lejit_smt::Solver::retract`]): the clause database is bounded
@@ -317,39 +263,30 @@ impl JitSession {
 
     /// Retracts everything fixed or asserted since `cp` was taken —
     /// physically deleting the frame's clauses from the solver — and
-    /// restores the fix epoch, so guided-query caches keyed to the
-    /// checkpointed epoch become live again. Checkpoints must be rolled
+    /// restores the fix epoch, so interval knowledge tagged with the
+    /// checkpointed epoch becomes live again. Checkpoints must be rolled
     /// back in LIFO order.
-    ///
-    /// The carried witness model survives rollback: retracting assertions
-    /// only weakens the constraint system, so a model of the stronger
-    /// branch still satisfies what remains.
     pub fn rollback(&mut self, cp: SessionCheckpoint) {
         self.solver.retract();
         self.fix_epoch = cp.fix_epoch;
-        // Epochs allocated inside the frame are never current again (LIFO
-        // rollback, monotonic allocation): drop their memo entries, or a
-        // reused session grows by every record it ever decoded.
-        drop(self.memo.split_off(&(cp.fix_epoch + 1, 0, i64::MIN, 0)));
     }
 
-    /// Discards every answer derived from the *current* constraint system:
-    /// the carried witness model is dropped and a fresh fix epoch is
-    /// allocated, orphaning the epoch-keyed interval and memo caches.
+    /// Discards every answer derived from the *current* constraint system
+    /// by allocating a fresh fix epoch, which orphans the epoch-tagged
+    /// interval knowledge.
     ///
     /// Call this after strengthening the solver through any channel other
     /// than [`Self::fix`] — e.g. grounding a request's rules into a pooled
-    /// session's checkpoint frame via [`Self::solver_mut`]. Those caches and
-    /// the witness model describe the *weaker* pre-grounding system; left in
-    /// place they could unsoundly answer "feasible" for values the new rules
-    /// forbid. `fix` handles its own epoch bump and model consistency check;
-    /// raw solver assertions cannot, so the caller must invalidate.
+    /// session's checkpoint frame via [`Self::solver_mut`]. Hulls and
+    /// witnesses computed before describe the *weaker* pre-grounding system;
+    /// left in place they could unsoundly answer "feasible" for values the
+    /// new rules forbid. `fix` bumps the epoch itself; raw solver assertions
+    /// cannot, so the caller must invalidate.
     ///
-    /// Knowledge keyed to *earlier* epochs (the state a later
+    /// Knowledge tagged with *earlier* epochs (the state a later
     /// [`Self::rollback`] restores) is untouched: rollback retracts the
     /// strengthening along with the frame, making those answers valid again.
     pub fn invalidate_derived(&mut self) {
-        self.witness_model = None;
         self.fix_epoch = self.next_epoch;
         self.next_epoch += 1;
     }
@@ -442,9 +379,6 @@ impl JitSession {
         let map = self
             .solver
             .interval_map(self.vars[k], HULL_SWEEP_STRIDE, HULL_ENUMERATE_WIDTH);
-        // The last satisfiable probe of the analysis (if any) left a model
-        // of the live assertions behind: carry it.
-        self.harvest_model();
         let cache = &mut self.intervals[k];
         cache.epoch = epoch;
         cache.valid = true;
@@ -468,11 +402,11 @@ impl JitSession {
     }
 
     /// [`Self::value_feasible`] routed through the interval-guided tiers
-    /// (memo, hull rejection, witnesses, certified gaps, span enumeration,
-    /// exact check — see `resolve_guided`).
+    /// (hull rejection, witnesses, certified gaps, decade enumeration, exact
+    /// check — see `resolve_guided`).
     /// Always returns the same answer as `value_feasible`.
     pub fn value_feasible_guided(&mut self, k: usize, value: i64) -> bool {
-        self.resolve_guided(k, value, 0, &[(value, value)])
+        self.resolve_guided(k, &[(value, value)])
     }
 
     /// [`Self::prefix_feasible`] routed through the interval-guided tiers.
@@ -491,27 +425,26 @@ impl JitSession {
             windows.push((lo, hi));
             pow = pow.saturating_mul(10);
         }
-        self.resolve_guided(k, prefix, extra_digits, &windows)
+        self.resolve_guided(k, &windows)
     }
 
     /// Resolves "can variable `k` land in any of `windows`?" exactly, using
     /// the cheapest sufficient tier:
     ///
-    /// 1. memoized answer for `(k, prefix, extra_digits)` this epoch;
-    ///    1b. the carried witness model assigns `k` a value inside some
-    ///    window → feasible with no check — and no hull computation: a
-    ///    model carried across a fix epoch keeps answering before the new
-    ///    epoch's interval analysis has ever run;
-    /// 2. every window misses the feasible hull → infeasible, no check;
-    /// 3. some window contains a known-feasible witness → feasible, no check;
-    /// 4. every in-hull window is covered by certified gaps (or the hull is
+    /// 1. every window misses the feasible hull → infeasible, no check;
+    /// 2. some window contains a known-feasible witness → feasible, no check;
+    /// 3. every in-hull window is covered by certified gaps (or the hull is
     ///    fully classified) → infeasible, no check;
-    /// 5. undetermined windows packed into one decade → enumerate the decade
+    /// 4. undetermined windows packed into one decade → enumerate the decade
     ///    exactly (one range analysis, counted as 2 checks) and decide —
-    ///    sibling digit queries then resolve from tiers 3/4 for free;
-    /// 6. otherwise one exact solver check (the query [`Lookahead::Full`]
-    ///    would have issued), whose satisfying model is harvested as a new
-    ///    witness — or, when UNSAT, whose windows become certified gaps.
+    ///    sibling digit queries then resolve from tiers 2/3 for free;
+    /// 5. otherwise one exact solver check (the query [`Lookahead::Full`]
+    ///    would have issued), whose model value becomes a new witness — or,
+    ///    when UNSAT, whose windows become certified gaps.
+    ///
+    /// Tiers 4 and 5 leave their whole answer behind as witnesses and gaps,
+    /// so a repeated query is answered by tiers 2/3: there is no separate
+    /// memo of answers, and nothing is carried from one epoch to the next.
     ///
     /// Every tier is exact. Witnesses come from satisfying models and gaps
     /// from UNSAT certificates, so neither can misclassify; the region
@@ -522,37 +455,9 @@ impl JitSession {
     /// guided answers always equal the `Full` ones.
     ///
     /// [`Lookahead::Full`]: crate::transition::Lookahead::Full
-    fn resolve_guided(
-        &mut self,
-        k: usize,
-        prefix: i64,
-        extra_digits: usize,
-        windows: &[(i64, i64)],
-    ) -> bool {
-        let key = (self.fix_epoch, k, prefix, extra_digits);
-        if let Some(&answer) = self.memo.get(&key) {
-            self.cache_hits += 1;
-            self.checks_saved += 1;
-            return answer;
-        }
-        // Tier 1b: the carried witness model. Its value for `k` is proven
-        // feasible under the live assertions (models are only kept across
-        // fixes they satisfy), so a window containing it is feasible with
-        // no solver call and no hull computation.
-        if let Some(w) = self
-            .witness_model
-            .as_ref()
-            .and_then(|m| m.int_value(self.vars[k]))
-        {
-            if windows.iter().any(|&(a, b)| (a..=b).contains(&w)) {
-                self.checks_saved += 1;
-                self.memo.insert(key, true);
-                return true;
-            }
-        }
+    fn resolve_guided(&mut self, k: usize, windows: &[(i64, i64)]) -> bool {
         let Some((lo, hi)) = self.hull(k) else {
             self.checks_saved += 1;
-            self.memo.insert(key, false);
             return false;
         };
         // Classify each window against the epoch's interval knowledge,
@@ -573,17 +478,12 @@ impl JitSession {
                 unknown.push((ca, cb));
             }
         }
-        let answer = if witnessed {
+        if witnessed || unknown.is_empty() {
             self.checks_saved += 1;
-            true
-        } else if unknown.is_empty() {
-            self.checks_saved += 1;
-            false
+            witnessed
         } else {
             self.resolve_unknown(k, &unknown)
-        };
-        self.memo.insert(key, answer);
-        answer
+        }
     }
 
     /// Decides windows the cached interval knowledge cannot classify.
@@ -626,7 +526,6 @@ impl JitSession {
                     self.solver
                         .feasible_values_in(self.vars[k], elo, ehi, &known)
                 {
-                    self.harvest_model();
                     let kn = &mut self.intervals[k];
                     kn.witnesses.extend(values.iter().copied());
                     let mut next = elo;
@@ -650,7 +549,7 @@ impl JitSession {
         }
         // Exact fallback: the same disjunctive window query `Full` issues,
         // but via `check_assuming` so the satisfying model stays readable
-        // for witness harvesting.
+        // and its value of `k` becomes a witness.
         let t = self.var_terms[k];
         let mut options = Vec::with_capacity(windows.len());
         for &(lo_val, hi_val) in windows {
@@ -667,7 +566,6 @@ impl JitSession {
                 if let Some(w) = self.solver.model().and_then(|m| m.int_value(self.vars[k])) {
                     self.intervals[k].witnesses.insert(w);
                 }
-                self.harvest_model();
                 true
             }
             Ok(SatResult::Unsat) => {
@@ -859,7 +757,7 @@ mod tests {
     }
 
     #[test]
-    fn guided_queries_save_checks_and_hit_memo() {
+    fn guided_queries_save_checks() {
         let mut s = paper_session();
         s.fix(0, 20);
         s.fix(1, 15);
@@ -882,41 +780,13 @@ mod tests {
         assert!(s.value_feasible_guided(3, 40));
         assert_eq!(s.checks(), before, "hull/witness tiers issue no checks");
         assert!(s.solver_checks_saved() >= 3);
-        // An interior value that is no witness needs one exact check; asking
-        // again is a memo hit.
-        let hits_before = s.cache_hits();
+        // An interior value that is no witness may need solver work; the
+        // answer it leaves behind (a witness or a gap) serves the repeat.
         let answer = s.value_feasible_guided(3, 17);
-        let checks_after_exact = s.checks();
+        let (checks, saved) = (s.checks(), s.solver_checks_saved());
         assert_eq!(s.value_feasible_guided(3, 17), answer);
-        assert!(s.cache_hits() > hits_before || s.checks() == checks_after_exact);
-    }
-
-    #[test]
-    fn rollback_drops_the_frames_memo_entries() {
-        // A reused session must not grow by the records it has decoded:
-        // memo entries keyed to epochs allocated inside a rolled-back
-        // frame can never match again, so rollback deletes them — while
-        // entries of the checkpointed epoch stay and keep hitting.
-        let mut s = paper_session();
-        let _ = s.value_feasible_guided(0, 17);
-        let base = s.memo.len();
-        assert!(base > 0, "the exact answer at the base epoch is memoized");
-        for round in 0..4 {
-            let cp = s.checkpoint();
-            s.fix(0, 20);
-            s.fix(1, 15);
-            s.fix(2, 25);
-            let _ = s.value_feasible_guided(3, 17);
-            assert!(
-                s.memo.len() > base,
-                "round {round}: in-frame answer memoized"
-            );
-            s.rollback(cp);
-            assert_eq!(s.memo.len(), base, "round {round}");
-        }
-        let hits = s.cache_hits();
-        let _ = s.value_feasible_guided(0, 17);
-        assert!(s.cache_hits() > hits, "base-epoch entry survived");
+        assert_eq!(s.checks(), checks, "the repeat issued a check");
+        assert_eq!(s.solver_checks_saved(), saved + 1);
     }
 
     #[test]
@@ -1007,61 +877,16 @@ mod tests {
     }
 
     #[test]
-    fn witness_model_carried_across_consistent_fix() {
-        let mut s = paper_session();
-        assert!(s.satisfiable()); // harvests a witness model
-        let w0 = s.model_value(0).unwrap();
-        let w1 = s.model_value(1).unwrap();
-        s.fix(0, w0); // the model satisfies the fix → carried to the new epoch
-        let before = s.checks();
-        // Tier 1b: the carried model answers at the brand-new epoch with no
-        // solver call and no interval analysis.
-        assert!(s.value_feasible_guided(1, w1));
-        assert_eq!(s.checks(), before, "carried model should answer for free");
-        assert!(s.solver_checks_saved() > 0);
-    }
-
-    #[test]
-    fn witness_model_dropped_on_inconsistent_fix() {
-        let mut s = paper_session();
-        assert!(s.satisfiable());
-        let w0 = s.model_value(0).unwrap();
-        let other = if w0 == 0 { 1 } else { w0 - 1 };
-        s.fix(0, other); // the model violates the fix → dropped
-        let before = s.checks();
-        // Still feasible (any single cap-respecting value is), but the
-        // answer must come from real solver work, not a stale model.
-        assert!(s.value_feasible_guided(0, other));
-        assert!(
-            s.checks() > before,
-            "dropped model must not answer for free"
-        );
-    }
-
-    #[test]
-    fn witness_model_survives_rollback() {
-        let mut s = paper_session();
-        assert!(s.satisfiable());
-        let w0 = s.model_value(0).unwrap();
-        let w1 = s.model_value(1).unwrap();
-        let cp = s.checkpoint();
-        s.fix(0, w0); // consistent → kept across the fix epoch
-        s.rollback(cp); // retraction only weakens the system → still a model
-        let before = s.checks();
-        assert!(s.value_feasible_guided(1, w1));
-        assert_eq!(s.checks(), before, "model should survive the rollback");
-    }
-
-    #[test]
-    fn invalidate_derived_drops_model_and_orphans_caches() {
+    fn invalidate_derived_orphans_the_epochs_interval_knowledge() {
         // Grounding extra constraints through `solver_mut` (the pooled-reuse
-        // path) strengthens the system without `fix`'s bookkeeping; the
-        // carried model and epoch-keyed caches describe the weaker system
-        // and must not answer afterwards.
+        // path) strengthens the system without `fix`'s epoch bump; witnesses
+        // found before describe the weaker system and must not answer
+        // afterwards.
         let mut s = paper_session();
-        assert!(s.satisfiable()); // harvests a witness model
-        let w0 = s.model_value(0).unwrap();
-        assert!(s.value_feasible_guided(0, w0)); // warms epoch-keyed caches
+        let (w0, _) = s.hull(0).unwrap(); // a hull endpoint is a witness
+        let before = s.checks();
+        assert!(s.value_feasible_guided(0, w0));
+        assert_eq!(s.checks(), before, "answered by the witness");
         let cp = s.checkpoint();
         // Strengthen outside `fix`: forbid the witnessed value outright.
         let t = s.var_terms[0];
@@ -1074,11 +899,10 @@ mod tests {
         let before = s.checks();
         assert!(
             !s.value_feasible_guided(0, w0),
-            "stale model/caches must not answer for the strengthened system"
+            "a stale witness must not answer for the strengthened system"
         );
         assert!(s.checks() > before, "answer must come from fresh analysis");
-        // Rollback retracts the strengthening; pre-checkpoint knowledge is
-        // keyed to the restored epoch and becomes valid again.
+        // Rollback retracts the strengthening: the value is feasible again.
         s.rollback(cp);
         assert!(s.value_feasible_guided(0, w0));
     }

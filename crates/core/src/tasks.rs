@@ -207,8 +207,8 @@ impl<'m, M: LanguageModel> Imputer<'m, M> {
     /// state from earlier epochs), ground inside a
     /// [`JitSession::checkpoint`] frame and call
     /// [`JitSession::invalidate_derived`] afterwards: grounding
-    /// strengthens the system outside [`JitSession::fix`], so the carried
-    /// witness model and epoch-keyed caches must not keep answering.
+    /// strengthens the system outside [`JitSession::fix`], so interval
+    /// knowledge tagged with the current epoch must not keep answering.
     pub fn ground_in(&self, session: &mut JitSession, coarse: &CoarseSignals) {
         ground_rules(session, &self.rules, Some(coarse), self.window_len);
     }
@@ -477,7 +477,7 @@ impl<'m, M: LanguageModel> Synthesizer<'m, M> {
     /// Synthesis sessions are window-independent, so one session can serve
     /// an entire sample loop: each call decodes inside a
     /// [`JitSession::checkpoint`] frame and rolls back, keeping the
-    /// grounded rules and the epoch-0 interval/memo caches warm instead of
+    /// grounded rules and the first variable's epoch-0 hull warm instead of
     /// rebuilding the session per sample. Rollback physically retracts the
     /// frame's clauses from the solver, so the clause database stays
     /// bounded no matter how long the loop runs — no periodic rebuild is

@@ -34,8 +34,8 @@ pub enum Lookahead {
     /// The default, interval-guided lookahead: identical decisions to
     /// [`Full`] (same allowed sets, same zero-violation guarantee), but most
     /// per-character queries are answered from the variable's cached
-    /// feasible hull, a proven-feasible witness, or a memo of earlier exact
-    /// answers instead of fresh solver checks. See
+    /// feasible hull, a proven-feasible witness or a certified-infeasible
+    /// gap instead of fresh solver checks. See
     /// [`JitSession::prefix_feasible_guided`].
     ///
     /// [`Full`]: Lookahead::Full

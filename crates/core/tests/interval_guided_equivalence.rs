@@ -209,21 +209,20 @@ fn decoded_outputs_are_byte_identical_for_fixed_seed() {
             full_out.stats.solver_checks
         );
         assert_eq!(full_out.stats.solver_checks_saved, 0);
-        assert_eq!(full_out.stats.cache_hits, 0);
     }
 }
 
-/// Memoization across repeated states: revisiting the same `VarState`
-/// (as rejection-style retries or a re-masked step do) must return the
-/// same `CharOptions`, with the second visit answered entirely from the
-/// caches — zero additional solver checks.
+/// Repeated states: revisiting the same `VarState` (as rejection-style
+/// retries or a re-masked step do) must return the same `CharOptions`, with
+/// the second visit answered entirely from the epoch's interval knowledge —
+/// zero additional solver checks.
 #[test]
-fn repeated_states_hit_the_cache_without_changing_answers() {
+fn repeated_states_are_answered_without_checks_or_changed_answers() {
     // A rule with a *hole* in the region: each value must be ≤ 20 or ≥ 40.
     // The hull [0, 60] cannot decide interior values like 25, and
-    // infeasible ones never become witnesses — so their exact UNSAT
-    // answers land in the memo, where revisits find them. (SAT answers are
-    // re-served by the harvested witness instead; both are cache tiers.)
+    // infeasible ones never become witnesses — their exact UNSAT answers
+    // become certified gaps, where revisits find them. (SAT answers are
+    // re-served by the model value the check left in the witness set.)
     let schema = DecodeSchema::fine_series(WINDOW, BANDWIDTH);
     let mut guided = JitSession::new(&schema);
     let rules = parse_rules(
@@ -254,7 +253,7 @@ fn repeated_states_hit_the_cache_without_changing_answers() {
         }
     }
     let spec = schema.variables()[0].clone();
-    // First pass over a handful of states warms hull, witnesses, and memo —
+    // First pass over a handful of states warms hull, witnesses and gaps —
     // including prefixes inside the hole (25, 35), whose terminator checks
     // are exact UNSATs.
     let mut states = vec![VarState::start()];
@@ -282,9 +281,8 @@ fn repeated_states_hit_the_cache_without_changing_answers() {
         checks_before,
         "second visit issued solver checks"
     );
-    assert!(guided.solver_checks_saved() > saved_before);
     assert!(
-        guided.cache_hits() > 0,
-        "memo saw no traffic on the revisit"
+        guided.solver_checks_saved() > saved_before,
+        "the revisit was not booked as saved checks"
     );
 }

@@ -61,15 +61,6 @@ impl Model {
         self.bools.get(&v).copied().unwrap_or(false)
     }
 
-    /// Iterates over `(variable, value)` pairs for every integer variable in
-    /// the model, in ascending [`VarId`] order (deterministic). This is what
-    /// lets callers carry a whole witness *model* forward: a model that
-    /// remains consistent with a newly added constraint proves every one of
-    /// its values feasible at once.
-    pub fn ints(&self) -> impl Iterator<Item = (VarId, i64)> + '_ {
-        self.ints.iter().map(|(&v, &n)| (v, n))
-    }
-
     /// Evaluates an integer term under this model.
     pub fn eval_int(&self, pool: &TermPool, t: TermId) -> i64 {
         match pool.get(t) {
