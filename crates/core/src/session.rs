@@ -25,11 +25,6 @@ use crate::schema::{DecodeSchema, SchemaItem};
 /// the shape of the digit-window queries the transition system issues.
 const HULL_SWEEP_STRIDE: i64 = 10;
 
-/// Hulls at most this wide are enumerated exactly during the hull analysis,
-/// classifying every value up front (common for late variables, whose
-/// ranges collapse as earlier values are fixed).
-const HULL_ENUMERATE_WIDTH: i64 = 25;
-
 /// Minimum width of an undetermined span worth enumerating (one range
 /// analysis, counted as 2 checks) instead of probing exactly (1 check).
 const SPAN_ENUMERATE_MIN: i64 = 4;
@@ -44,8 +39,7 @@ const SPAN_ENUMERATE_MIN: i64 = 4;
 /// proven *infeasible* by an UNSAT answer (a single UNSAT over a range
 /// certifies every value in it at once). A window containing a witness is
 /// feasible and a window covered by gaps is infeasible, both with no
-/// solver call; `complete` marks hulls narrow enough that the enumeration
-/// classified every value, leaving nothing unknown.
+/// solver call.
 #[derive(Clone, Debug, Default)]
 struct VarIntervals {
     epoch: u64,
@@ -54,8 +48,6 @@ struct VarIntervals {
     witnesses: BTreeSet<i64>,
     /// Sorted, disjoint, non-adjacent certified-infeasible intervals.
     gaps: Vec<(i64, i64)>,
-    /// Whether `witnesses` is the exact feasible set within the hull.
-    complete: bool,
 }
 
 impl VarIntervals {
@@ -366,10 +358,11 @@ impl JitSession {
     /// [`Self::feasible_range`] — both are one round of range analysis over
     /// the variable (the raw solver iterations inside it are still visible
     /// in [`lejit_smt::SolverStats::checks`]). Later calls in the same
-    /// epoch are free. The analysis also seeds the witness set, certifies
-    /// decade-sized gap intervals, and — for narrow hulls — classifies the
-    /// entire feasible set, so most per-character queries at this epoch
-    /// never reach the solver again.
+    /// epoch are free. The analysis also seeds the witness set and certifies
+    /// decade-sized gap intervals, so most per-character queries at this
+    /// epoch never reach the solver again; a decade it left undetermined is
+    /// enumerated when a query first lands in it (`resolve_unknown`), never
+    /// up front.
     pub fn hull(&mut self, k: usize) -> Option<(i64, i64)> {
         let epoch = self.fix_epoch;
         if self.intervals[k].valid && self.intervals[k].epoch == epoch {
@@ -378,18 +371,16 @@ impl JitSession {
         self.checks += 2;
         let map = self
             .solver
-            .interval_map(self.vars[k], HULL_SWEEP_STRIDE, HULL_ENUMERATE_WIDTH);
+            .interval_map(self.vars[k], HULL_SWEEP_STRIDE);
         let cache = &mut self.intervals[k];
         cache.epoch = epoch;
         cache.valid = true;
         cache.witnesses.clear();
         cache.gaps.clear();
-        cache.complete = false;
         match map {
             Ok(Some(m)) => {
                 cache.hull = Some((m.lo, m.hi));
                 cache.witnesses.extend(m.witnesses);
-                cache.complete = m.complete;
                 for (a, b) in m.gaps {
                     cache.insert_gap(a, b);
                 }
@@ -433,8 +424,8 @@ impl JitSession {
     ///
     /// 1. every window misses the feasible hull → infeasible, no check;
     /// 2. some window contains a known-feasible witness → feasible, no check;
-    /// 3. every in-hull window is covered by certified gaps (or the hull is
-    ///    fully classified) → infeasible, no check;
+    /// 3. every in-hull window is covered by certified gaps → infeasible,
+    ///    no check;
     /// 4. undetermined windows packed into one decade → enumerate the decade
     ///    exactly (one range analysis, counted as 2 checks) and decide —
     ///    sibling digit queries then resolve from tiers 2/3 for free;
@@ -474,7 +465,7 @@ impl JitSession {
                 witnessed = true;
                 break;
             }
-            if !kn.complete && !kn.covered_infeasible(ca, cb) {
+            if !kn.covered_infeasible(ca, cb) {
                 unknown.push((ca, cb));
             }
         }

@@ -213,20 +213,24 @@ fn per_record_check_booking_matches_the_golden() {
     assert_eq!(reused, GOLDEN_REUSED, "one-session synthesis");
 }
 
-// Captured at the commit before the exact-answer memo and the carried
-// witness model were deleted; deleting them moved none of these numbers
-// (every query they answered is answered by the epoch's witness set or gap
-// list, and booked as saved either way).
+// Two captures. The first, at the commit before the exact-answer memo and
+// the carried witness model were deleted, still passed after the deletion:
+// every query they answered is answered by the epoch's witness set or gap
+// list and booked as saved either way. The second, below, is from the
+// commit that stopped enumerating narrow hulls up front: a decade is now
+// enumerated when a query first lands in it, each enumeration booked as two
+// checks, so the *logical* count rises (fresh record 1: 15 → 21) while the
+// solver's own `SolverStats::checks` falls (EXPERIMENTS.md §B4).
 const GOLDEN_FRESH: [(u64, u64); 12] = [
     (23, 102),
-    (15, 104),
+    (21, 101),
     (23, 101),
-    (21, 105),
-    (17, 103),
-    (17, 103),
-    (11, 85),
-    (15, 104),
-    (11, 95),
+    (23, 104),
+    (21, 101),
+    (21, 101),
+    (19, 81),
+    (21, 101),
+    (15, 93),
     (25, 89),
     (21, 101),
     (23, 102),
@@ -234,16 +238,16 @@ const GOLDEN_FRESH: [(u64, u64); 12] = [
 /// A pooled session starts every request at a new epoch: same booking.
 const GOLDEN_POOLED: [(u64, u64); 12] = GOLDEN_FRESH;
 const GOLDEN_REUSED: [(u64, u64); 12] = [
-    (31, 140),
-    (15, 74),
-    (23, 112),
-    (17, 123),
-    (23, 111),
-    (28, 141),
-    (15, 104),
-    (21, 112),
-    (27, 142),
-    (19, 103),
-    (17, 135),
+    (33, 139),
+    (17, 73),
+    (25, 111),
+    (23, 120),
+    (25, 110),
+    (30, 140),
     (17, 103),
+    (23, 111),
+    (29, 141),
+    (25, 100),
+    (25, 131),
+    (23, 100),
 ];

@@ -180,8 +180,7 @@ pub struct VarBounds {
 /// Every value in `witnesses` is proven feasible (it appears in a model of
 /// the live assertions); every value inside a `gaps` interval is proven
 /// infeasible (an unsatisfiable range probe certified the whole interval at
-/// once). Values in `[lo, hi]` covered by neither are undetermined — unless
-/// `complete` is set, in which case `witnesses` is exactly the feasible set.
+/// once). Values in `[lo, hi]` covered by neither are undetermined.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IntervalMap {
     /// Minimum feasible value.
@@ -192,26 +191,6 @@ pub struct IntervalMap {
     pub witnesses: Vec<i64>,
     /// Disjoint closed intervals inside `[lo, hi]` proven infeasible, sorted.
     pub gaps: Vec<(i64, i64)>,
-    /// Whether `witnesses` is the *exact* feasible set (narrow ranges are
-    /// enumerated outright instead of swept).
-    pub complete: bool,
-}
-
-/// The maximal intervals of `[lo, hi]` containing none of `values`
-/// (`values` must be sorted ascending).
-fn gap_complement(lo: i64, hi: i64, values: &[i64]) -> Vec<(i64, i64)> {
-    let mut gaps = Vec::new();
-    let mut next = lo;
-    for &v in values {
-        if v > next {
-            gaps.push((next, v - 1));
-        }
-        next = next.max(v + 1);
-    }
-    if next <= hi {
-        gaps.push((next, hi));
-    }
-    gaps
 }
 
 /// Maximum DPLL(T) refinement iterations per `check()` before `Unknown`.
@@ -579,7 +558,10 @@ impl Solver {
         }
         let cone = self.enc.cone(&self.pool, t);
         for &i in cone {
-            let count = &mut self.atom_live[i as usize];
+            // In range: `atom_live` was just grown to the registry's length.
+            let Some(count) = self.atom_live.get_mut(i as usize) else {
+                continue;
+            };
             *count += 1;
             if *count == 1 {
                 let at = self.live_atoms.partition_point(|&j| j < i);
@@ -628,8 +610,9 @@ impl Solver {
             self.sat.retract(sel.var());
             if let Some(cone) = self.frame_atoms.pop() {
                 for i in cone {
-                    let c = &mut self.atom_live[i as usize];
-                    *c = c.saturating_sub(1);
+                    if let Some(c) = self.atom_live.get_mut(i as usize) {
+                        *c = c.saturating_sub(1);
+                    }
                 }
                 let atom_live = &self.atom_live;
                 self.live_atoms
@@ -933,14 +916,13 @@ impl Solver {
     /// One round of interval analysis of `v`: the feasible hull plus a
     /// classification of the values inside it, built on [`Self::bounds`].
     ///
-    /// If the hull is at most `enumerate_width` values wide the exact
-    /// feasible set is computed by solve-and-block enumeration and
-    /// [`IntervalMap::complete`] is set. Otherwise each `stride`-aligned
-    /// bucket intersecting the hull is probed once: a satisfiable bucket
+    /// Each `stride`-aligned bucket intersecting the hull that holds no
+    /// witness of the bound search is probed once: a satisfiable bucket
     /// contributes a witness, an unsatisfiable one becomes a certified gap
     /// (every value in it is proven infeasible by a single UNSAT answer).
     /// Buckets the solver cannot decide are left unclassified, which is
-    /// sound: callers treat unclassified values as "unknown".
+    /// sound: callers treat unclassified values as "unknown" and classify
+    /// the ones they are asked about ([`Self::feasible_values_in`]).
     ///
     /// Returns `None` when the live assertions are unsatisfiable or the
     /// initial bound search is undecided.
@@ -948,7 +930,6 @@ impl Solver {
         &mut self,
         v: VarId,
         stride: i64,
-        enumerate_width: i64,
     ) -> Result<Option<IntervalMap>, SolverError> {
         assert!(stride > 0, "interval_map stride must be positive");
         let Some(VarBounds {
@@ -959,22 +940,10 @@ impl Solver {
         else {
             return Ok(None);
         };
-        if hi - lo < enumerate_width {
-            if let Some(values) = self.feasible_values_in(v, lo, hi, &witnesses)? {
-                let gaps = gap_complement(lo, hi, &values);
-                return Ok(Some(IntervalMap {
-                    lo,
-                    hi,
-                    witnesses: values,
-                    gaps,
-                    complete: true,
-                }));
-            }
-            // Enumeration went Unknown: fall back to the swept partial map.
-        }
         let mut gaps = Vec::new();
         let mut harvested = Vec::new();
-        let mut wi = 0usize;
+        // Witnesses and buckets both ascend: one cursor walks them together.
+        let mut known = witnesses.iter().copied().peekable();
         let mut bucket = lo - lo.rem_euclid(stride);
         while bucket <= hi {
             // The last bucket's upper edge can pass i64::MAX before `.min(hi)`
@@ -984,11 +953,8 @@ impl Solver {
                 None => i64::MAX,
             };
             let (a, b) = (bucket.max(lo), edge.min(hi));
-            while wi < witnesses.len() && witnesses[wi] < a {
-                wi += 1;
-            }
-            let has_witness = wi < witnesses.len() && witnesses[wi] <= b;
-            if !has_witness {
+            while known.next_if(|&w| w < a).is_some() {}
+            if !known.peek().is_some_and(|&w| w <= b) {
                 let vt = self.var(v);
                 let (ca, cb) = (self.int(a), self.int(b));
                 let ge = self.ge(vt, ca);
@@ -1015,7 +981,6 @@ impl Solver {
             hi,
             witnesses,
             gaps,
-            complete: false,
         }))
     }
 
