@@ -335,11 +335,9 @@ impl JitSession {
     /// or `None` if the system is unsatisfiable (or the solver failed — an
     /// errored query yields no range rather than a fabricated one).
     pub fn feasible_range(&mut self, k: usize) -> Option<(i64, i64)> {
-        let v = self.vars[k];
         self.checks += 2;
-        let lo = self.solver.minimize(v).ok().flatten()?;
-        let hi = self.solver.maximize(v).ok().flatten()?;
-        Some((lo, hi))
+        let bounds = self.solver.bounds(self.vars[k]).ok().flatten()?;
+        Some((bounds.lo, bounds.hi))
     }
 
     /// The model value of variable `k` after a successful check (used by
@@ -369,9 +367,7 @@ impl JitSession {
             return self.intervals[k].hull;
         }
         self.checks += 2;
-        let map = self
-            .solver
-            .interval_map(self.vars[k], HULL_SWEEP_STRIDE);
+        let map = self.solver.interval_map(self.vars[k], HULL_SWEEP_STRIDE);
         let cache = &mut self.intervals[k];
         cache.epoch = epoch;
         cache.valid = true;

@@ -642,6 +642,40 @@ mod tests {
     }
 
     #[test]
+    fn an_overflowing_request_does_not_poison_the_pooled_session() {
+        // `sum(fine) == i64::MAX` grounds to an atom whose negation
+        // (`sum(fine) >= i64::MAX + 1`) the theory cannot represent. That
+        // request is unsatisfiable-by-error; the atom retires with its
+        // frame, and the session must serve the next window as if the
+        // request had never been made.
+        let d = dataset();
+        let model = imputation_model(&d);
+        let imputer = Imputer::new(
+            &model,
+            paper_ruleset(),
+            d.window_len,
+            d.bandwidth,
+            TaskConfig::default(),
+        );
+        let mut pool = SessionPool::new(1);
+        let valid = &d.test[0].coarse;
+        let mut overflowing = *valid;
+        overflowing.set(CoarseField::TotalIngress, i64::MAX);
+        let fresh = imputer
+            .impute(valid, &mut StdRng::seed_from_u64(9))
+            .unwrap();
+        for (request, coarse) in [valid, &overflowing, valid].into_iter().enumerate() {
+            let out = imputer.impute_pooled(&mut pool, coarse, &mut StdRng::seed_from_u64(9));
+            if request == 1 {
+                assert_eq!(out.unwrap_err(), DecodeError::UnsatRules);
+            } else {
+                assert_eq!(out.unwrap().text, fresh.text, "request {request}");
+            }
+        }
+        assert_eq!(pool.stats().hits, 2, "all three requests used one session");
+    }
+
+    #[test]
     fn pooled_imputation_stats_are_per_request() {
         let d = dataset();
         let model = imputation_model(&d);

@@ -54,13 +54,24 @@ impl LogitsProcessor for IdentityProcessor {
 }
 
 /// Samples one token from `logits` under `cfg`. Returns `None` when every
-/// token is masked to `-inf` (a decoding dead end).
+/// token is masked to `-inf` (a decoding dead end). A NaN logit counts as
+/// masked: its token is never returned, and it cannot unmask the others.
 pub fn sample_token<R: Rng>(logits: &[f32], cfg: &SamplerConfig, rng: &mut R) -> Option<TokenId> {
-    let mut scaled: Vec<f32> = if cfg.temperature > 0.0 && (cfg.temperature - 1.0).abs() > 1e-9 {
-        logits.iter().map(|&l| l / cfg.temperature).collect()
+    let divisor = if cfg.temperature > 0.0 && (cfg.temperature - 1.0).abs() > 1e-9 {
+        cfg.temperature
     } else {
-        logits.to_vec()
+        1.0
     };
+    let mut scaled: Vec<f32> = logits
+        .iter()
+        .map(|&l| {
+            if l.is_nan() {
+                f32::NEG_INFINITY
+            } else {
+                l / divisor
+            }
+        })
+        .collect();
 
     if scaled.iter().all(|l| *l == f32::NEG_INFINITY) {
         return None;
@@ -71,14 +82,14 @@ pub fn sample_token<R: Rng>(logits: &[f32], cfg: &SamplerConfig, rng: &mut R) ->
         let (best, _) = scaled
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())?;
+            .max_by(|a, b| a.1.total_cmp(b.1))?;
         return Some(best as TokenId);
     }
 
     // Top-k: mask everything below the k-th largest logit.
     if cfg.top_k > 0 && cfg.top_k < scaled.len() {
         let mut sorted: Vec<f32> = scaled.iter().copied().filter(|l| l.is_finite()).collect();
-        sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
+        sorted.sort_by(|a, b| b.total_cmp(a));
         if let Some(&threshold) = sorted.get(cfg.top_k - 1) {
             for l in scaled.iter_mut() {
                 if *l < threshold {
@@ -95,7 +106,7 @@ pub fn sample_token<R: Rng>(logits: &[f32], cfg: &SamplerConfig, rng: &mut R) ->
     // probability) whose mass reaches top_p.
     if cfg.top_p < 1.0 {
         let mut order: Vec<usize> = (0..probs.len()).collect();
-        order.sort_by(|&a, &b| probs[b].partial_cmp(&probs[a]).unwrap());
+        order.sort_by(|&a, &b| probs[b].total_cmp(&probs[a]));
         let mut mass = 0.0f32;
         let mut keep = vec![false; probs.len()];
         for &i in &order {
@@ -233,6 +244,46 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(sample_token(&logits, &cfg, &mut r), Some(0));
         }
+    }
+
+    /// A NaN logit beside a masked token and two live ones: under every
+    /// branch only the live tokens may come back.
+    fn assert_nan_is_masked(cfg: SamplerConfig) {
+        let logits = [f32::NAN, 2.0, f32::NEG_INFINITY, 1.5, -f32::NAN];
+        let mut r = rng();
+        for _ in 0..200 {
+            let t = sample_token(&logits, &cfg, &mut r).unwrap();
+            assert!(t == 1 || t == 3, "sampled token {t} under {cfg:?}");
+        }
+        let dead = [f32::NAN, f32::NEG_INFINITY];
+        assert_eq!(sample_token(&dead, &cfg, &mut r), None);
+    }
+
+    #[test]
+    fn greedy_survives_a_nan_logit() {
+        let cfg = SamplerConfig {
+            temperature: 0.0,
+            ..Default::default()
+        };
+        assert_nan_is_masked(cfg);
+        let logits = [f32::NAN, 2.0, 1.5];
+        assert_eq!(sample_token(&logits, &cfg, &mut rng()), Some(1));
+    }
+
+    #[test]
+    fn top_k_survives_a_nan_logit() {
+        assert_nan_is_masked(SamplerConfig {
+            top_k: 2,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    fn top_p_survives_a_nan_logit() {
+        assert_nan_is_masked(SamplerConfig {
+            top_p: 0.9,
+            ..Default::default()
+        });
     }
 
     #[test]

@@ -817,14 +817,20 @@ impl Solver {
     ///
     /// Implemented as binary search on satisfiability (each probe is a
     /// `push`/`assert`/`check`/`pop`), exactly the loop LeJIT uses to compute
-    /// feasible ranges during decoding.
+    /// feasible ranges during decoding: one direction of [`Self::bounds`].
     pub fn minimize(&mut self, v: VarId) -> Result<Option<i64>, SolverError> {
-        self.optimize(v, true)
+        let Some((lo, _, witness)) = self.search_start(v)? else {
+            return Ok(None);
+        };
+        self.bound_search(v, lo, witness, true, &mut Vec::new())
     }
 
     /// The maximum feasible value of integer variable `v` (see [`Self::minimize`]).
     pub fn maximize(&mut self, v: VarId) -> Result<Option<i64>, SolverError> {
-        self.optimize(v, false)
+        let Some((_, hi, witness)) = self.search_start(v)? else {
+            return Ok(None);
+        };
+        self.bound_search(v, witness, hi, false, &mut Vec::new())
     }
 
     /// The feasible range of integer variable `v` plus every feasible value
@@ -839,22 +845,32 @@ impl Solver {
     /// callers can treat witnesses as *proven-feasible* values without any
     /// further solver query.
     pub fn bounds(&mut self, v: VarId) -> Result<Option<VarBounds>, SolverError> {
-        let info = self.pool.var_info(v).clone();
-        assert_eq!(info.sort, Sort::Int, "bounds on non-integer variable");
-        if self.check()? != SatResult::Sat {
-            return Ok(None);
-        }
-        let witness = self.model_int(v)?;
-        let mut witnesses = vec![witness];
-        let Some(lo) = self.bound_search(v, info.lo, witness, true, &mut witnesses)? else {
+        let Some((declared_lo, declared_hi, witness)) = self.search_start(v)? else {
             return Ok(None);
         };
-        let Some(hi) = self.bound_search(v, witness, info.hi, false, &mut witnesses)? else {
+        let mut witnesses = vec![witness];
+        let Some(lo) = self.bound_search(v, declared_lo, witness, true, &mut witnesses)? else {
+            return Ok(None);
+        };
+        let Some(hi) = self.bound_search(v, witness, declared_hi, false, &mut witnesses)? else {
             return Ok(None);
         };
         witnesses.sort_unstable();
         witnesses.dedup();
         Ok(Some(VarBounds { lo, hi, witnesses }))
+    }
+
+    /// The opening every range search shares: one check of the live
+    /// assertions, yielding `v`'s declared bounds and its value in the
+    /// model found — or `None` when the check is not `Sat`.
+    fn search_start(&mut self, v: VarId) -> Result<Option<(i64, i64, i64)>, SolverError> {
+        let info = self.pool.var_info(v);
+        assert_eq!(info.sort, Sort::Int, "range search on non-integer variable");
+        let (lo, hi) = (info.lo, info.hi);
+        if self.check()? != SatResult::Sat {
+            return Ok(None);
+        }
+        Ok(Some((lo, hi, self.model_int(v)?)))
     }
 
     /// The value of `v` in the current model; `Err` if there is no model
@@ -866,7 +882,8 @@ impl Solver {
             .ok_or(SolverError::Internal("model missing after Sat answer"))
     }
 
-    /// One direction of the [`Self::bounds`] binary search. On entry the
+    /// One direction of the range search behind [`Self::bounds`],
+    /// [`Self::minimize`] and [`Self::maximize`]. On entry the
     /// `witness`-side endpoint is known feasible; satisfying probes tighten
     /// using the model value of `v` (which can overshoot `mid`), not just
     /// `mid` itself.
@@ -954,7 +971,8 @@ impl Solver {
             };
             let (a, b) = (bucket.max(lo), edge.min(hi));
             while known.next_if(|&w| w < a).is_some() {}
-            if !known.peek().is_some_and(|&w| w <= b) {
+            let witnessed = known.peek().is_some_and(|&w| w <= b);
+            if !witnessed {
                 let vt = self.var(v);
                 let (ca, cb) = (self.int(a), self.int(b));
                 let ge = self.ge(vt, ca);
@@ -1035,51 +1053,6 @@ impl Solver {
         }
         Ok(Some(found))
     }
-
-    fn optimize(&mut self, v: VarId, minimize: bool) -> Result<Option<i64>, SolverError> {
-        let info = self.pool.var_info(v).clone();
-        assert_eq!(info.sort, Sort::Int, "optimize on non-integer variable");
-        if self.check()? != SatResult::Sat {
-            return Ok(None);
-        }
-        let witness = self.model_int(v)?;
-        let (mut lo, mut hi) = if minimize {
-            (info.lo, witness)
-        } else {
-            (witness, info.hi)
-        };
-        // Invariant: a feasible witness exists at `witness`-side endpoint.
-        while lo < hi {
-            // Same midpoint hazard as bound_search: declared-bound hulls can
-            // straddle most of the i64 range.
-            let span = hi
-                .checked_sub(lo)
-                .ok_or(SolverError::Overflow("optimize span"))?;
-            let mid = lo
-                .checked_add(span / 2)
-                .ok_or(SolverError::Overflow("optimize midpoint"))?;
-            let vt = self.var(v);
-            let c = self.int(mid);
-            let probe = if minimize {
-                self.le(vt, c)
-            } else {
-                let c1 = self.int(mid + 1);
-                self.ge(vt, c1)
-            };
-            self.push();
-            self.assert(probe);
-            let r = self.check();
-            self.pop();
-            match r? {
-                SatResult::Sat if minimize => hi = mid,
-                SatResult::Sat => lo = mid + 1,
-                SatResult::Unsat if minimize => lo = mid + 1,
-                SatResult::Unsat => hi = mid,
-                SatResult::Unknown => return Ok(None),
-            }
-        }
-        Ok(Some(lo))
-    }
 }
 
 #[cfg(test)]
@@ -1148,6 +1121,28 @@ mod tests {
         let (on, on_stats) = run(true);
         assert_eq!(on, SatResult::Unsat);
         assert!(on_stats.theory_propagations >= 1);
+    }
+
+    #[test]
+    fn an_uncompilable_atom_fails_only_the_checks_it_is_live_in() {
+        // `x + y <= i64::MAX` is `x + y - MAX <= 0`, whose negation's
+        // constant `1 + MAX` overflows. The atom stays in the encoder's
+        // registry after its frame is popped; it must not fail checks that
+        // no longer assert it.
+        let mut s = Solver::new();
+        let x = s.int_var("x", 0, 10);
+        let y = s.int_var("y", 0, 10);
+        let (tx, ty) = (s.var(x), s.var(y));
+        let sum = s.add(&[tx, ty]);
+        let max = s.int(i64::MAX);
+        let le = s.le(sum, max);
+        assert_eq!(s.check().unwrap(), SatResult::Sat);
+        s.push();
+        s.assert(le);
+        assert!(matches!(s.check(), Err(SolverError::Overflow(_))));
+        s.pop();
+        assert_eq!(s.check().unwrap(), SatResult::Sat);
+        assert_eq!(s.maximize(x).unwrap(), Some(10));
     }
 
     #[test]

@@ -212,8 +212,8 @@ pub struct TheorySession {
     svar_of: Vec<Option<SVar>>,
     /// Interned slack rows per sign-normalised coefficient vector.
     slack_of: BTreeMap<Vec<(SVar, Rational)>, SVar>,
-    /// Compiled form per registered atom.
-    atoms: Vec<Compiled>,
+    /// Compiled form per registered atom, or why it has none.
+    atoms: Vec<Result<Compiled, SolverError>>,
     /// The standing conjunction in assertion order: literal plus the
     /// simplex snapshot that retracts it and everything after it.
     standing: Vec<(u32, bool, usize)>,
@@ -274,8 +274,13 @@ impl TheorySession {
     /// solver registers its encoder's atom registry in order, so indices
     /// coincide.
     ///
-    /// `Err` means the atom could not be translated: arithmetic overflow or
-    /// a reference to a variable `pool` does not declare.
+    /// An atom that cannot be translated (arithmetic overflow, a variable
+    /// `pool` does not declare) is registered all the same, so indices keep
+    /// coinciding, and its error is returned by every [`Self::check`] and
+    /// [`Self::propagate`] asked to assert it — and by no other: once its
+    /// assertion is retracted the session answers as if it had never been
+    /// registered. `Err` from this call means the registry is full or
+    /// `pool` could not be mirrored.
     pub fn add_atom(&mut self, pool: &TermPool, atom: &LinAtom) -> Result<u32, SolverError> {
         self.sync_pool(pool)?;
         // Atom indices double as bound tags, below the declared-bound base.
@@ -283,7 +288,7 @@ impl TheorySession {
             .ok()
             .filter(|&i| i < DECL_BASE)
             .ok_or(SolverError::Overflow("theory atom registry"))?;
-        let compiled = self.compile(atom)?;
+        let compiled = self.compile(atom);
         self.atoms.push(compiled);
         self.stood.push(0);
         self.wanted.push(0);
@@ -421,7 +426,7 @@ impl TheorySession {
             if let Some(s) = self.stood.get_mut(atom as usize) {
                 *s &= !polarity_bit(pol);
             }
-            if let Some(&Compiled::Bound { var, .. }) = self.atoms.get(atom as usize) {
+            if let Some(&Ok(Compiled::Bound { var, .. })) = self.atoms.get(atom as usize) {
                 self.touch(var);
             }
         }
@@ -434,11 +439,12 @@ impl TheorySession {
     /// of two equal bounds names the antecedent. Returns the core of an
     /// immediate bound clash, which leaves a subset of `lits` standing.
     fn stand(&mut self, lits: &[(u32, bool)]) -> Result<Option<Vec<usize>>, SolverError> {
-        if lits
-            .iter()
-            .any(|&(atom, _)| atom as usize >= self.atoms.len())
-        {
-            return Err(SolverError::Internal("unregistered theory atom"));
+        for &(atom, _) in lits {
+            match self.atoms.get(atom as usize) {
+                Some(Ok(_)) => {}
+                Some(&Err(uncompilable)) => return Err(uncompilable),
+                None => return Err(SolverError::Internal("unregistered theory atom")),
+            }
         }
         for &(atom, pol) in lits {
             if let Some(w) = self.wanted.get_mut(atom as usize) {
@@ -463,7 +469,7 @@ impl TheorySession {
             if clash.is_some() || self.stood.get(i).copied().unwrap_or(0) & polarity_bit(pol) != 0 {
                 continue;
             }
-            let Some(compiled) = self.atoms.get(i) else {
+            let Some(Ok(compiled)) = self.atoms.get(i) else {
                 continue;
             };
             let (var, upper, value) = match compiled.lit(pol) {
@@ -530,7 +536,7 @@ impl TheorySession {
             return Ok(());
         }
         for &atom in candidates {
-            let (Some(&compiled), Some(cached)) = (
+            let (Some(&Ok(compiled)), Some(cached)) = (
                 self.atoms.get(atom as usize),
                 self.implied.get_mut(atom as usize),
             ) else {
