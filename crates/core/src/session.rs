@@ -429,9 +429,9 @@ impl JitSession {
     ///    would have issued), whose model value becomes a new witness — or,
     ///    when UNSAT, whose windows become certified gaps.
     ///
-    /// Tiers 4 and 5 leave their whole answer behind as witnesses and gaps,
-    /// so a repeated query is answered by tiers 2/3: there is no separate
-    /// memo of answers, and nothing is carried from one epoch to the next.
+    /// Tiers 4 and 5 leave every decided answer behind as witnesses and
+    /// gaps, so a repeated query is answered by tiers 2/3; only an undecided
+    /// one (`Unknown`, a solver error) is asked again.
     ///
     /// Every tier is exact. Witnesses come from satisfying models and gaps
     /// from UNSAT certificates, so neither can misclassify; the region
