@@ -437,14 +437,14 @@ impl TheorySession {
     /// atom index, those not standing yet. The bounds standing afterwards
     /// are a function of `lits` as a set; assertion order only picks which
     /// of two equal bounds names the antecedent. Returns the core of an
-    /// immediate bound clash, which leaves a subset of `lits` standing.
+    /// immediate bound clash, which leaves a subset of `lits` standing, and
+    /// the error of an atom among `lits` that has no compiled form.
     fn stand(&mut self, lits: &[(u32, bool)]) -> Result<Option<Vec<usize>>, SolverError> {
-        for &(atom, _) in lits {
-            match self.atoms.get(atom as usize) {
-                Some(Ok(_)) => {}
-                Some(&Err(uncompilable)) => return Err(uncompilable),
-                None => return Err(SolverError::Internal("unregistered theory atom")),
-            }
+        if lits
+            .iter()
+            .any(|&(atom, _)| atom as usize >= self.atoms.len())
+        {
+            return Err(SolverError::Internal("unregistered theory atom"));
         }
         for &(atom, pol) in lits {
             if let Some(w) = self.wanted.get_mut(atom as usize) {
@@ -461,16 +461,26 @@ impl TheorySession {
             .unwrap_or(self.standing.len());
         self.retract_from(keep);
         let mut clash = None;
+        let mut uncompilable = None;
         for &(atom, pol) in lits {
             let i = atom as usize;
             if let Some(w) = self.wanted.get_mut(i) {
                 *w = 0;
             }
-            if clash.is_some() || self.stood.get(i).copied().unwrap_or(0) & polarity_bit(pol) != 0 {
+            if clash.is_some()
+                || uncompilable.is_some()
+                || self.stood.get(i).copied().unwrap_or(0) & polarity_bit(pol) != 0
+            {
                 continue;
             }
-            let Some(Ok(compiled)) = self.atoms.get(i) else {
-                continue;
+            let compiled = match self.atoms.get(i) {
+                Some(Ok(compiled)) => compiled,
+                // Like a clash, this leaves a subset of `lits` standing.
+                Some(&Err(e)) => {
+                    uncompilable = Some(e);
+                    continue;
+                }
+                None => continue,
             };
             let (var, upper, value) = match compiled.lit(pol) {
                 Ok(bound) => bound,
@@ -499,7 +509,7 @@ impl TheorySession {
                 Err(core) => clash = Some(filter_core(core)),
             }
         }
-        Ok(clash)
+        uncompilable.map_or(Ok(clash), Err)
     }
 
     /// Theory propagation: makes `asserted` the standing conjunction, then
