@@ -213,14 +213,12 @@ fn per_record_check_booking_matches_the_golden() {
     assert_eq!(reused, GOLDEN_REUSED, "one-session synthesis");
 }
 
-// Two captures. The first, at the commit before the exact-answer memo and
-// the carried witness model were deleted, still passed after the deletion:
-// every query they answered is answered by the epoch's witness set or gap
-// list and booked as saved either way. The second, below, is from the
-// commit that stopped enumerating narrow hulls up front: a decade is now
-// enumerated when a query first lands in it, each enumeration booked as two
-// checks, so the *logical* count rises (fresh record 1: 15 → 21) while the
-// solver's own `SolverStats::checks` falls (EXPERIMENTS.md §B4).
+// The booking is logical: one per exact query, two per range analysis (a
+// hull, or one decade enumeration). First captured at the commit before the
+// exact-answer memo and the carried witness model were deleted, and
+// unchanged by their deletion; re-captured when narrow hulls stopped being
+// enumerated up front, which books more analyses (fresh record 1: 15 → 21)
+// for fewer solver calls (EXPERIMENTS.md §B4).
 const GOLDEN_FRESH: [(u64, u64); 12] = [
     (23, 102),
     (21, 101),
