@@ -155,7 +155,7 @@ proptest! {
     }
 
     #[test]
-    fn optimize_returns_true_extrema(f in rand_formula()) {
+    fn minimize_and_maximize_return_true_extrema(f in rand_formula()) {
         // Compute true min/max of x0 by brute force.
         let range: Vec<i64> = (f.lo..=f.hi).collect();
         let mut feasible_x0: Vec<i64> = Vec::new();
