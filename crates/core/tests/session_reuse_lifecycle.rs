@@ -17,7 +17,7 @@ use lejit_core::{
     Synthesizer, TaskConfig, VarState,
 };
 use lejit_lm::{NgramLm, SamplerConfig, Vocab};
-use lejit_rules::{parse_rules, RuleSet};
+use lejit_rules::{mine_rules, parse_rules, MinerConfig, RuleSet};
 use lejit_telemetry::{
     encode_imputation_example, encode_synthesis_example, generate, CoarseField, Dataset,
     TelemetryConfig,
@@ -249,3 +249,67 @@ const GOLDEN_REUSED: [(u64, u64); 12] = [
     (25, 131),
     (23, 100),
 ];
+
+/// The search work behind one `Solver::check` of a pooled session, pinned
+/// from above. A theory conflict is analysed inside the CDCL search, which
+/// backjumps and goes on; re-entering the search per conflict (add the
+/// lemma at the root, solve again from level 0) places every frame
+/// selector again, consults the theory again and re-decides the whole
+/// assignment. On this run — one session, 24 windows, the 131 rules mined
+/// from the training split, whose threshold implications make the theory
+/// refute boolean models 2.6 times per check — the counters read, per
+/// check:
+///
+/// | | decisions | trail literals propagated |
+/// |---|---|---|
+/// | restart per theory conflict (PR 15) | 117.7 | 538.6 |
+/// | conflict analysed in place | 100.3 | 219.6 |
+///
+/// (`serve_closed`, the same lifecycle over 113 rules, read 121 decisions
+/// per check at PR 15.) Both counters are deterministic; a change that
+/// brings the restart back fails here and not only in the benchmark.
+#[test]
+fn a_theory_conflict_does_not_restart_the_search() {
+    let d = dataset();
+    let model = imputation_model(&d);
+    let rules = mine_rules(&d.train, d.bandwidth, MinerConfig::default()).imputation;
+    let imputer = Imputer::new(
+        &model,
+        rules,
+        d.window_len,
+        d.bandwidth,
+        TaskConfig::default(),
+    );
+    let schema = imputer.schema();
+    let decoder = JitDecoder::new(&model, SamplerConfig::default());
+    let mut session = JitSession::new(&schema);
+    // Training windows: the mined rules hold on every one, so each decodes
+    // to the end.
+    for (i, w) in d.train.iter().take(24).enumerate() {
+        let cp = session.checkpoint();
+        imputer.ground_in(&mut session, &w.coarse);
+        session.invalidate_derived();
+        let mut rng = StdRng::seed_from_u64(record_seed(99, i as u64));
+        decoder
+            .decode(&mut session, &schema, &imputer.prompt(&w.coarse), &mut rng)
+            .unwrap_or_else(|e| panic!("window {i}: {e:?}"));
+        session.rollback(cp);
+    }
+    let (solver, sat) = (session.solver().stats(), session.solver().sat_stats());
+    assert!(
+        solver.theory_conflicts > 2 * solver.checks,
+        "the theory refuted too few boolean models for the bound to mean anything: {solver:?}"
+    );
+    assert!(
+        sat.decisions < 110 * solver.checks,
+        "{} decisions for {} checks",
+        sat.decisions,
+        solver.checks
+    );
+    assert!(
+        sat.propagations < 300 * solver.checks,
+        "{} propagations for {} checks",
+        sat.propagations,
+        solver.checks
+    );
+}

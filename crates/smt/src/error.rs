@@ -23,6 +23,9 @@ pub enum SolverError {
     /// The clause database is malformed: a clause references a SAT
     /// variable that was never allocated.
     InvalidClause(&'static str),
+    /// A query's arguments break its precondition: a range search over a
+    /// variable that is not an integer, a stride that is not positive.
+    InvalidQuery(&'static str),
     /// An internal invariant did not hold. Reported instead of panicking
     /// so a decode session can discard the query and continue.
     Internal(&'static str),
@@ -33,6 +36,7 @@ impl fmt::Display for SolverError {
         match self {
             SolverError::Overflow(what) => write!(f, "arithmetic overflow: {what}"),
             SolverError::InvalidClause(what) => write!(f, "invalid clause: {what}"),
+            SolverError::InvalidQuery(what) => write!(f, "invalid query: {what}"),
             SolverError::Internal(what) => write!(f, "internal solver invariant violated: {what}"),
         }
     }

@@ -86,7 +86,7 @@ pub mod theory;
 pub use error::SolverError;
 pub use linear::{LinAtom, LinExpr};
 pub use rational::Rational;
-pub use sat::{Lit, SatSolver, SatStats, SatVar, TheoryPropagator};
+pub use sat::{FinalCheck, Lit, SatSolver, SatStats, SatVar, TheoryPropagator};
 pub use smtlib::{run_script, ScriptOutput, SmtLibError};
 pub use solver::{IntervalMap, Model, SatResult, Solver, SolverStats, VarBounds};
 pub use term::{Sort, Term, TermId, TermPool, VarId, VarInfo};

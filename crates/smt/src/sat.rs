@@ -1,11 +1,14 @@
 //! A CDCL SAT solver.
 //!
 //! Classic MiniSat-style architecture: two-watched-literal propagation,
-//! first-UIP conflict analysis with clause learning, VSIDS-style variable
-//! activities with phase saving, Luby restarts, learned-clause database
-//! reduction, and incremental solving under *assumptions* (which is how the
-//! SMT layer implements `push`/`pop` frames and feasibility probes without
-//! destroying learned clauses).
+//! first-UIP conflict analysis with clause learning, VSIDS variable
+//! activities in an order heap with phase saving, Luby restarts,
+//! learned-clause database reduction, and incremental solving under
+//! *assumptions* (which is how the SMT layer implements `push`/`pop` frames
+//! and feasibility probes without destroying learned clauses). A theory
+//! plug-in ([`TheoryPropagator`]) is consulted at the search root and asked
+//! for a final check at every complete assignment; a theory conflict is a
+//! falsified lemma analysed like any other conflict, inside the search.
 
 use std::fmt;
 
@@ -125,6 +128,9 @@ pub enum SatOutcome {
     Sat,
     /// The formula (under the given assumptions) is unsatisfiable.
     Unsat,
+    /// The theory's final check gave up ([`FinalCheck::Unknown`]); never
+    /// returned by [`SatSolver::solve`].
+    Unknown,
 }
 
 /// Statistics counters for a [`SatSolver`].
@@ -169,18 +175,40 @@ enum Reason {
     Theory,
 }
 
-/// A theory plug-in consulted by [`SatSolver::solve_with`] between unit
-/// propagation and branching: it may derive literals implied by the theory
-/// under the current assignment, which the SAT core enqueues on the trail
-/// with a lazy theory reason.
+/// The verdict of [`TheoryPropagator::final_check`] on a complete
+/// assignment.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum FinalCheck {
+    /// The theory accepts the assignment: the search answers `Sat`.
+    Consistent,
+    /// The theory refutes the assignment. The clause is a theory lemma —
+    /// valid whatever the assignment — whose every literal is false under
+    /// the current one.
+    Conflict(Vec<Lit>),
+    /// The theory could not decide within its budget: the search answers
+    /// [`SatOutcome::Unknown`].
+    Unknown,
+}
+
+/// A theory plug-in for [`SatSolver::solve_with`]. The search calls it at
+/// two points:
 ///
-/// Consultation happens at the *search root* — unit propagation at a
-/// fixpoint, every assumption placed, no decisions on the trail — once per
-/// solve plus once per backjump past the assumption boundary. A consult
-/// partitions the atom registry (1–2 µs measured), so running it after
-/// every decision's fixpoint would still cost O(atoms) per decision; at the
-/// root it prices in where the payoff is, pre-placing the consequences of
-/// unit-asserted facts below the whole search.
+/// * **Consult, at the search root** — unit propagation at a fixpoint,
+///   every assumption placed, no decisions on the trail; once per solve
+///   plus once per backjump to the assumption boundary.
+///   [`Self::propagate`] may derive literals the theory implies under the
+///   current assignment, which the SAT core enqueues with a lazy theory
+///   reason. A consult partitions the atom registry (1–2 µs measured), so
+///   running it after every decision's fixpoint would cost O(atoms) per
+///   decision; at the root it prices in where the payoff is, pre-placing
+///   the consequences of unit-asserted facts below the whole search.
+/// * **Final check, at a complete assignment** — every variable with a
+///   live occurrence assigned, no conflict. [`Self::final_check`] accepts
+///   the assignment, gives up, or refutes it with a falsified lemma, which
+///   the search attaches, runs through first-UIP analysis and backjumps
+///   from like a propositional conflict: it continues where it stood
+///   instead of starting over, and the hook is asked again at the next
+///   complete assignment.
 ///
 /// # Contract
 ///
@@ -193,6 +221,12 @@ enum Reason {
 ///   followed by the negated antecedents, every one of which was false on
 ///   the trail when the literal was enqueued. The clause must be valid
 ///   independently of the current assignment (a theory lemma).
+/// * Every literal of a [`FinalCheck::Conflict`] lemma must be false under
+///   the assignment the hook was shown; anything else is reported as
+///   [`SolverError::Internal`], never searched on. The lemma must be a
+///   function of that assignment alone, and the hook must eventually stop
+///   refuting (each lemma excludes the assignment it refutes, so a theory
+///   that only refutes inconsistent assignments does).
 pub trait TheoryPropagator {
     /// Appends to `out` (handed over empty) the literals implied by the
     /// theory under the current assignment. An already-assigned literal is
@@ -202,6 +236,129 @@ pub trait TheoryPropagator {
     /// The reason clause for a literal previously returned by
     /// [`Self::propagate`], with the implied literal in slot 0.
     fn explain(&mut self, lit: Lit) -> Result<Vec<Lit>, SolverError>;
+
+    /// Judges the complete assignment `sat` holds. The default accepts it:
+    /// a plug-in that only propagates.
+    fn final_check(&mut self, _sat: &SatSolver) -> Result<FinalCheck, SolverError> {
+        Ok(FinalCheck::Consistent)
+    }
+}
+
+/// An indexed binary max-heap of variables keyed on VSIDS activity: the
+/// root is the variable with the highest activity, the lowest index among
+/// equals. Activities live in the solver; every method that compares takes
+/// them as a slice, and a caller that changes one says so
+/// ([`Self::raised`], [`Self::lowered`], [`Self::rebuild`]).
+#[derive(Default)]
+struct VarHeap {
+    heap: Vec<SatVar>,
+    /// Position of each variable in `heap`, or [`Self::ABSENT`].
+    pos: Vec<u32>,
+}
+
+impl VarHeap {
+    const ABSENT: u32 = u32::MAX;
+
+    /// Makes room for one more variable (not in the heap).
+    fn grow(&mut self) {
+        self.pos.push(Self::ABSENT);
+    }
+
+    /// Whether `a` is decided before `b`. `total_cmp`: activities are never
+    /// NaN, but a total order keeps this panic-free and float `==` out.
+    fn before(act: &[f64], a: SatVar, b: SatVar) -> bool {
+        act[b.index()]
+            .total_cmp(&act[a.index()])
+            .then(a.cmp(&b))
+            .is_lt()
+    }
+
+    fn place(&mut self, at: usize, v: SatVar) {
+        self.heap[at] = v;
+        self.pos[v.index()] = at as u32;
+    }
+
+    fn sift_up(&mut self, act: &[f64], mut at: usize) {
+        let v = self.heap[at];
+        while at > 0 {
+            let parent = (at - 1) / 2;
+            if !Self::before(act, v, self.heap[parent]) {
+                break;
+            }
+            self.place(at, self.heap[parent]);
+            at = parent;
+        }
+        self.place(at, v);
+    }
+
+    fn sift_down(&mut self, act: &[f64], mut at: usize) {
+        let v = self.heap[at];
+        loop {
+            let left = 2 * at + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len()
+                && Self::before(act, self.heap[right], self.heap[left])
+            {
+                right
+            } else {
+                left
+            };
+            if !Self::before(act, self.heap[child], v) {
+                break;
+            }
+            self.place(at, self.heap[child]);
+            at = child;
+        }
+        self.place(at, v);
+    }
+
+    /// Adds `v` unless it is already in the heap.
+    fn insert(&mut self, act: &[f64], v: SatVar) {
+        if self.pos[v.index()] == Self::ABSENT {
+            self.heap.push(v);
+            self.sift_up(act, self.heap.len() - 1);
+        }
+    }
+
+    /// `v`'s activity went up.
+    fn raised(&mut self, act: &[f64], v: SatVar) {
+        let at = self.pos[v.index()];
+        if at != Self::ABSENT {
+            self.sift_up(act, at as usize);
+        }
+    }
+
+    /// `v`'s activity went down.
+    fn lowered(&mut self, act: &[f64], v: SatVar) {
+        let at = self.pos[v.index()];
+        if at != Self::ABSENT {
+            self.sift_down(act, at as usize);
+        }
+    }
+
+    /// Restores the heap after every activity changed at once (a rescale
+    /// can turn two distinct activities into a tie, which the index breaks).
+    fn rebuild(&mut self, act: &[f64]) {
+        for at in (0..self.heap.len() / 2).rev() {
+            self.sift_down(act, at);
+        }
+    }
+
+    /// Removes and returns the first variable in decision order.
+    fn pop(&mut self, act: &[f64]) -> Option<SatVar> {
+        if self.heap.is_empty() {
+            return None;
+        }
+        let top = self.heap.swap_remove(0);
+        self.pos[top.index()] = Self::ABSENT;
+        if !self.heap.is_empty() {
+            self.sift_down(act, 0);
+        }
+        Some(top)
+    }
 }
 
 /// The CDCL SAT solver.
@@ -217,15 +374,23 @@ pub struct SatSolver {
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
-    /// Heap-free VSIDS: we keep a simple order cache rebuilt lazily.
-    order: Vec<SatVar>,
-    order_dirty: bool,
+    /// The VSIDS decision order. Every unassigned variable with a live
+    /// occurrence is in it; assigned and zero-occurrence ones may linger
+    /// and are dropped when they surface in [`Self::pick_branch`].
+    order: VarHeap,
     /// Variables retired by [`Self::retract`] and available for reuse by
     /// [`Self::new_var`]. Frame selectors churn at the rate of push/pop —
     /// hundreds per decoded record in a long-lived session — and without
-    /// recycling, `order`/`assigns` would grow forever and every solve's
-    /// branching scan would slow linearly with session age.
+    /// recycling the per-variable tables would grow forever.
     free_vars: Vec<SatVar>,
+    /// Per selector ([`Self::new_selector`]; `None` for every other
+    /// variable), the clauses attached with a literal over it, which is
+    /// what lets [`Self::retract`] visit a frame's clauses and not the
+    /// database. Entries go stale when a clause is detached early (database
+    /// reduction, an inner frame's retraction) and its slot reused, so a
+    /// reader re-checks that the clause mentions the selector; a list is
+    /// compacted when stale entries outnumber live ones.
+    selector_clauses: Vec<Option<Vec<ClauseRef>>>,
     /// Live-clause occurrence count per variable. A variable with zero
     /// occurrences appears in no attached clause, so no assignment to it can
     /// falsify anything: `pick_branch` leaves it undefined. This is what
@@ -271,9 +436,9 @@ impl SatSolver {
             trail: Vec::new(),
             trail_lim: Vec::new(),
             qhead: 0,
-            order: Vec::new(),
-            order_dirty: false,
+            order: VarHeap::default(),
             free_vars: Vec::new(),
+            selector_clauses: Vec::new(),
             occ: Vec::new(),
             var_inc: 1.0,
             cla_inc: 1.0,
@@ -313,10 +478,12 @@ impl SatSolver {
             debug_assert_eq!(self.occ[i], 0);
             self.polarity[i] = false;
             self.activity[i] = 0.0;
+            // A retired variable may still sit in the order heap, above
+            // where its reset activity belongs.
+            self.order.lowered(&self.activity, v);
             self.reason[i] = Reason::None;
             self.level[i] = 0;
             self.seen[i] = false;
-            self.order_dirty = true;
             return v;
         }
         let v = SatVar(self.assigns.len() as u32);
@@ -329,8 +496,17 @@ impl SatSolver {
         self.occ.push(0);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.order.push(v);
-        self.order_dirty = true;
+        self.order.grow();
+        self.selector_clauses.push(None);
+        v
+    }
+
+    /// Allocates a frame *selector*: a variable whose clauses
+    /// [`Self::retract`] can later delete together. The solver keeps, for a
+    /// selector only, the list of clauses that mention it.
+    pub fn new_selector(&mut self) -> SatVar {
+        let v = self.new_var();
+        self.selector_clauses[v.index()] = Some(Vec::new());
         v
     }
 
@@ -460,11 +636,26 @@ impl SatSolver {
     fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
         let (l0, l1) = (lits[0], lits[1]);
-        for l in &lits {
-            self.occ[l.var().index()] += 1;
-        }
         self.stats.learnts += usize::from(learnt);
         let cr = self.alloc_clause(lits, learnt);
+        for i in 0..self.clauses[cr].lits.len() {
+            let v = self.clauses[cr].lits[i].var();
+            self.occ[v.index()] += 1;
+            let occ = self.occ[v.index()] as usize;
+            if occ == 1 && self.assigns[v.index()] == LBool::Undef {
+                self.order.insert(&self.activity, v);
+            }
+            if let Some(list) = &mut self.selector_clauses[v.index()] {
+                list.push(cr);
+                // Mostly stale (the slack spares short lists): compact.
+                if list.len() > 2 * occ + 32 {
+                    let clauses = &self.clauses;
+                    list.retain(|&c| clauses[c].lits.iter().any(|l| l.var() == v));
+                    list.sort_unstable();
+                    list.dedup();
+                }
+            }
+        }
         self.watches[(!l0).code()].push(Watcher {
             clause: cr,
             blocker: l1,
@@ -476,17 +667,38 @@ impl SatSolver {
         cr
     }
 
-    fn detach_clause(&mut self, cr: ClauseRef) {
-        let (l0, l1) = (self.clauses[cr].lits[0], self.clauses[cr].lits[1]);
-        self.watches[(!l0).code()].retain(|w| w.clause != cr);
-        self.watches[(!l1).code()].retain(|w| w.clause != cr);
+    /// Frees clause `cr`: drops its occurrences and recycles its slot. Its
+    /// two watchers stay behind until the caller, having freed its whole
+    /// batch, calls [`Self::sweep_watches`] with the same `unwatched`.
+    fn free_clause(&mut self, cr: ClauseRef, unwatched: &mut Vec<SatVar>) {
         for i in 0..self.clauses[cr].lits.len() {
-            let v = self.clauses[cr].lits[i].var().index();
-            self.occ[v] = self.occ[v].saturating_sub(1);
+            let v = self.clauses[cr].lits[i].var();
+            self.occ[v.index()] = self.occ[v.index()].saturating_sub(1);
+            // `seen` is all false outside `analyze`; here it marks the
+            // variables already noted, so each is swept once.
+            if i < 2 && !self.seen[v.index()] {
+                self.seen[v.index()] = true;
+                unwatched.push(v);
+            }
         }
         self.stats.learnts -= usize::from(self.clauses[cr].learnt);
         self.clauses[cr].lits.clear();
         self.free_clauses.push(cr);
+    }
+
+    /// Removes the watchers of freed clauses with one pass over each watch
+    /// list of each variable in `unwatched`. Every watcher of a live clause
+    /// points at a non-empty slot, so the empty slots name exactly the
+    /// clauses freed since the last sweep.
+    fn sweep_watches(&mut self, unwatched: Vec<SatVar>) {
+        let clauses = &self.clauses;
+        for v in unwatched {
+            self.seen[v.index()] = false;
+            for positive in [true, false] {
+                self.watches[Lit::new(v, positive).code()]
+                    .retain(|w| !clauses[w.clause].lits.is_empty());
+            }
+        }
     }
 
     /// Physically removes every clause mentioning `v` from the database and
@@ -496,8 +708,8 @@ impl SatSolver {
     /// the SMT layer guards every frame assertion with a fresh *selector*
     /// variable, so deleting all clauses over the selector removes exactly
     /// the frame's assertions **and** every learnt clause whose derivation
-    /// resolved through them. Soundness of the scan rests on two invariants
-    /// of the frame discipline:
+    /// resolved through them. Soundness rests on two invariants of the frame
+    /// discipline:
     ///
     /// * selectors are only ever *assumed* (at non-root pseudo-decision
     ///   levels), never asserted, so conflict analysis can never drop the
@@ -508,30 +720,40 @@ impl SatSolver {
     ///   the root, which never happens), so no root-level fact over a
     ///   non-selector variable depends on a retracted clause.
     ///
-    /// Clause slots are recycled through the free list and both watch lists
-    /// are repaired per clause (`detach_clause`), so database size
-    /// stays bounded by the *live* assertions plus the learnt-clause cap.
+    /// Only a selector ([`Self::new_selector`]) can be retracted: the cost
+    /// is that of the clauses attached over it, not of the database. Clause
+    /// slots are recycled through the free list and each touched watch list
+    /// is repaired in one pass, so database size stays bounded by the
+    /// *live* assertions plus the learnt-clause cap.
     pub fn retract(&mut self, v: SatVar) {
-        if v.index() >= self.assigns.len() {
-            return; // unallocated: nothing can mention it
-        }
+        let Some(listed) = self
+            .selector_clauses
+            .get_mut(v.index())
+            .and_then(Option::take)
+        else {
+            debug_assert!(false, "retract of a variable that is not a live selector");
+            return;
+        };
         // Removing clauses invalidates in-progress search state exactly like
         // adding clauses does.
         self.cancel_until(0);
-        for cr in 0..self.clauses.len() {
-            if self.clauses[cr].lits.is_empty() {
+        let mut unwatched = Vec::new();
+        for cr in listed {
+            // Skips a stale entry — a slot freed early is empty or holds a
+            // later clause, listed again if it mentions `v` — and a repeat,
+            // freed a moment ago.
+            if !self.clauses[cr].lits.iter().any(|l| l.var() == v) {
                 continue;
             }
-            if self.clauses[cr].lits.iter().any(|l| l.var() == v) {
-                // A root-level implication may hold this clause as its
-                // reason; drop the dangling reference before detaching.
-                let l0 = self.clauses[cr].lits[0];
-                if self.reason[l0.var().index()] == Reason::Clause(cr) {
-                    self.reason[l0.var().index()] = Reason::None;
-                }
-                self.detach_clause(cr);
+            // A root-level implication may hold this clause as its
+            // reason; drop the dangling reference before detaching.
+            let l0 = self.clauses[cr].lits[0];
+            if self.reason[l0.var().index()] == Reason::Clause(cr) {
+                self.reason[l0.var().index()] = Reason::None;
             }
+            self.free_clause(cr, &mut unwatched);
         }
+        self.sweep_watches(unwatched);
         self.reason[v.index()] = Reason::None;
         // Retire the variable. With every clause mentioning it gone its
         // occurrence count is zero, so `pick_branch` will never decide it;
@@ -543,12 +765,13 @@ impl SatSolver {
         }
         // Decay surviving learnt activities: bumps earned proving facts
         // about the retracted frame should not dominate branching in the
-        // post-retraction search. Halving (not zeroing) keeps frame-
-        // independent lemmas warm while letting fresh conflicts overtake.
-        for c in &mut self.clauses {
-            if c.learnt {
-                c.activity *= 0.5;
-            }
+        // post-retraction search. Doubling the increment halves every
+        // standing activity relative to the bumps still to come — not
+        // zeroing, so frame-independent lemmas stay warm while fresh
+        // conflicts overtake.
+        self.cla_inc *= 2.0;
+        if self.cla_inc > 1e20 {
+            self.rescale_clause_activities();
         }
     }
 
@@ -638,18 +861,24 @@ impl SatSolver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            self.order.rebuild(&self.activity);
+        } else {
+            self.order.raised(&self.activity, v);
         }
-        self.order_dirty = true;
     }
 
     fn cla_bump(&mut self, cr: ClauseRef) {
         self.clauses[cr].activity += self.cla_inc;
         if self.clauses[cr].activity > 1e20 {
-            for c in &mut self.clauses {
-                c.activity *= 1e-20;
-            }
-            self.cla_inc *= 1e-20;
+            self.rescale_clause_activities();
         }
+    }
+
+    fn rescale_clause_activities(&mut self) {
+        for c in &mut self.clauses {
+            c.activity *= 1e-20;
+        }
+        self.cla_inc *= 1e-20;
     }
 
     /// Materializes the reason clause of a theory-implied literal, on
@@ -818,23 +1047,20 @@ impl SatSolver {
             self.polarity[v] = l.is_positive();
             self.assigns[v] = LBool::Undef;
             self.reason[v] = Reason::None;
+            if self.occ[v] > 0 {
+                self.order.insert(&self.activity, l.var());
+            }
         }
         self.trail.truncate(bound);
         self.trail_lim.truncate(lvl as usize);
         self.qhead = self.trail.len();
-        self.order_dirty = true;
     }
 
+    /// The next decision: the unassigned variable with a live occurrence
+    /// that has the highest activity (the lowest index among equals), at
+    /// its saved phase — or `None` when the assignment is complete.
     fn pick_branch(&mut self) -> Option<Lit> {
-        if self.order_dirty {
-            let act = &self.activity;
-            // total_cmp: activities are never NaN, but a total order keeps
-            // this panic-free and the tie-break deterministic.
-            self.order
-                .sort_by(|a, b| act[b.index()].total_cmp(&act[a.index()]));
-            self.order_dirty = false;
-        }
-        for &v in &self.order {
+        while let Some(v) = self.order.pop(&self.activity) {
             // Zero-occurrence variables are don't-cares: nothing live
             // mentions them, so deciding them can neither satisfy nor
             // falsify a clause. Skipping them keeps the model *partial*
@@ -867,14 +1093,14 @@ impl SatSolver {
     /// the lowest-activity half of the remaining non-binary learnts goes.
     fn reduce_db(&mut self) {
         self.stats.reduce_dbs += 1;
+        let mut evicted: Vec<ClauseRef> = Vec::new();
         let mut learnts: Vec<ClauseRef> = Vec::new();
         for cr in 0..self.clauses.len() {
             if !self.clauses[cr].learnt || self.clauses[cr].lits.is_empty() || self.is_reason(cr) {
                 continue;
             }
             if self.root_satisfied(cr) {
-                self.detach_clause(cr);
-                self.stats.learnts_evicted += 1;
+                evicted.push(cr);
             } else if self.clauses[cr].lits.len() > 2 {
                 learnts.push(cr);
             }
@@ -884,11 +1110,14 @@ impl SatSolver {
                 .activity
                 .total_cmp(&self.clauses[b].activity)
         });
-        let to_remove = learnts.len() / 2;
-        for cr in learnts.into_iter().take(to_remove) {
-            self.detach_clause(cr);
-            self.stats.learnts_evicted += 1;
+        learnts.truncate(learnts.len() / 2);
+        evicted.extend(learnts);
+        self.stats.learnts_evicted += evicted.len() as u64;
+        let mut unwatched = Vec::new();
+        for cr in evicted {
+            self.free_clause(cr, &mut unwatched);
         }
+        self.sweep_watches(unwatched);
     }
 
     fn is_reason(&self, cr: ClauseRef) -> bool {
@@ -916,7 +1145,10 @@ impl SatSolver {
     /// Implied literals it returns are enqueued with a lazy theory reason
     /// (`Reason::Theory`); the reason clause is only materialized (via
     /// [`TheoryPropagator::explain`]) if conflict analysis resolves on the
-    /// literal.
+    /// literal. At a complete assignment the propagator's final check
+    /// decides: `Sat` is returned only for an assignment it accepted,
+    /// [`SatOutcome::Unknown`] when it gave up, and a refutation is
+    /// analysed as a conflict, after which the search goes on.
     pub fn solve_with(
         &mut self,
         assumptions: &[Lit],
@@ -945,9 +1177,12 @@ impl SatSolver {
         let mut conflicts_since_restart = 0u64;
         let mut restart_idx = 0u64;
         let mut restart_budget = 64 * luby(restart_idx);
+        // A theory lemma the final check returned, attached and awaiting
+        // analysis.
+        let mut refuted: Option<ClauseRef> = None;
 
         loop {
-            if let Some(confl) = self.propagate() {
+            if let Some(confl) = refuted.take().or_else(|| self.propagate()) {
                 self.stats.conflicts += 1;
                 conflicts_since_restart += 1;
                 if self.decision_level() == 0 {
@@ -1006,7 +1241,7 @@ impl SatSolver {
                 // partitions the whole atom registry, so running it after
                 // every decision's fixpoint costs O(atoms) per decision.
                 // At the root it fires once per solve (plus once per
-                // backjump past the assumption boundary), which is where
+                // backjump to the assumption boundary), which is where
                 // the payoff lives anyway: the consequences of
                 // unit-asserted facts reach the trail before any search
                 // happens above them.
@@ -1034,14 +1269,64 @@ impl SatSolver {
                         }
                     }
                 }
-                match self.pick_branch() {
-                    None => return Ok(SatOutcome::Sat),
-                    Some(l) => {
-                        self.stats.decisions += 1;
-                        self.trail_lim.push(self.trail.len());
-                        self.unchecked_enqueue(l, Reason::None);
+                if let Some(l) = self.pick_branch() {
+                    self.stats.decisions += 1;
+                    self.trail_lim.push(self.trail.len());
+                    self.unchecked_enqueue(l, Reason::None);
+                    continue;
+                }
+                // A complete assignment: the theory has the last word.
+                let Some(p) = prop.as_deref_mut() else {
+                    return Ok(SatOutcome::Sat);
+                };
+                match p.final_check(&*self)? {
+                    FinalCheck::Consistent => return Ok(SatOutcome::Sat),
+                    FinalCheck::Unknown => return Ok(SatOutcome::Unknown),
+                    FinalCheck::Conflict(lemma) => {
+                        refuted = self.attach_refutation(lemma)?;
+                        if !self.ok {
+                            return Ok(SatOutcome::Unsat);
+                        }
                     }
                 }
+            }
+        }
+    }
+
+    /// Takes in a theory lemma that refutes the current assignment and
+    /// backtracks to the deepest level it mentions, so that it stands
+    /// there as an ordinary conflict: the attached clause is returned for
+    /// [`Self::analyze`]. Literals false at the root are dropped first, as
+    /// [`Self::add_clause`] drops them. What is left may need no analysis
+    /// (`None`): nothing — the formula is unsatisfiable for good, `ok`
+    /// cleared — or one literal, enqueued at the root.
+    fn attach_refutation(&mut self, mut lemma: Vec<Lit>) -> Result<Option<ClauseRef>, SolverError> {
+        let falsified =
+            |l: &Lit| l.var().index() < self.assigns.len() && self.value_lit(*l) == LBool::False;
+        if !lemma.iter().all(falsified) {
+            return Err(SolverError::Internal(
+                "theory lemma has a literal the assignment does not falsify",
+            ));
+        }
+        lemma.retain(|l| self.level[l.var().index()] > 0);
+        // Deepest levels first (ties by literal, so the clause is a
+        // function of the lemma as a set): the two watched literals must be
+        // the first a backjump unassigns.
+        lemma.sort_unstable_by_key(|&l| (std::cmp::Reverse(self.level[l.var().index()]), l));
+        lemma.dedup();
+        match lemma.as_slice() {
+            [] => {
+                self.ok = false;
+                Ok(None)
+            }
+            &[unit] => {
+                self.cancel_until(0);
+                self.unchecked_enqueue(unit, Reason::None);
+                Ok(None)
+            }
+            &[deepest, ..] => {
+                self.cancel_until(self.level[deepest.var().index()]);
+                Ok(Some(self.attach_clause(lemma, false)))
             }
         }
     }
@@ -1231,7 +1516,7 @@ mod tests {
         let before = s.num_live_clauses();
         // A "frame": guarded clauses over a fresh selector, contradicting
         // the base clause under the assumption that the selector holds.
-        let sel = s.new_var();
+        let sel = s.new_selector();
         s.add_clause(&[Lit::new(sel, false), Lit::new(a, false)]);
         s.add_clause(&[Lit::new(sel, false), Lit::new(b, false)]);
         assert_eq!(s.solve(&[Lit::new(sel, true)]).unwrap(), SatOutcome::Unsat);
@@ -1255,7 +1540,7 @@ mod tests {
             s.add_clause(&[Lit::new(p[0], true), Lit::new(p[1], true)]);
         }
         let base = s.num_live_clauses();
-        let sel = s.new_var();
+        let sel = s.new_selector();
         // Guarded at-most-one-per-hole: pigeonhole 3-into-2 under `sel`.
         for h in 0..2 {
             for (i, p1) in x.iter().enumerate() {
@@ -1290,7 +1575,7 @@ mod tests {
         s.add_clause(&[Lit::new(a, true), Lit::new(b, true)]);
         let base = s.num_live_clauses();
         for round in 0..50 {
-            let sel = s.new_var();
+            let sel = s.new_selector();
             s.add_clause(&[Lit::new(sel, false), Lit::new(a, round % 2 == 0)]);
             assert_eq!(s.solve(&[Lit::new(sel, true)]).unwrap(), SatOutcome::Sat);
             s.retract(sel);
@@ -1347,6 +1632,93 @@ mod tests {
                 for c in &cls {
                     assert!(c.iter().any(|&(v, pos)| s.model_value(vars[v]) == pos));
                 }
+            }
+        }
+    }
+
+    /// The decision `pick_branch` owes: among unassigned variables with a
+    /// live occurrence, the highest activity, the lowest index of equals.
+    fn scanned_pick(s: &SatSolver) -> Option<SatVar> {
+        (0..s.num_vars())
+            .filter(|&i| s.assigns[i] == LBool::Undef && s.occ[i] > 0)
+            .min_by(|&a, &b| s.activity[b].total_cmp(&s.activity[a]).then(a.cmp(&b)))
+            .map(|i| SatVar(i as u32))
+    }
+
+    /// The order heap's own invariants, and the one the solver adds: no
+    /// decidable variable is missing from it.
+    fn assert_order_heap_sound(s: &SatSolver) {
+        let VarHeap { heap, pos } = &s.order;
+        assert_eq!(pos.len(), s.num_vars());
+        for (at, &v) in heap.iter().enumerate() {
+            assert_eq!(pos[v.index()] as usize, at, "position table disagrees");
+            let parent = heap[at.saturating_sub(1) / 2];
+            assert!(
+                !VarHeap::before(&s.activity, v, parent),
+                "{v:?} is ordered before its parent {parent:?}"
+            );
+        }
+        let listed = pos.iter().filter(|&&at| at != VarHeap::ABSENT).count();
+        assert_eq!(listed, heap.len(), "position table names a variable twice");
+        for (i, &at) in pos.iter().enumerate() {
+            if s.assigns[i] == LBool::Undef && s.occ[i] > 0 {
+                assert_ne!(at, VarHeap::ABSENT, "decidable x{i} left the heap");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random bumps, decisions, backtracks, clause attachments, frame
+        /// retractions and variable recycling, driving the solver's own
+        /// primitives: every decision is the one a scan would make, and the
+        /// heap is sound after every step.
+        #[test]
+        fn order_heap_decides_what_a_scan_would(
+            ops in proptest::collection::vec((0u8..8, 0usize..64, 0usize..64), 1..160),
+        ) {
+            let mut s = SatSolver::new();
+            let mut vars: Vec<SatVar> = (0..6).map(|_| s.new_var()).collect();
+            let mut frames: Vec<SatVar> = Vec::new();
+            for (op, i, j) in ops {
+                let (a, b) = (vars[i % vars.len()], vars[j % vars.len()]);
+                match op {
+                    // Bumps are the common operation: of a selector too,
+                    // which then retires above its reset activity; the
+                    // inflated increment gets some past the 1e100 rescale.
+                    0 => s.var_bump(a),
+                    1 => s.var_bump(frames.last().copied().unwrap_or(a)),
+                    2 => {
+                        s.var_inc *= 1e40;
+                        s.var_bump(a);
+                    }
+                    3 | 4 => {
+                        let expected = scanned_pick(&s);
+                        let picked = s.pick_branch();
+                        assert_eq!(picked.map(Lit::var), expected);
+                        if let Some(l) = picked {
+                            s.trail_lim.push(s.trail.len());
+                            s.unchecked_enqueue(l, Reason::None);
+                        }
+                    }
+                    5 => s.cancel_until(i as u32 % (s.decision_level() + 1)),
+                    6 if a != b => {
+                        let mut lits = vec![Lit::new(a, i % 2 == 0), Lit::new(b, j % 2 == 0)];
+                        lits.extend(frames.last().map(|&sel| Lit::new(sel, false)));
+                        s.attach_clause(lits, j % 3 == 0);
+                    }
+                    6 => frames.push(s.new_selector()),
+                    _ => {
+                        // Retract the innermost frame and allocate at once:
+                        // the selector's slot comes back as a plain variable.
+                        if let Some(sel) = frames.pop() {
+                            s.retract(sel);
+                            vars.push(s.new_var());
+                        }
+                    }
+                }
+                assert_order_heap_sound(&s);
             }
         }
     }

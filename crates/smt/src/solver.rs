@@ -15,15 +15,16 @@
 //! repaired and the clause slots recycled. Clause-database size is therefore
 //! bounded by the *live* assertions plus the learnt-clause cap, no matter
 //! how many frames a long-running session opens and discards. Theory lemmas
-//! (blocking clauses) are valid in LIA regardless of frames, so they are
-//! added unguarded and persist across retractions, as do learnt clauses
-//! derived purely from permanent clauses.
+//! are valid in LIA regardless of frames, but are guarded by the innermost
+//! open frame's selector all the same and go with it (an unguarded one
+//! would keep its atoms decidable for ever); learnt clauses derived purely
+//! from permanent clauses persist across retractions.
 
 use std::collections::BTreeMap;
 
 use crate::cnf::Encoder;
 use crate::error::SolverError;
-use crate::sat::{Lit, SatOutcome, SatSolver, SatStats, TheoryPropagator};
+use crate::sat::{FinalCheck, Lit, SatOutcome, SatSolver, SatStats, TheoryPropagator};
 use crate::term::{Sort, Term, TermId, TermPool, VarId};
 use crate::theory::{TheoryConfig, TheoryPropagation, TheorySession, TheoryVerdict};
 
@@ -193,13 +194,17 @@ pub struct IntervalMap {
     pub gaps: Vec<(i64, i64)>,
 }
 
-/// Maximum DPLL(T) refinement iterations per `check()` before `Unknown`.
+/// Maximum theory final checks per `check()` before `Unknown`.
 const MAX_REFINEMENTS: u64 = 100_000;
 
 /// The [`TheoryPropagator`] a [`Solver`] hands to the SAT core during
-/// `check()` when [`TheoryConfig::propagate`] is on: an adapter from trail
-/// state to [`TheorySession::propagate`] calls, recording each propagated
-/// literal's antecedent so `explain` can build the reason clause on demand.
+/// `check()`: an adapter from trail state to [`TheorySession`] calls. A
+/// consult ([`TheorySession::propagate`]; skipped when
+/// [`TheoryConfig::propagate`] is off) records each propagated literal's
+/// antecedent so `explain` can build the reason clause on demand; the
+/// final check ([`TheorySession::check`]) keeps the integer model of the
+/// assignment it accepted, or turns the core of the one it refuted into a
+/// lemma.
 ///
 /// Built per `SatSolver::solve_with` call over buffers the solver keeps. An
 /// antecedent record is overwritten by its variable's next propagation and
@@ -214,19 +219,29 @@ struct SessionPropagator<'a> {
     enc: &'a Encoder,
     theory: &'a mut TheorySession,
     live_atoms: &'a [u32],
-    /// Innermost frame selector at solve time. Explanation clauses are
-    /// guarded with its negation so `retract` deletes them with the frame —
-    /// an unguarded explanation would pin its atom variables live forever
-    /// (the same argument as for theory blocking lemmas in
-    /// [`Solver::check`]).
+    /// Innermost frame selector at solve time. Explanation clauses and
+    /// final-check lemmas are guarded with its negation so `retract`
+    /// deletes them with the frame. Both are theory-valid, so scoping them
+    /// only loses cross-frame reuse — but an *unguarded* one would pin its
+    /// atom variables live forever: in a long-lived pooled session, retired
+    /// groundings' atoms would stay decidable, get re-asserted into every
+    /// future theory check, and per-check cost would grow with session
+    /// history instead of staying proportional to the live assertion set.
     guard: Option<Lit>,
+    config: TheoryConfig,
     scratch: &'a mut PropScratch,
+    stats: &'a mut SolverStats,
+    /// Final checks left before the hook answers `Unknown`.
+    refinements_left: u64,
+    /// Integer values of the assignment the final check accepted.
+    ints: Option<BTreeMap<VarId, i64>>,
 }
 
 /// Buffers the propagator reuses across consults (owned by the solver, so
 /// a consult allocates nothing once they have grown).
 #[derive(Default)]
 struct PropScratch {
+    /// The asserted-atom conjunction of a consult or a final check.
     asserted: Vec<(u32, bool)>,
     candidates: Vec<u32>,
     props: Vec<TheoryPropagation>,
@@ -237,6 +252,10 @@ struct PropScratch {
 
 impl TheoryPropagator for SessionPropagator<'_> {
     fn propagate(&mut self, sat: &SatSolver, out: &mut Vec<Lit>) -> Result<(), SolverError> {
+        // Off is the pure lazy loop: the oracle of the differential tests.
+        if !self.config.propagate {
+            return Ok(());
+        }
         // Partition the live atom registry (in registry order, which makes
         // the propagation order deterministic) into asserted atoms and
         // unassigned candidates.
@@ -311,6 +330,68 @@ impl TheoryPropagator for SessionPropagator<'_> {
         clause.extend(ant.map(|a| !a));
         Ok(clause)
     }
+
+    fn final_check(&mut self, sat: &SatSolver) -> Result<FinalCheck, SolverError> {
+        if self.refinements_left == 0 {
+            return Ok(FinalCheck::Unknown);
+        }
+        self.refinements_left -= 1;
+        self.stats.theory_checks += 1;
+
+        // Collect the theory atoms the SAT core actually assigned,
+        // restricted to atoms some *live* assertion references: the
+        // permanent definitional clauses keep retired encodings' atom
+        // variables assignable, but their truth values carry no meaning for
+        // the live formula, and handing them to the theory would make
+        // per-check cost grow with session history.
+        let atoms = self.enc.atoms();
+        let conj = &mut self.scratch.asserted;
+        conj.clear();
+        for &i in self.live_atoms {
+            let Some(&(_, sv)) = atoms.get(i as usize) else {
+                continue;
+            };
+            // Theory-propagated literals are *excluded*: each was derived
+            // by bound subsumption from ordinary assertions that are still
+            // on the trail beneath it (a backjump that unassigns an
+            // antecedent unassigns what was enqueued after it), so the
+            // reduced conjunction entails it — feasibility, the witness
+            // model, and any Unsat core are unchanged, while the check
+            // stays exactly as large as with propagation off.
+            if sat.reason_is_theory(sv) {
+                continue;
+            }
+            if let Some(val) = sat.assigned_value(sv) {
+                conj.push((i, val));
+            }
+        }
+
+        match self.theory.check(self.pool, conj, self.config)? {
+            TheoryVerdict::Sat(ints) => {
+                self.ints = Some(ints);
+                Ok(FinalCheck::Consistent)
+            }
+            TheoryVerdict::Unsat(core) => {
+                self.stats.theory_conflicts += 1;
+                // The blocking lemma: the guard, then the negated core. An
+                // empty core (the declared bounds alone inconsistent, which
+                // `lo <= hi` rules out) leaves a lemma no frame can satisfy.
+                let mut lemma: Vec<Lit> = Vec::with_capacity(core.len() + 1);
+                lemma.extend(self.guard.map(|sel| !sel));
+                for &i in &core {
+                    let &(_, sv) = atoms
+                        .get(i)
+                        .ok_or(SolverError::Internal("theory core index out of range"))?;
+                    let val = sat
+                        .assigned_value(sv)
+                        .ok_or(SolverError::Internal("theory core atom unassigned"))?;
+                    lemma.push(Lit::new(sv, !val));
+                }
+                Ok(FinalCheck::Conflict(lemma))
+            }
+            TheoryVerdict::Unknown => Ok(FinalCheck::Unknown),
+        }
+    }
 }
 
 /// The SMT solver. See the [crate docs](crate) for an end-to-end example.
@@ -347,8 +428,6 @@ pub struct Solver {
     stats: SolverStats,
     theory_config: TheoryConfig,
     prop_scratch: PropScratch,
-    /// Reused buffer for the asserted-atom conjunction of a theory check.
-    conj: Vec<(u32, bool)>,
 }
 
 impl Default for Solver {
@@ -375,7 +454,6 @@ impl Solver {
             stats: SolverStats::default(),
             theory_config: TheoryConfig::default(),
             prop_scratch: PropScratch::default(),
-            conj: Vec::new(),
         }
     }
 
@@ -586,7 +664,7 @@ impl Solver {
 
     /// Opens a new assertion frame.
     pub fn push(&mut self) {
-        let v = self.sat.new_var();
+        let v = self.sat.new_selector();
         self.frames.push(Lit::new(v, true));
         self.frame_ids.push(self.next_frame_id);
         self.next_frame_id += 1;
@@ -637,7 +715,14 @@ impl Solver {
 
     // --- solving ------------------------------------------------------------
 
-    /// Checks satisfiability of all live assertions.
+    /// Checks satisfiability of all live assertions: one CDCL search
+    /// ([`SatSolver::solve_with`]) under the assumption that every open
+    /// frame's selector holds, with the theory inside it — consulted at the
+    /// search root, asked for a final check at each complete assignment,
+    /// its refutations analysed in place (see [`TheoryPropagator`]). With
+    /// [`TheoryConfig::propagate`] off the consult derives nothing and the
+    /// same search is the pure lazy loop, the oracle of the differential
+    /// tests.
     ///
     /// `Err` means the query itself is broken (malformed clause database,
     /// arithmetic overflow, or an internal invariant violation) — it is not
@@ -649,114 +734,38 @@ impl Solver {
         for (atom, _) in self.enc.atoms().iter().skip(self.theory.num_atoms()) {
             self.theory.add_atom(&self.pool, atom)?;
         }
-
-        for _ in 0..MAX_REFINEMENTS {
-            // With propagation on, the SAT search consults the warm tableau
-            // between unit propagation and every decision (see
-            // [`SessionPropagator`]); off restores the pure lazy loop and
-            // serves as the oracle for the differential tests.
-            let outcome = if self.theory_config.propagate {
-                let mut prop = SessionPropagator {
-                    pool: &self.pool,
-                    enc: &self.enc,
-                    theory: &mut self.theory,
-                    live_atoms: &self.live_atoms,
-                    guard: self.frames.last().copied(),
-                    scratch: &mut self.prop_scratch,
-                };
-                self.sat.solve_with(&self.frames, Some(&mut prop))?
-            } else {
-                self.sat.solve(&self.frames)?
-            };
-            match outcome {
-                SatOutcome::Unsat => return Ok(SatResult::Unsat),
-                SatOutcome::Sat => {}
-            }
-            self.stats.theory_checks += 1;
-
-            // Collect the theory atoms the SAT core actually assigned,
-            // restricted to atoms some *live* assertion references
-            // (`atom_live`): the permanent definitional clauses keep retired
-            // encodings' atom variables assignable, but their truth values
-            // carry no meaning for the live formula, and handing them to the
-            // theory would make per-check cost grow with session history.
-            self.conj.clear();
-            for &i in &self.live_atoms {
-                let Some(&(_, sv)) = self.enc.atoms().get(i as usize) else {
-                    continue;
-                };
-                // Theory-propagated literals are *excluded*: each was
-                // derived by bound subsumption from ordinary assertions
-                // that are still on the trail beneath it (root-level
-                // assignments persist to a Sat outcome), so the reduced
-                // conjunction entails it — feasibility, the witness model,
-                // and any Unsat core are unchanged, while the check stays
-                // exactly as large as with propagation off.
-                if self.sat.reason_is_theory(sv) {
-                    continue;
-                }
-                if let Some(val) = self.sat.assigned_value(sv) {
-                    self.conj.push((i, val));
-                }
-            }
-
-            let verdict = self
-                .theory
-                .check(&self.pool, &self.conj, self.theory_config)?;
-            match verdict {
-                TheoryVerdict::Sat(ints) => {
-                    let mut bools = BTreeMap::new();
-                    for (idx, info) in self.pool.vars().iter().enumerate() {
-                        if info.sort == Sort::Bool {
-                            let v = VarId(idx as u32);
-                            if let Some(sv) = self.enc.bool_var(v) {
-                                bools.insert(v, self.sat.model_value(sv));
-                            }
+        let mut prop = SessionPropagator {
+            pool: &self.pool,
+            enc: &self.enc,
+            theory: &mut self.theory,
+            live_atoms: &self.live_atoms,
+            guard: self.frames.last().copied(),
+            config: self.theory_config,
+            scratch: &mut self.prop_scratch,
+            stats: &mut self.stats,
+            refinements_left: MAX_REFINEMENTS,
+            ints: None,
+        };
+        let outcome = self.sat.solve_with(&self.frames, Some(&mut prop))?;
+        let ints = prop.ints;
+        match outcome {
+            SatOutcome::Unsat => Ok(SatResult::Unsat),
+            SatOutcome::Unknown => Ok(SatResult::Unknown),
+            SatOutcome::Sat => {
+                let ints = ints.ok_or(SolverError::Internal("Sat without a final check"))?;
+                let mut bools = BTreeMap::new();
+                for (idx, info) in self.pool.vars().iter().enumerate() {
+                    if info.sort == Sort::Bool {
+                        let v = VarId(idx as u32);
+                        if let Some(sv) = self.enc.bool_var(v) {
+                            bools.insert(v, self.sat.model_value(sv));
                         }
                     }
-                    self.model = Some(Model { ints, bools });
-                    return Ok(SatResult::Sat);
                 }
-                TheoryVerdict::Unsat(core) => {
-                    self.stats.theory_conflicts += 1;
-                    if core.is_empty() {
-                        // The theory found the *declared bounds* inconsistent,
-                        // which cannot happen (lo <= hi); defensive fallback.
-                        return Ok(SatResult::Unsat);
-                    }
-                    let mut blocking: Vec<Lit> = Vec::with_capacity(core.len() + 1);
-                    // Guard the lemma with the innermost frame selector (when
-                    // one is open) so `retract` deletes it with the frame.
-                    // The lemma is theory-valid, so scoping it only loses
-                    // cross-frame reuse — but an *unguarded* lemma would pin
-                    // its atom variables live forever: in a long-lived pooled
-                    // session, retired groundings' atoms would stay decidable,
-                    // get re-asserted into every future theory check, and
-                    // per-check cost would grow with session history instead
-                    // of staying proportional to the live assertion set.
-                    if let Some(sel) = self.frames.last() {
-                        blocking.push(!*sel);
-                    }
-                    for &i in &core {
-                        let &(_, sv) = self
-                            .enc
-                            .atoms()
-                            .get(i)
-                            .ok_or(SolverError::Internal("theory core index out of range"))?;
-                        let val = self
-                            .sat
-                            .assigned_value(sv)
-                            .ok_or(SolverError::Internal("theory core atom unassigned"))?;
-                        blocking.push(Lit::new(sv, !val));
-                    }
-                    if !self.sat.add_clause(&blocking) {
-                        return Ok(SatResult::Unsat);
-                    }
-                }
-                TheoryVerdict::Unknown => return Ok(SatResult::Unknown),
+                self.model = Some(Model { ints, bools });
+                Ok(SatResult::Sat)
             }
         }
-        Ok(SatResult::Unknown)
     }
 
     /// Checks satisfiability of the live assertions *plus* the given
@@ -862,10 +871,15 @@ impl Solver {
 
     /// The opening every range search shares: one check of the live
     /// assertions, yielding `v`'s declared bounds and its value in the
-    /// model found — or `None` when the check is not `Sat`.
+    /// model found — or `None` when the check is not `Sat`;
+    /// [`SolverError::InvalidQuery`] when `v` is not an integer variable.
     fn search_start(&mut self, v: VarId) -> Result<Option<(i64, i64, i64)>, SolverError> {
         let info = self.pool.var_info(v);
-        assert_eq!(info.sort, Sort::Int, "range search on non-integer variable");
+        if info.sort != Sort::Int {
+            return Err(SolverError::InvalidQuery(
+                "range search on a non-integer variable",
+            ));
+        }
         let (lo, hi) = (info.lo, info.hi);
         if self.check()? != SatResult::Sat {
             return Ok(None);
@@ -942,13 +956,19 @@ impl Solver {
     /// the ones they are asked about ([`Self::feasible_values_in`]).
     ///
     /// Returns `None` when the live assertions are unsatisfiable or the
-    /// initial bound search is undecided.
+    /// initial bound search is undecided, and
+    /// [`SolverError::InvalidQuery`] for a `stride` that is not positive or
+    /// a `v` that is not an integer variable.
     pub fn interval_map(
         &mut self,
         v: VarId,
         stride: i64,
     ) -> Result<Option<IntervalMap>, SolverError> {
-        assert!(stride > 0, "interval_map stride must be positive");
+        if stride <= 0 {
+            return Err(SolverError::InvalidQuery(
+                "interval_map stride must be positive",
+            ));
+        }
         let Some(VarBounds {
             lo,
             hi,
@@ -1318,6 +1338,31 @@ mod tests {
         let f = s.ge(tx, c11);
         s.assert(f);
         assert!(s.bounds(x).unwrap().is_none());
+    }
+
+    #[test]
+    fn range_queries_reject_broken_arguments_with_a_typed_error() {
+        let mut s = Solver::new();
+        let x = s.int_var("x", 0, 10);
+        let flag = s.bool_var("flag");
+        for stride in [0, -3] {
+            assert!(matches!(
+                s.interval_map(x, stride),
+                Err(SolverError::InvalidQuery(_))
+            ));
+        }
+        assert!(matches!(s.bounds(flag), Err(SolverError::InvalidQuery(_))));
+        assert!(matches!(
+            s.minimize(flag),
+            Err(SolverError::InvalidQuery(_))
+        ));
+        assert!(matches!(
+            s.interval_map(flag, 10),
+            Err(SolverError::InvalidQuery(_))
+        ));
+        // The solver is as it was.
+        assert_eq!(s.stats().checks, 0);
+        assert_eq!(s.bounds(x).unwrap().map(|b| (b.lo, b.hi)), Some((0, 10)));
     }
 
     #[test]

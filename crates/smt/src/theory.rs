@@ -82,15 +82,17 @@ pub struct TheoryConfig {
     /// Maximum number of branch-and-bound nodes to explore.
     pub max_nodes: u64,
     /// Whether to run theory propagation inside the SAT search (on by
-    /// default): between unit propagation and each decision, the warm
-    /// tableau is consulted for atom literals already entailed by the
-    /// asserted bounds, and those are enqueued on the trail instead of
-    /// being discovered by a later full check.
+    /// default): at the search root — unit propagation at a fixpoint,
+    /// every frame selector placed, nothing decided — the warm tableau is
+    /// consulted for atom literals already entailed by the asserted bounds,
+    /// and those are enqueued on the trail instead of being discovered by
+    /// a later final check.
     ///
-    /// Turning it off restores the pure lazy-SMT loop; verdicts and decode
-    /// outputs are identical either way (propagated atoms are *entailed*,
-    /// so asserting them during a check is a no-op) — the off-path is kept
-    /// as the oracle for the differential tests.
+    /// Off, the same search runs with a consult that derives nothing: the
+    /// pure lazy-SMT loop. Verdicts and decode outputs are identical either
+    /// way (propagated atoms are *entailed*, so asserting them during a
+    /// check is a no-op) — off is kept as the oracle for the differential
+    /// tests.
     ///
     /// ```
     /// use lejit_smt::TheoryConfig;

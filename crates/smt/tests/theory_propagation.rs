@@ -1,18 +1,21 @@
-//! Theory propagation: the differential oracle and the lazy-explanation
-//! contract.
+//! Theory propagation: the differential oracle, the lazy-explanation
+//! contract and the final-check protocol.
 //!
-//! Three families:
+//! Four families:
 //!
 //! 1. A scripted [`TheoryPropagator`] drives the SAT core directly and pins
 //!    the lazy-reason protocol: a propagated literal resolved on by 1-UIP
 //!    must have its explanation materialized (exactly then, not before),
 //!    and the resulting learnt clause must produce the same verdict the
 //!    eager encoding would.
-//! 2. A differential proptest: full [`Solver`] workloads with
+//! 2. A scripted final check pins what the search does with a refuted
+//!    complete assignment: the lemma is analysed where the search stands
+//!    and the hook is asked again inside the same `solve_with` call.
+//! 3. A differential proptest: full [`Solver`] workloads with
 //!    `TheoryConfig::propagate` on vs off. Verdicts and objective values
 //!    (`minimize`/`maximize`) are semantically determined, so they must be
 //!    identical; only the search path (and its cost profile) may differ.
-//! 3. Frame-scoped explanation lifetime: explanation clauses are guarded by
+//! 4. Frame-scoped explanation lifetime: explanation clauses are guarded by
 //!    the innermost frame selector, so `pop` deletes them and long sessions
 //!    stay flat — the same high-water-mark methodology as
 //!    `session_reuse_flat.rs`.
@@ -21,7 +24,8 @@ use proptest::prelude::*;
 
 use lejit_smt::sat::SatOutcome;
 use lejit_smt::{
-    Lit, SatResult, SatSolver, Solver, SolverError, TermId, TheoryConfig, TheoryPropagator, VarId,
+    FinalCheck, Lit, SatResult, SatSolver, Solver, SolverError, TermId, TheoryConfig,
+    TheoryPropagator, VarId,
 };
 
 /// A propagator for a fixed implication `p ⇒ q`, counting explanation
@@ -104,6 +108,209 @@ fn propagations_that_never_conflict_pay_for_no_explanation() {
     assert!(stats.theory_propagations >= 1);
     assert_eq!(stats.theory_explanations, 0);
     assert_eq!(prop.explains, 0);
+}
+
+// ---------------------------------------------------------------------------
+// The final-check protocol.
+// ---------------------------------------------------------------------------
+
+/// A plug-in that propagates nothing and answers each final check from a
+/// closure over the assignment, counting how often it is asked.
+struct ScriptedCheck<F: FnMut(&SatSolver) -> FinalCheck> {
+    verdict: F,
+    calls: u64,
+}
+
+impl<F: FnMut(&SatSolver) -> FinalCheck> ScriptedCheck<F> {
+    fn new(verdict: F) -> Self {
+        ScriptedCheck { verdict, calls: 0 }
+    }
+}
+
+impl<F: FnMut(&SatSolver) -> FinalCheck> TheoryPropagator for ScriptedCheck<F> {
+    fn propagate(&mut self, _: &SatSolver, _: &mut Vec<Lit>) -> Result<(), SolverError> {
+        Ok(())
+    }
+
+    fn explain(&mut self, _: Lit) -> Result<Vec<Lit>, SolverError> {
+        Err(SolverError::Internal("nothing was propagated"))
+    }
+
+    fn final_check(&mut self, sat: &SatSolver) -> Result<FinalCheck, SolverError> {
+        self.calls += 1;
+        Ok((self.verdict)(sat))
+    }
+}
+
+/// Whether `l` holds under the solver's current assignment.
+fn holds(sat: &SatSolver, l: Lit) -> bool {
+    sat.assigned_value(l.var()) == Some(l.is_positive())
+}
+
+/// Refutes every assignment under which all of `together` hold, with the
+/// lemma that negates them — a theory in which they are jointly
+/// inconsistent.
+fn forbid(together: Vec<Lit>) -> impl FnMut(&SatSolver) -> FinalCheck {
+    move |sat| {
+        if together.iter().all(|&l| holds(sat, l)) {
+            FinalCheck::Conflict(together.iter().map(|&l| !l).collect())
+        } else {
+            FinalCheck::Consistent
+        }
+    }
+}
+
+#[test]
+fn a_refuted_assignment_is_analysed_in_place_and_the_search_goes_on() {
+    // Under the assumed selector s: (a ∨ b) ∧ (c ∨ d). Saved phases are
+    // false, so the first complete assignment decides ¬a, ¬c and propagates
+    // b, d — above the assumption level. The theory forbids b ∧ d; its
+    // lemma, guarded the way `Solver` guards one, has its deepest literal
+    // at the second decision. The other model (d false, hence c) must come
+    // out of the same `solve_with` call: two final checks, one conflict.
+    let mut sat = SatSolver::new();
+    let s = Lit::new(sat.new_selector(), true);
+    let [a, b, c, d] = [(); 4].map(|()| Lit::new(sat.new_var(), true));
+    assert!(sat.add_clause(&[!s, a, b]));
+    assert!(sat.add_clause(&[!s, c, d]));
+    let mut check = ScriptedCheck::new(forbid(vec![s, b, d]));
+
+    assert_eq!(
+        sat.solve_with(&[s], Some(&mut check)).unwrap(),
+        SatOutcome::Sat
+    );
+    assert_eq!(check.calls, 2, "the hook is asked again, not the solver");
+    assert_eq!(sat.stats().conflicts, 1);
+    assert_eq!(sat.stats().restarts, 0);
+    assert!(sat.model_value(b.var()) && !sat.model_value(d.var()));
+    assert!(sat.model_value(c.var()), "c ∨ d with d refuted");
+    // The lemma and what was learnt from it carry ¬s: they go with the
+    // frame, and the formula is as it was.
+    sat.retract(s.var());
+    assert_eq!(sat.num_live_clauses(), 0);
+}
+
+#[test]
+fn a_lemma_false_at_the_root_makes_the_solver_unsat_for_good() {
+    let mut sat = SatSolver::new();
+    let a = Lit::new(sat.new_var(), true);
+    let b = Lit::new(sat.new_var(), true);
+    assert!(sat.add_clause(&[a]));
+    assert!(sat.add_clause(&[b]));
+    let mut check = ScriptedCheck::new(forbid(vec![a, b]));
+    assert_eq!(
+        sat.solve_with(&[], Some(&mut check)).unwrap(),
+        SatOutcome::Unsat
+    );
+    assert_eq!(check.calls, 1);
+    // No assumption was involved: nothing can make it satisfiable again.
+    assert_eq!(sat.solve(&[]).unwrap(), SatOutcome::Unsat);
+    assert!(!sat.add_clause(&[a, b]));
+}
+
+#[test]
+fn a_unit_lemma_is_enqueued_at_the_root() {
+    // r is a root fact and a ∨ b is decided ¬a, b. The lemma ¬r ∨ ¬b is a
+    // unit once its root-false literal is dropped: ¬b becomes a root fact,
+    // a follows, and the second final check accepts.
+    let mut sat = SatSolver::new();
+    let [r, a, b] = [(); 3].map(|()| Lit::new(sat.new_var(), true));
+    assert!(sat.add_clause(&[r]));
+    assert!(sat.add_clause(&[a, b]));
+    let mut check = ScriptedCheck::new(forbid(vec![r, b]));
+    assert_eq!(
+        sat.solve_with(&[], Some(&mut check)).unwrap(),
+        SatOutcome::Sat
+    );
+    assert_eq!(check.calls, 2);
+    assert!(sat.model_value(a.var()) && !sat.model_value(b.var()));
+    // Root-level: assuming b is refused outright, with no search.
+    let decisions = sat.stats().decisions;
+    assert_eq!(sat.solve(&[b]).unwrap(), SatOutcome::Unsat);
+    assert_eq!(sat.stats().decisions, decisions);
+    assert_eq!(sat.solve(&[]).unwrap(), SatOutcome::Sat);
+}
+
+#[test]
+fn a_backjump_below_an_assumption_level_places_the_assumption_again() {
+    // Assumptions p (level 1) and q (level 2); x ∨ y is decided ¬x, y at
+    // level 3. The theory forbids p ∧ y: the learnt clause ¬y ∨ ¬p asserts
+    // at level 1, below q, which must be back on the trail — true — when
+    // the hook is asked again.
+    let mut sat = SatSolver::new();
+    let [p, q, x, y] = [(); 4].map(|()| Lit::new(sat.new_var(), true));
+    assert!(sat.add_clause(&[x, y]));
+    let mut forbid_py = forbid(vec![p, y]);
+    let mut check = ScriptedCheck::new(|sat: &SatSolver| {
+        assert!(holds(sat, p) && holds(sat, q), "an assumption is missing");
+        forbid_py(sat)
+    });
+    assert_eq!(
+        sat.solve_with(&[p, q], Some(&mut check)).unwrap(),
+        SatOutcome::Sat
+    );
+    assert_eq!(check.calls, 2);
+    assert!(sat.model_value(x.var()) && !sat.model_value(y.var()));
+}
+
+#[test]
+fn a_learnt_clause_that_falsifies_an_assumption_answers_unsat() {
+    // The theory forbids the two assumptions together: analysis learns
+    // ¬q ∨ ¬p, backjumps to p's level, and q cannot be placed again.
+    let mut sat = SatSolver::new();
+    let [p, q] = [(); 2].map(|()| Lit::new(sat.new_var(), true));
+    let mut check = ScriptedCheck::new(forbid(vec![p, q]));
+    assert_eq!(
+        sat.solve_with(&[p, q], Some(&mut check)).unwrap(),
+        SatOutcome::Unsat
+    );
+    assert_eq!(check.calls, 1);
+    // Unsat under those assumptions only.
+    assert_eq!(
+        sat.solve_with(&[p], Some(&mut check)).unwrap(),
+        SatOutcome::Sat
+    );
+    assert_eq!(sat.solve(&[q]).unwrap(), SatOutcome::Sat);
+}
+
+#[test]
+fn giving_up_surfaces_as_unknown() {
+    let mut sat = SatSolver::new();
+    let a = Lit::new(sat.new_var(), true);
+    let b = Lit::new(sat.new_var(), true);
+    assert!(sat.add_clause(&[a, b]));
+    let mut check = ScriptedCheck::new(|_: &SatSolver| FinalCheck::Unknown);
+    assert_eq!(
+        sat.solve_with(&[], Some(&mut check)).unwrap(),
+        SatOutcome::Unknown
+    );
+    assert_eq!(check.calls, 1);
+    // Unknown is no verdict: the same formula without the theory is Sat.
+    assert_eq!(sat.solve(&[]).unwrap(), SatOutcome::Sat);
+}
+
+#[test]
+fn a_lemma_the_assignment_does_not_falsify_is_an_internal_error() {
+    // a ∨ b is decided ¬a, b. A lemma containing b (true), a literal of a
+    // variable no clause mentions (unassigned) or of one never allocated
+    // is a broken hook: reported, never searched on, never a verdict.
+    let stranger = Lit::new(lejit_smt::SatVar::from_index(99), true);
+    for bad in [0usize, 1, 2] {
+        let mut sat = SatSolver::new();
+        let [a, b, idle] = [(); 3].map(|()| Lit::new(sat.new_var(), true));
+        assert!(sat.add_clause(&[a, b]));
+        let lemma = [vec![a, b], vec![a, idle], vec![a, stranger]][bad].clone();
+        let mut check =
+            ScriptedCheck::new(move |_: &SatSolver| FinalCheck::Conflict(lemma.clone()));
+        assert!(
+            matches!(
+                sat.solve_with(&[], Some(&mut check)),
+                Err(SolverError::Internal(_))
+            ),
+            "lemma {bad}"
+        );
+        assert_eq!(sat.solve(&[]).unwrap(), SatOutcome::Sat, "lemma {bad}");
+    }
 }
 
 // ---------------------------------------------------------------------------
