@@ -571,7 +571,10 @@ pub fn fig5_synthesis(env: &BenchEnv) -> Table {
 
 /// Ablation A1: solver lookahead policy — full per-digit probing vs the
 /// interval-guided tiers vs no lookahead at all (dead-end rate, compliance,
-/// and per-character solver cost) — plus the serving configuration
+/// and per-character solver cost: "solver checks" is the session's logical
+/// booking, one per exact query and two per range analysis; "raw checks"
+/// counts the `Solver::check` calls actually made, the honest ratio between
+/// tiers) — plus the serving configuration
 /// (interval-guided over a warm per-worker [`SessionPool`], which must
 /// decode the same bytes while skipping the cold session build) and the
 /// theory-propagation off-oracles (full and interval-guided tiers with
@@ -588,6 +591,7 @@ pub fn ablation_lookahead(env: &BenchEnv) -> Table {
         "completed",
         "violation rate (completed)",
         "solver checks/char",
+        "raw checks/char",
         "checks saved/char",
         "pivots/char",
         "b&b nodes/char",
@@ -664,6 +668,7 @@ pub fn ablation_lookahead(env: &BenchEnv) -> Table {
             match r {
                 Ok((s, values)) => {
                     total.solver_checks += s.solver_checks;
+                    total.solver_raw_checks += s.solver_raw_checks;
                     total.solver_checks_saved += s.solver_checks_saved;
                     total.solver_pivots += s.solver_pivots;
                     total.solver_bnb_nodes += s.solver_bnb_nodes;
@@ -706,6 +711,7 @@ pub fn ablation_lookahead(env: &BenchEnv) -> Table {
             completed.len().to_string(),
             pct(stats.rate()),
             per_char(total.solver_checks),
+            per_char(total.solver_raw_checks),
             per_char(total.solver_checks_saved),
             per_char(total.solver_pivots),
             per_char(total.solver_bnb_nodes),

@@ -3,11 +3,13 @@
 //! The benchmark harness that regenerates every table and figure of the
 //! LeJIT paper's evaluation (§4), plus the ablations called out in
 //! DESIGN.md. Each `src/bin/*.rs` binary reproduces one figure and prints
-//! the same rows/series the paper reports; `benches/` holds the criterion
-//! counterparts.
+//! the same rows/series the paper reports. Performance claims are not made
+//! here: they are parent/change comparisons from the repo benchmark
+//! (`benchmark/`, `BENCHMARK.json`).
 //!
-//! Scale is controlled by the `LEJIT_SCALE` environment variable:
-//! `quick` (default; minutes) or `full` (used for EXPERIMENTS.md).
+//! Scale is controlled by the `LEJIT_SCALE` environment variable: `tiny`
+//! (seconds; the smoke tests), `quick` (default; minutes) or `full` (used
+//! for EXPERIMENTS.md).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

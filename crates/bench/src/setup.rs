@@ -14,8 +14,8 @@ use lejit_telemetry::{
 /// Benchmark scale.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Scale {
-    /// Minimal: used by the criterion benches so figure pipelines fit in a
-    /// measurement loop (seconds per iteration).
+    /// Minimal: every figure pipeline in seconds, for the harness smoke
+    /// tests and for checking a change at its runtime surface.
     Tiny,
     /// Small: suitable for CI and iteration (minutes end to end).
     Quick,

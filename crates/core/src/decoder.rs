@@ -9,15 +9,16 @@
 //! variable's terminator is emitted, its value is fixed in the solver —
 //! from then on, every remaining rule is evaluated relative to it (dynamic
 //! partial instantiation). That per-character step lives once, in
-//! [`crate::lanes`]; [`JitDecoder`] supplies the session-backed mask source
-//! and runs it for one record ([`JitDecoder::decode`], with a trace sink
-//! [`JitDecoder::decode_traced`]) or a lock-step group
+//! [`crate::lanes`]; [`SessionJob`] is the session-backed mask source, and
+//! [`JitDecoder`] runs it for one record ([`JitDecoder::decode`], with a
+//! trace sink [`JitDecoder::decode_traced`]) or a lock-step group
 //! ([`JitDecoder::decode_batch`]).
 //!
 //! The engine also counts **interventions**: steps where the model's
 //! unconstrained argmax was masked away. This quantifies the paper's
 //! "minimally invasive" claim — a well-trained model needs few nudges.
 
+use std::borrow::BorrowMut;
 use std::fmt;
 
 use rand::Rng;
@@ -77,8 +78,12 @@ pub struct DecodeStats {
     pub tokens: u64,
     /// Characters that were schema literals (forced).
     pub forced_tokens: u64,
-    /// Satisfiability checks issued to the solver.
+    /// Satisfiability checks issued to the solver, as the session books
+    /// them: one per exact query, two per range analysis.
     pub solver_checks: u64,
+    /// `Solver::check` calls actually made ([`lejit_smt::SolverStats::checks`]),
+    /// range analyses counted by the checks they ran.
+    pub solver_raw_checks: u64,
     /// Per-character solver queries answered without a solver check by the
     /// interval-guided lookahead (hull rejection, witness acceptance, or
     /// a certified gap). Zero under [`Lookahead::Full`] /
@@ -112,8 +117,9 @@ pub struct DecodeStats {
     pub encode_cache_hits: u64,
     /// Tseitin encode-cache misses (terms paying for a fresh encoding).
     pub encode_cache_misses: u64,
-    /// Times this decode's session came warm out of a session pool (zero
-    /// for the unpooled paths).
+    /// Times this decode's session came warm out of a session pool. The
+    /// three pool fields are written by [`crate::Lease::settle`] from the
+    /// lease's own acquisition; every other path leaves them zero.
     pub pool_hits: u64,
     /// Times a session pool had to build this decode's session fresh.
     pub pool_misses: u64,
@@ -126,15 +132,20 @@ impl DecodeStats {
     /// lifetime totals into this-decode deltas.
     ///
     /// The solver-side fields ([`Self::solver_checks`] through
-    /// [`Self::pool_evictions`]) are copied out of the session *absolutely*
-    /// — a session reused across decodes (checkpoint/rollback reuse, pooled
-    /// acquisition) reports its lifetime totals. Callers that hand out
-    /// per-request stats snapshot the session's counters before decoding
-    /// (via the same fill the decoder uses) and subtract here. The per-emit
-    /// fields (`tokens`, `forced_tokens`, `interventions`,
-    /// `forced_choices`) are already per-decode and stay untouched.
+    /// [`Self::encode_cache_misses`]) are copied out of the session
+    /// *absolutely* — a session reused across decodes (checkpoint/rollback
+    /// reuse, pooled acquisition) reports its lifetime totals. Callers that
+    /// hand out per-request stats snapshot the session's counters before
+    /// decoding (via the same fill the decoder uses) and subtract here;
+    /// [`crate::Lease::settle`] does it for every leased decode. The
+    /// per-emit fields (`tokens`, `forced_tokens`, `interventions`,
+    /// `forced_choices`) and the pool events are already per-decode and
+    /// stay untouched.
     pub fn rebase_against(&mut self, baseline: &DecodeStats) {
         self.solver_checks = self.solver_checks.saturating_sub(baseline.solver_checks);
+        self.solver_raw_checks = self
+            .solver_raw_checks
+            .saturating_sub(baseline.solver_raw_checks);
         self.solver_checks_saved = self
             .solver_checks_saved
             .saturating_sub(baseline.solver_checks_saved);
@@ -154,9 +165,6 @@ impl DecodeStats {
         self.encode_cache_misses = self
             .encode_cache_misses
             .saturating_sub(baseline.encode_cache_misses);
-        self.pool_hits = self.pool_hits.saturating_sub(baseline.pool_hits);
-        self.pool_misses = self.pool_misses.saturating_sub(baseline.pool_misses);
-        self.pool_evictions = self.pool_evictions.saturating_sub(baseline.pool_evictions);
     }
 }
 
@@ -204,12 +212,8 @@ impl<'m, M: LanguageModel> JitDecoder<'m, M> {
         prompt: &str,
         rng: &mut R,
     ) -> Result<DecodedOutput, DecodeError> {
-        let mut job = SessionJob {
-            session,
-            rng,
-            trace: None,
-        };
-        self.run(&mut job, schema, prompt)
+        let mut job = self.job(session, rng);
+        decode_lane(self.model, schema, &self.sampler, &mut job, prompt)
     }
 
     /// Like [`Self::decode`], additionally returning a per-character
@@ -221,29 +225,17 @@ impl<'m, M: LanguageModel> JitDecoder<'m, M> {
         prompt: &str,
         rng: &mut R,
     ) -> Result<(DecodedOutput, DecodeTrace), DecodeError> {
-        let mut job = SessionJob {
-            session,
-            rng,
-            trace: Some(DecodeTrace::default()),
-        };
-        let out = self.run(&mut job, schema, prompt)?;
-        Ok((out, job.trace.unwrap_or_default()))
+        let mut job = self.job(session, rng).traced();
+        let out = decode_lane(self.model, schema, &self.sampler, &mut job, prompt)?;
+        Ok((out, job.into_parts().1.unwrap_or_default()))
     }
 
-    fn run<R: Rng>(
+    fn job<'a, R: Rng>(
         &self,
-        job: &mut SessionJob<'_, R>,
-        schema: &DecodeSchema,
-        prompt: &str,
-    ) -> Result<DecodedOutput, DecodeError> {
-        decode_lane(
-            self.model,
-            schema,
-            &self.sampler,
-            self.lookahead,
-            job,
-            prompt,
-        )
+        session: &'a mut JitSession,
+        rng: &'a mut R,
+    ) -> SessionJob<&'a mut JitSession, &'a mut R> {
+        SessionJob::new(session, rng).with_lookahead(self.lookahead)
     }
 
     /// Decodes a group of records lock-step, one `(session, prompt, rng)`
@@ -263,23 +255,18 @@ impl<'m, M: LanguageModel> JitDecoder<'m, M> {
         schema: &DecodeSchema,
         lanes: &mut [(&mut JitSession, &str, &mut R)],
     ) -> Vec<Result<DecodedOutput, DecodeError>> {
-        let mut batcher = ContinuousBatcher::new(schema.clone(), self.sampler, lanes.len())
-            .with_lookahead(self.lookahead);
+        let mut batcher = ContinuousBatcher::new(schema.clone(), self.sampler, lanes.len());
         let mut results: Vec<Result<DecodedOutput, DecodeError>> = lanes
             .iter()
             .map(|_| Err(DecodeError::Internal("lane never resolved")))
             .collect();
-        let mut settle = |f: FinishedLane<SessionJob<'_, R>>| {
+        let mut settle = |f: FinishedLane<_>| {
             if let Some(r) = results.get_mut(f.tag as usize) {
                 *r = f.result;
             }
         };
         for (i, (session, prompt, rng)) in lanes.iter_mut().enumerate() {
-            let job = SessionJob {
-                session,
-                rng: &mut **rng,
-                trace: None,
-            };
+            let job = self.job(session, rng);
             match batcher.admit(self.model, job, prompt, i as u64) {
                 AdmitOutcome::Seated => {}
                 AdmitOutcome::Finished(f) => settle(f),
@@ -300,36 +287,66 @@ impl<'m, M: LanguageModel> JitDecoder<'m, M> {
 }
 
 /// The session-backed [`LaneJob`]: character sets come from the transition
-/// system, commits become partial instantiations. Borrowed per-record
-/// state, so one type serves the serial, traced and fixed-group drivers.
-struct SessionJob<'a, R: Rng> {
-    session: &'a mut JitSession,
-    rng: &'a mut R,
+/// system under the job's own [`Lookahead`], commits become partial
+/// instantiations. Generic over who holds the session for the decode —
+/// `&mut JitSession` for [`JitDecoder`]'s drivers, a [`crate::Lease`] for a
+/// lane `lejit-serve` seats, a bare [`JitSession`] — and over an owned or
+/// borrowed RNG (`&mut R` is an [`Rng`] too).
+pub struct SessionJob<S, R> {
+    session: S,
+    rng: R,
+    lookahead: Lookahead,
     trace: Option<DecodeTrace>,
 }
 
-impl<R: Rng> LaneJob for SessionJob<'_, R> {
+impl<S: BorrowMut<JitSession>, R: Rng> SessionJob<S, R> {
+    /// A job decoding against `session` and sampling from `rng`, with the
+    /// default lookahead and no trace.
+    pub fn new(session: S, rng: R) -> Self {
+        SessionJob {
+            session,
+            rng,
+            lookahead: Lookahead::default(),
+            trace: None,
+        }
+    }
+
+    /// Overrides the lookahead policy (ablations and the `Full` oracle).
+    pub(crate) fn with_lookahead(mut self, lookahead: Lookahead) -> Self {
+        self.lookahead = lookahead;
+        self
+    }
+
+    /// Records a [`DecodeTrace`] of every generated character, handed back
+    /// by [`Self::into_parts`].
+    pub fn traced(mut self) -> Self {
+        self.trace = Some(DecodeTrace::default());
+        self
+    }
+
+    /// The session holder — to settle a lease, or keep a session — and the
+    /// trace, if one was asked for.
+    pub fn into_parts(self) -> (S, Option<DecodeTrace>) {
+        (self.session, self.trace)
+    }
+}
+
+impl<S: BorrowMut<JitSession>, R: Rng> LaneJob for SessionJob<S, R> {
     type Rng = R;
     fn admissible(&mut self) -> bool {
-        self.session.satisfiable()
+        self.session.borrow_mut().satisfiable()
     }
-    fn allowed(
-        &mut self,
-        k: usize,
-        spec: &VarSpec,
-        st: &VarState,
-        lookahead: Lookahead,
-    ) -> CharOptions {
-        allowed_chars(self.session, k, spec, st, lookahead)
+    fn allowed(&mut self, k: usize, spec: &VarSpec, st: &VarState) -> CharOptions {
+        allowed_chars(self.session.borrow_mut(), k, spec, st, self.lookahead)
     }
     fn commit(&mut self, k: usize, value: i64) {
-        self.session.fix(k, value);
+        self.session.borrow_mut().fix(k, value);
     }
     fn rng_mut(&mut self) -> &mut R {
-        self.rng
+        &mut self.rng
     }
     fn fill_stats(&self, stats: &mut DecodeStats) {
-        self.session.fill_stats(stats);
+        self.session.borrow().fill_stats(stats);
     }
     fn trace_mut(&mut self) -> Option<&mut DecodeTrace> {
         self.trace.as_mut()

@@ -1,8 +1,9 @@
 //! The lane engine: the one place a character is decided.
 //!
 //! A *lane* is one record mid-decode: its walk over the schema plus the
-//! caller's [`LaneJob`] (mask source, RNG, optional trace sink). Every
-//! decoding front-end drives the same two per-lane functions:
+//! caller's [`LaneJob`] (mask source and its lookahead policy, RNG, optional
+//! trace sink). Every decoding front-end drives the same two per-lane
+//! functions:
 //!
 //! ```text
 //! admit ─► mask ─► logits ─► apply ─┐      mask:  walk literals, ask the job
@@ -46,29 +47,23 @@ use lejit_lm::{sample_token, LanguageModel, SamplerConfig, TokenId, Vocab};
 use crate::decoder::{DecodeError, DecodeStats, DecodedOutput};
 use crate::schema::{DecodeSchema, SchemaItem, VarSpec};
 use crate::trace::{DecodeTrace, TraceStep};
-use crate::transition::{CharOptions, Lookahead, VarState};
+use crate::transition::{CharOptions, VarState};
 
 /// One unit of decode work a lane can host: the source of its character
-/// masks plus a private RNG stream. A session-backed job answers from
-/// [`crate::allowed_chars`] / [`crate::JitSession::fix`]; the vanilla job
-/// answers structurally and commits nothing. `lejit-serve` implements this
-/// over owned per-request state and uses the job handed back in
-/// [`FinishedLane`] to write the response and recycle the session.
+/// masks plus a private RNG stream. There are two: [`crate::SessionJob`]
+/// answers from [`crate::allowed_chars`] under its own lookahead policy and
+/// commits through [`crate::JitSession::fix`]; the vanilla job answers
+/// structurally and commits nothing. `lejit-serve` seats a `SessionJob` that
+/// owns its request's [`crate::Lease`] and settles the lease from the job
+/// handed back in [`FinishedLane`].
 pub trait LaneJob {
     /// The RNG type driving this job's sampling.
     type Rng: Rng;
     /// Admission check, run before the first character: `false` fails the
     /// lane with [`DecodeError::UnsatRules`].
     fn admissible(&mut self) -> bool;
-    /// The characters that may follow state `st` of variable `k`, under the
-    /// engine's lookahead policy.
-    fn allowed(
-        &mut self,
-        k: usize,
-        spec: &VarSpec,
-        st: &VarState,
-        lookahead: Lookahead,
-    ) -> CharOptions;
+    /// The characters that may follow state `st` of variable `k`.
+    fn allowed(&mut self, k: usize, spec: &VarSpec, st: &VarState) -> CharOptions;
     /// Variable `k` committed to `value` (its terminator was emitted).
     fn commit(&mut self, k: usize, value: i64);
     /// The job's private RNG stream.
@@ -139,7 +134,6 @@ impl LaneState {
         job: &mut J,
         schema: &DecodeSchema,
         vocab: &Vocab,
-        lookahead: Lookahead,
     ) -> Result<Option<CharOptions>, DecodeError> {
         while self.var.is_none() {
             match schema.items.get(self.item_idx) {
@@ -170,7 +164,7 @@ impl LaneState {
                 "live lane parked on a non-variable schema item",
             ));
         };
-        let opts = job.allowed(self.var_idx, spec, st, lookahead);
+        let opts = job.allowed(self.var_idx, spec, st);
         if opts.is_dead_end() {
             return Err(DecodeError::DeadEnd {
                 var: spec.name.clone(),
@@ -291,13 +285,12 @@ pub(crate) fn decode_lane<M: LanguageModel, J: LaneJob>(
     model: &M,
     schema: &DecodeSchema,
     sampler: &SamplerConfig,
-    lookahead: Lookahead,
     job: &mut J,
     prompt: &str,
 ) -> Result<DecodedOutput, DecodeError> {
     let vocab = model.vocab();
     let mut lane = LaneState::admit(job, vocab, prompt)?;
-    while let Some(opts) = lane.mask(job, schema, vocab, lookahead)? {
+    while let Some(opts) = lane.mask(job, schema, vocab)? {
         let logits = model.next_logits(&lane.context);
         lane.apply(job, schema, vocab, sampler, &opts, &logits)?;
     }
@@ -331,7 +324,7 @@ impl<J: LaneJob> LaneSlot<J> {
 pub struct FinishedLane<J: LaneJob> {
     /// The tag the job was admitted under.
     pub tag: u64,
-    /// The job, returned for recycling (e.g. releasing a pooled session).
+    /// The job, returned for recycling (e.g. settling a session lease).
     pub job: J,
     /// The decode outcome.
     pub result: Result<DecodedOutput, DecodeError>,
@@ -364,35 +357,27 @@ pub enum AdmitOutcome<J: LaneJob> {
 /// A fixed-width set of decode lanes refilled per-record: the engine behind
 /// both [`crate::JitDecoder::decode_batch`] and `lejit-serve`.
 ///
-/// The schema and lookahead policy are fixed per batcher; every admitted
-/// job decodes the same schema (its mask source supplies the rules, its
-/// prompt the conditioning). The model is passed per call so the batcher
+/// The schema is fixed per batcher; every admitted job decodes it (the job's
+/// mask source supplies the rules and the lookahead policy, its prompt the
+/// conditioning). The model is passed per call so the batcher
 /// borrows nothing long-term — callers must pass the *same* model to every
 /// call on one batcher (its vocabulary defines the token ids the seated
 /// lanes hold).
 pub struct ContinuousBatcher<J: LaneJob> {
     schema: DecodeSchema,
     sampler: SamplerConfig,
-    lookahead: Lookahead,
     slots: Vec<Option<LaneSlot<J>>>,
 }
 
 impl<J: LaneJob> ContinuousBatcher<J> {
-    /// A batcher with `capacity` lane slots over `schema`, decoding with
-    /// `sampler` and the default lookahead.
+    /// A batcher with `capacity` lane slots over `schema`, sampling with
+    /// `sampler`.
     pub fn new(schema: DecodeSchema, sampler: SamplerConfig, capacity: usize) -> Self {
         ContinuousBatcher {
             schema,
             sampler,
-            lookahead: Lookahead::default(),
             slots: (0..capacity.max(1)).map(|_| None).collect(),
         }
-    }
-
-    /// Overrides the lookahead policy.
-    pub fn with_lookahead(mut self, lookahead: Lookahead) -> Self {
-        self.lookahead = lookahead;
-        self
     }
 
     /// Whether at least one slot is free.
@@ -453,10 +438,7 @@ impl<J: LaneJob> ContinuousBatcher<J> {
             let Some(slot) = self.slots[i].as_mut() else {
                 continue;
             };
-            match slot
-                .lane
-                .mask(&mut slot.job, &self.schema, vocab, self.lookahead)
-            {
+            match slot.lane.mask(&mut slot.job, &self.schema, vocab) {
                 Ok(Some(opts)) => pending.push((i, opts)),
                 Ok(None) => self.finish(i, None, &mut out),
                 Err(e) => self.finish(i, Some(e), &mut out),

@@ -23,12 +23,13 @@
 //!   (admit → mask → logits → apply → finish, behind the [`LaneJob`]
 //!   seam), and [`ContinuousBatcher`], its fixed lane slots refilled
 //!   per-record for `decode_batch` and the `lejit-serve` scheduler,
-//! * [`decoder`] — the solver-backed drivers over that engine: serial
+//! * [`decoder`] — the session-backed [`LaneJob`] ([`SessionJob`], which
+//!   owns its lookahead policy) and the drivers that run it: serial
 //!   ([`JitDecoder::decode`]), traced ([`JitDecoder::decode_traced`]) and
 //!   lock-step batched ([`JitDecoder::decode_batch`]), plus the error and
 //!   stats types every path reports,
 //! * [`pool`] — warm solver-session pools keyed by rule-set fingerprint
-//!   ([`SessionPool`]), recycling grounded sessions across requests,
+//!   ([`SessionPool`]), recycling sessions across requests,
 //! * [`batch`] — the determinism-preserving parallel/batched harness:
 //!   per-record RNG seeding, the record-level thread pool, and the
 //!   model-level batch scheduler,
@@ -38,7 +39,9 @@
 //! * [`repair`] — post-hoc SMT repair (Fig. 1a's yellow path): arbitrary
 //!   and nearest-L1 correction of invalid outputs,
 //! * [`tasks`] — the two paper tasks built on the same engine and the same
-//!   trained model: telemetry [`Imputer`] and data [`Synthesizer`].
+//!   trained model: telemetry [`Imputer`] and data [`Synthesizer`], and the
+//!   one owner of a record's session lifecycle ([`Imputer::lease`] →
+//!   decode → [`Lease::settle`]).
 //!
 //! A minimal end-to-end decode with the default interval-guided lookahead
 //! (identical answers to [`Lookahead::Full`] at a fraction of the solver
@@ -82,13 +85,13 @@ pub mod transition;
 pub mod vanilla;
 
 pub use batch::{batch_spans, par_batches_with, par_records, par_records_with, record_seed};
-pub use decoder::{DecodeError, DecodeStats, DecodedOutput, JitDecoder};
+pub use decoder::{DecodeError, DecodeStats, DecodedOutput, JitDecoder, SessionJob};
 pub use lanes::{AdmitOutcome, ContinuousBatcher, FinishedLane, LaneJob, StepOutcome};
 pub use pool::{fnv1a64, PoolStats, PooledSession, SessionPool};
 pub use repair::{repair_arbitrary, repair_nearest, RepairError};
 pub use schema::{DecodeSchema, SchemaItem, VarSpec};
 pub use session::{JitSession, SessionCheckpoint};
-pub use tasks::{Imputer, Synthesizer, TaskConfig, TaskError};
+pub use tasks::{Imputer, Lease, Synthesizer, TaskConfig, TaskError};
 pub use trace::{DecodeTrace, TraceStep};
 pub use transition::{allowed_chars, CharOptions, Lookahead, VarState};
 pub use vanilla::{RejectionOutcome, RejectionSampler, VanillaDecoder};

@@ -14,7 +14,9 @@
 //!
 //! A shelved session holds only its base system (for the serving path:
 //! schema variables, **no rules** — per-request rules are grounded into a
-//! checkpoint frame). The reuse cycle is:
+//! checkpoint frame). No caller spells the reuse cycle out:
+//! [`crate::Imputer::lease`] runs steps 1–4 and [`crate::Lease::settle`]
+//! steps 6–7.
 //!
 //! 1. [`SessionPool::acquire`] — warm session out (or built fresh on a
 //!    cold miss),
@@ -24,9 +26,17 @@
 //!    witnesses tagged with the old one describe the weaker pre-grounding
 //!    system and must not answer for the strengthened one (nothing else
 //!    is carried between requests),
-//! 5. decode,
+//! 5. decode — the caller's step, against the [`crate::Lease`],
 //! 6. [`JitSession::rollback`] — physically retract the frame's clauses,
 //! 7. [`SessionPool::release`] — shelve for the next request.
+//!
+//! So: no hull computed before grounding answers after it (the only way to
+//! a lease runs step 4 after step 3); a shelf never holds a session with a
+//! request's frame open (`settle` rolls back before the only `release`
+//! outside tests, which debug-asserts a frameless solver) or with rules in
+//! its base frame (`settle` releases only what `lease` acquired); and a
+//! lease dropped without `settle` — a vanished client, a failed lane —
+//! takes its session with it rather than shelving an unknown state.
 //!
 //! Decoded bytes are unaffected by pooling: every lookahead tier is exact,
 //! so a warm session answers every query identically to a cold one — only
@@ -36,17 +46,15 @@
 //! # Observability
 //!
 //! Every pool event is attributed to exactly one acquisition:
-//! [`SessionPool::acquire`] notes its own hit-or-miss on the acquired
-//! session's [`lejit_smt::SolverStats`] (via
-//! [`lejit_smt::Solver::note_pool_events`]), plus any evictions that
-//! happened since the previous acquisition (evictions occur at
-//! [`SessionPool::release`] time, on a session that is being dropped — the
-//! pool carries them forward as *unattributed* until the next acquire).
-//! The returned [`PooledSession::baseline`] snapshots the session's
-//! counters from *before* those events, so diffing a post-decode
-//! [`crate::DecodeStats`] against it (see
-//! [`crate::DecodeStats::rebase_against`]) yields per-request deltas that
-//! sum to the pool's own [`SessionPool::stats`] totals.
+//! [`SessionPool::acquire`] returns its own hit-or-miss in
+//! [`PooledSession::events`], plus any evictions that happened since the
+//! previous acquisition (evictions occur at [`SessionPool::release`] time,
+//! on a session that is being dropped — the pool carries them forward as
+//! *unattributed* until the next acquire). [`crate::Lease::settle`] writes
+//! them into the request's [`crate::DecodeStats`] after rebasing the solver
+//! counters against [`PooledSession::baseline`], so per-request pool fields
+//! sum to the pool's own [`SessionPool::stats`] totals and the solver
+//! underneath never hears of a pool.
 
 use std::collections::BTreeMap;
 
@@ -78,15 +86,18 @@ pub struct PoolStats {
     pub evictions: u64,
 }
 
-/// An acquired session plus the counter baseline for per-request deltas.
+/// An acquired session plus what makes its next decode's stats
+/// per-request.
 pub struct PooledSession {
-    /// The session, warm or fresh, with this acquisition's pool events
-    /// already noted on its solver stats.
+    /// The session, warm or fresh.
     pub session: JitSession,
-    /// The session's counters as they stood before this acquisition's pool
-    /// events — rebase a post-decode [`DecodeStats`] against this to get
-    /// per-request numbers ([`DecodeStats::rebase_against`]).
+    /// The session's lifetime counters at acquisition — rebase a
+    /// post-decode [`DecodeStats`] against this to get per-request numbers
+    /// ([`DecodeStats::rebase_against`]).
     pub baseline: DecodeStats,
+    /// This acquisition's pool events: its hit or miss, and the evictions
+    /// since the previous acquisition.
+    pub events: PoolStats,
 }
 
 /// A shelf of warm [`JitSession`]s per rule-set fingerprint.
@@ -99,7 +110,7 @@ pub struct SessionPool {
     shelves: BTreeMap<u64, Vec<JitSession>>,
     per_key_cap: usize,
     stats: PoolStats,
-    /// Evictions since the last acquire, not yet noted on any session.
+    /// Evictions since the last acquire, not yet handed to any acquisition.
     unattributed_evictions: u64,
 }
 
@@ -117,32 +128,36 @@ impl SessionPool {
 
     /// Takes a warm session for `key`, or builds one with `build` on a cold
     /// miss. The acquisition's pool events (this hit/miss plus any
-    /// unattributed evictions) are noted on the returned session's solver
-    /// stats; [`PooledSession::baseline`] predates them.
+    /// unattributed evictions) come back in [`PooledSession::events`].
     pub fn acquire(&mut self, key: u64, build: impl FnOnce() -> JitSession) -> PooledSession {
-        let (mut session, hit) = match self.shelves.get_mut(&key).and_then(Vec::pop) {
+        let (session, hit) = match self.shelves.get_mut(&key).and_then(Vec::pop) {
             Some(s) => (s, true),
             None => (build(), false),
         };
-        if hit {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-        }
+        let events = PoolStats {
+            hits: u64::from(hit),
+            misses: u64::from(!hit),
+            evictions: std::mem::take(&mut self.unattributed_evictions),
+        };
+        self.stats.hits += events.hits;
+        self.stats.misses += events.misses;
         let mut baseline = DecodeStats::default();
         session.fill_stats(&mut baseline);
-        let evictions = std::mem::take(&mut self.unattributed_evictions);
-        session
-            .solver_mut()
-            .note_pool_events(u64::from(hit), u64::from(!hit), evictions);
-        PooledSession { session, baseline }
+        PooledSession {
+            session,
+            baseline,
+            events,
+        }
     }
 
     /// Shelves `session` under `key` for the next acquisition. If the
     /// shelf is at capacity the *incoming* session is dropped (the shelved
     /// ones are at least as recently used) and counted as an eviction,
-    /// attributed to the next acquire.
+    /// attributed to the next acquire. The session must be back at its base
+    /// system: a frame left open would leak one request's rules into the
+    /// next.
     pub fn release(&mut self, key: u64, session: JitSession) {
+        debug_assert_eq!(session.solver().num_frames(), 0, "shelving an open frame");
         let shelf = self.shelves.entry(key).or_default();
         if shelf.len() < self.per_key_cap {
             shelf.push(session);
@@ -186,8 +201,7 @@ mod tests {
         let mut pool = SessionPool::new(4);
         let a = pool.acquire(7, bare_session);
         assert_eq!(pool.stats().misses, 1);
-        assert_eq!(a.session.solver().stats().pool_misses, 1);
-        assert_eq!(a.baseline.pool_misses, 0, "baseline predates the events");
+        assert_eq!((a.events.hits, a.events.misses), (0, 1));
         pool.release(7, a.session);
         assert_eq!(pool.shelved(), 1);
         let b = pool.acquire(7, bare_session);
@@ -199,7 +213,7 @@ mod tests {
                 evictions: 0
             }
         );
-        assert_eq!(b.session.solver().stats().pool_hits, 1);
+        assert_eq!((b.events.hits, b.events.misses), (1, 0));
         // A different key misses even with key 7 shelved.
         pool.release(7, b.session);
         let c = pool.acquire(8, bare_session);
@@ -215,22 +229,21 @@ mod tests {
         pool.release(3, bare_session()); // shelf full → dropped
         assert_eq!(pool.stats().evictions, 1);
         assert_eq!(pool.shelved(), 1);
+        // The acquire carries the eviction.
         let a = pool.acquire(3, bare_session);
-        assert_eq!(a.session.solver().stats().pool_evictions, 1);
-        // Per-request delta view: the acquire carries the eviction.
-        let mut after = DecodeStats::default();
-        a.session.fill_stats(&mut after);
-        let mut delta = after;
-        delta.rebase_against(&a.baseline);
-        assert_eq!(delta.pool_hits, 1);
-        assert_eq!(delta.pool_evictions, 1);
+        assert_eq!((a.events.hits, a.events.evictions), (1, 1));
         // The next acquire carries nothing stale.
         pool.release(3, a.session);
         let b = pool.acquire(3, bare_session);
-        let mut after_b = DecodeStats::default();
-        b.session.fill_stats(&mut after_b);
-        let mut delta_b = after_b;
-        delta_b.rebase_against(&b.baseline);
-        assert_eq!(delta_b.pool_evictions, 0);
+        assert_eq!(b.events.evictions, 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "shelving an open frame")]
+    fn releasing_a_session_with_an_open_frame_is_refused() {
+        let mut session = bare_session();
+        let _cp = session.checkpoint();
+        SessionPool::new(1).release(3, session);
     }
 }

@@ -178,15 +178,13 @@ impl JitSession {
         stats.solver_checks = self.checks;
         stats.solver_checks_saved = self.checks_saved;
         let s = self.solver.stats();
+        stats.solver_raw_checks = s.checks;
         stats.solver_pivots = s.pivots;
         stats.solver_bnb_nodes = s.bnb_nodes;
         stats.theory_propagations = s.theory_propagations;
         stats.theory_explanations = s.theory_explanations;
         stats.encode_cache_hits = s.encode_cache_hits;
         stats.encode_cache_misses = s.encode_cache_misses;
-        stats.pool_hits = s.pool_hits;
-        stats.pool_misses = s.pool_misses;
-        stats.pool_evictions = s.pool_evictions;
     }
 
     /// Whether the full constraint system is currently satisfiable.

@@ -10,6 +10,7 @@
 //! same four decoding modes used throughout the evaluation:
 //! JIT (LeJIT), vanilla, rejection sampling, and post-hoc repair.
 
+use std::borrow::{Borrow, BorrowMut};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -21,11 +22,11 @@ use lejit_rules::{ground_rule, GroundCtx, RuleSet};
 use lejit_smt::{Solver, TermId};
 use lejit_telemetry::{encode_prompt, CoarseField, CoarseSignals, PROMPT_SEPARATOR};
 
-use crate::decoder::{DecodeError, DecodedOutput, JitDecoder};
-use crate::pool::{fnv1a64, PooledSession, SessionPool};
+use crate::decoder::{DecodeError, DecodeStats, DecodedOutput, JitDecoder};
+use crate::pool::{fnv1a64, PoolStats, SessionPool};
 use crate::repair::{repair_nearest, RepairError};
 use crate::schema::DecodeSchema;
-use crate::session::JitSession;
+use crate::session::{JitSession, SessionCheckpoint};
 use crate::transition::Lookahead;
 use crate::vanilla::{RejectionOutcome, RejectionSampler, VanillaDecoder};
 
@@ -141,6 +142,67 @@ impl From<RepairError> for TaskError {
 }
 
 // ---------------------------------------------------------------------------
+// The session lifecycle
+// ---------------------------------------------------------------------------
+
+/// One record's hold on a solver session: this window's rules grounded, a
+/// [`JitSession::checkpoint`] frame open around the decode. The only way in
+/// is [`Imputer::lease`], the only way out that recycles the session is
+/// [`Lease::settle`]; in between the lease lends the session
+/// (`BorrowMut<JitSession>`) to whoever decodes — [`JitDecoder::decode`], or
+/// a [`crate::SessionJob`] that owns the lease for as long as a lane takes.
+/// A lease dropped without `settle` takes its session with it: nothing
+/// half-decoded reaches a shelf ([`SessionPool`]'s soundness protocol).
+pub struct Lease {
+    session: JitSession,
+    cp: SessionCheckpoint,
+    /// The session's counters before this record (zero for a fresh one).
+    baseline: DecodeStats,
+    /// For a session out of a pool: its shelf key and the acquisition's
+    /// events.
+    pooled: Option<(u64, PoolStats)>,
+}
+
+impl Borrow<JitSession> for Lease {
+    fn borrow(&self) -> &JitSession {
+        &self.session
+    }
+}
+
+impl BorrowMut<JitSession> for Lease {
+    fn borrow_mut(&mut self) -> &mut JitSession {
+        &mut self.session
+    }
+}
+
+impl Lease {
+    /// Ends the lease: rolls the session back, shelves it in `pool` if that
+    /// is where [`Imputer::lease`] took it from (a fresh session, whose base
+    /// frame carries this window's rules, is dropped), and makes `result`'s
+    /// stats this record's — solver counters rebased against the lease's
+    /// baseline, pool fields set to this acquisition's events.
+    pub fn settle(
+        mut self,
+        pool: Option<&mut SessionPool>,
+        result: Result<DecodedOutput, DecodeError>,
+    ) -> Result<DecodedOutput, DecodeError> {
+        self.session.rollback(self.cp);
+        if let (Some(pool), Some((key, _))) = (pool, self.pooled) {
+            pool.release(key, self.session);
+        }
+        result.map(|mut out| {
+            out.stats.rebase_against(&self.baseline);
+            if let Some((_, events)) = self.pooled {
+                out.stats.pool_hits = events.hits;
+                out.stats.pool_misses = events.misses;
+                out.stats.pool_evictions = events.evictions;
+            }
+            out
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Imputation
 // ---------------------------------------------------------------------------
 
@@ -239,63 +301,79 @@ impl<'m, M: LanguageModel> Imputer<'m, M> {
         p
     }
 
+    /// Checks a session out for one window, ready to decode: the only code
+    /// that runs the front half of the session lifecycle ([`Lease::settle`]
+    /// runs the back half). With a pool, a warm session acquired under
+    /// [`Self::pool_key`] (built bare on a miss), the rules grounded
+    /// *inside* a checkpoint frame and [`JitSession::invalidate_derived`]
+    /// after them, so `settle` can shelve it rule-free. Without one, a
+    /// session from [`Self::build_session`] — rules in its base frame — and
+    /// the frame opened over them. The solver trajectory inside the frame,
+    /// and so every decoded byte, is the same either way.
+    pub fn lease(&self, pool: Option<&mut SessionPool>, coarse: &CoarseSignals) -> Lease {
+        let Some(pool) = pool else {
+            let (mut session, _) = self.build_session(coarse);
+            return Lease {
+                cp: session.checkpoint(),
+                session,
+                baseline: DecodeStats::default(),
+                pooled: None,
+            };
+        };
+        let key = self.pool_key();
+        let mut got = pool.acquire(key, || JitSession::new(&self.schema()));
+        apply_theory_config(&self.config, &mut got.session);
+        let cp = got.session.checkpoint();
+        self.ground_in(&mut got.session, coarse);
+        got.session.invalidate_derived();
+        Lease {
+            session: got.session,
+            cp,
+            baseline: got.baseline,
+            pooled: Some((key, got.events)),
+        }
+    }
+
+    /// Lease → decode → settle, with or without a pool.
+    fn impute_in<R: Rng>(
+        &self,
+        mut pool: Option<&mut SessionPool>,
+        coarse: &CoarseSignals,
+        rng: &mut R,
+    ) -> Result<DecodedOutput, DecodeError> {
+        let mut lease = self.lease(pool.as_deref_mut(), coarse);
+        let (schema, prompt) = (self.schema(), self.prompt(coarse));
+        let out = self
+            .decoder()
+            .decode(lease.borrow_mut(), &schema, &prompt, rng);
+        lease.settle(pool, out)
+    }
+
     /// LeJIT imputation: guaranteed rule-compliant output, from a session
-    /// built fresh for this window. The decode runs inside a
-    /// [`JitSession::checkpoint`] frame like every other path, so the solver
-    /// trajectory (and its counters) matches the pooled and grouped decodes
-    /// of the same window.
+    /// built fresh for this window. The decode runs inside a checkpoint
+    /// frame like every other path, so the solver trajectory (and its
+    /// counters) matches the pooled and grouped decodes of the same window.
     pub fn impute<R: Rng>(
         &self,
         coarse: &CoarseSignals,
         rng: &mut R,
     ) -> Result<DecodedOutput, DecodeError> {
-        let (mut session, schema) = self.build_session(coarse);
-        let cp = session.checkpoint();
-        let out = self
-            .decoder()
-            .decode(&mut session, &schema, &self.prompt(coarse), rng);
-        session.rollback(cp);
-        out
+        self.impute_in(None, coarse, rng)
     }
 
     /// LeJIT imputation against a warm session from `pool` (the serving
-    /// path): acquire under [`Self::pool_key`], ground this window's rules
-    /// into a checkpoint frame, invalidate derived state, decode, roll
-    /// back, release.
-    ///
-    /// Decoded bytes are identical to [`Self::impute`] on a fresh session —
-    /// every lookahead tier is exact, so pooling changes cost, not answers.
-    /// The returned stats are rebased to this request
-    /// ([`DecodeStats::rebase_against`]): per-request solver work plus this
-    /// acquisition's pool events, rather than the session's lifetime
+    /// path). Decoded bytes are identical to [`Self::impute`] on a fresh
+    /// session — every lookahead tier is exact, so pooling changes cost, not
+    /// answers — and the returned stats are this request's: its solver work
+    /// plus this acquisition's pool events, not the session's lifetime
     /// totals.
-    ///
-    /// [`DecodeStats::rebase_against`]: crate::DecodeStats::rebase_against
     pub fn impute_pooled<R: Rng>(
         &self,
         pool: &mut SessionPool,
         coarse: &CoarseSignals,
         rng: &mut R,
     ) -> Result<DecodedOutput, DecodeError> {
-        let schema = self.schema();
-        let key = self.pool_key();
-        let PooledSession {
-            mut session,
-            baseline,
-        } = pool.acquire(key, || JitSession::new(&schema));
-        apply_theory_config(&self.config, &mut session);
-        let cp = session.checkpoint();
-        self.ground_in(&mut session, coarse);
-        session.invalidate_derived();
-        let out = self
-            .decoder()
-            .decode(&mut session, &schema, &self.prompt(coarse), rng);
-        session.rollback(cp);
-        pool.release(key, session);
-        out.map(|mut o| {
-            o.stats.rebase_against(&baseline);
-            o
-        })
+        self.impute_in(Some(pool), coarse, rng)
     }
 
     /// LeJIT imputation of a group of windows, lock-step through batched
@@ -315,27 +393,22 @@ impl<'m, M: LanguageModel> Imputer<'m, M> {
         rngs: &mut [R],
     ) -> Vec<Result<DecodedOutput, DecodeError>> {
         assert_eq!(rngs.len(), windows.len(), "one RNG per window");
-        let schema = self.schema();
-        // Checkpoint/rollback framing keeps each lane's solver trajectory
-        // exactly the serial `impute`'s.
-        let mut owned: Vec<_> = windows
-            .iter()
-            .map(|w| {
-                let mut session = self.build_session(w).0;
-                let cp = session.checkpoint();
-                (session, cp, self.prompt(w))
-            })
-            .collect();
-        let mut lanes: Vec<_> = owned
+        // One lease per lane keeps each lane's solver trajectory exactly
+        // the serial `impute`'s.
+        let mut leases: Vec<Lease> = windows.iter().map(|w| self.lease(None, w)).collect();
+        let prompts: Vec<String> = windows.iter().map(|w| self.prompt(w)).collect();
+        let mut lanes: Vec<_> = leases
             .iter_mut()
+            .zip(&prompts)
             .zip(rngs)
-            .map(|((session, _, prompt), rng)| (session, prompt.as_str(), rng))
+            .map(|((lease, prompt), rng)| (lease.borrow_mut(), prompt.as_str(), rng))
             .collect();
-        let out = self.decoder().decode_batch(&schema, &mut lanes);
-        for (mut session, cp, _) in owned {
-            session.rollback(cp);
-        }
-        out
+        let out = self.decoder().decode_batch(&self.schema(), &mut lanes);
+        leases
+            .into_iter()
+            .zip(out)
+            .map(|(lease, result)| lease.settle(None, result))
+            .collect()
     }
 
     /// Vanilla imputation: structural masking only, rules ignored.
@@ -705,6 +778,96 @@ mod tests {
             b.stats.solver_checks,
             a.stats.solver_checks
         );
+    }
+
+    #[test]
+    fn a_lease_dropped_without_settle_takes_its_session_with_it() {
+        // The vanished client, the failed lane: a session abandoned
+        // mid-decode is in an unknown state and must not reach a shelf.
+        let d = dataset();
+        let model = imputation_model(&d);
+        let imputer = Imputer::new(
+            &model,
+            paper_ruleset(),
+            d.window_len,
+            d.bandwidth,
+            TaskConfig::default(),
+        );
+        let mut pool = SessionPool::new(2);
+        let w = d.test[0].coarse;
+        let pooled = |pool: &mut SessionPool| {
+            imputer
+                .impute_pooled(pool, &w, &mut StdRng::seed_from_u64(3))
+                .unwrap()
+        };
+        let fresh = imputer.impute(&w, &mut StdRng::seed_from_u64(3)).unwrap();
+        assert_eq!(pooled(&mut pool).text, fresh.text);
+        assert_eq!(pool.shelved(), 1);
+
+        let mut lease = imputer.lease(Some(&mut pool), &d.test[1].coarse);
+        let shelved_while_leased = pool.shelved();
+        assert_eq!(shelved_while_leased, 0, "the warm session is out on lease");
+        let session: &mut JitSession = lease.borrow_mut();
+        assert!(session.satisfiable());
+        session.fix(0, 0); // half a decode
+        drop(lease);
+        assert_eq!(pool.shelved(), shelved_while_leased);
+
+        // The next lease for the key finds no shelf, builds cold, and
+        // decodes what a fresh session decodes.
+        let next = pooled(&mut pool);
+        assert_eq!(next.text, fresh.text);
+        assert_eq!((next.stats.pool_hits, next.stats.pool_misses), (0, 1));
+        assert_eq!(pool.shelved(), 1);
+    }
+
+    #[test]
+    fn per_request_pool_events_sum_to_the_pool_totals() {
+        // A one-slot shelf and two leases out at once: both miss, the second
+        // to settle finds the shelf full and is evicted, and that eviction
+        // lands on the acquisition after it.
+        let d = dataset();
+        let model = imputation_model(&d);
+        let imputer = Imputer::new(
+            &model,
+            paper_ruleset(),
+            d.window_len,
+            d.bandwidth,
+            TaskConfig::default(),
+        );
+        let mut pool = SessionPool::new(1);
+        let decode = |lease: &mut Lease, w: &CoarseSignals| {
+            imputer.decoder().decode(
+                lease.borrow_mut(),
+                &imputer.schema(),
+                &imputer.prompt(w),
+                &mut StdRng::seed_from_u64(8),
+            )
+        };
+        let (wa, wb) = (d.test[0].coarse, d.test[1].coarse);
+        let mut a = imputer.lease(Some(&mut pool), &wa);
+        let mut b = imputer.lease(Some(&mut pool), &wb);
+        let (out_a, out_b) = (decode(&mut a, &wa), decode(&mut b, &wb));
+        let out_a = a.settle(Some(&mut pool), out_a).unwrap();
+        let out_b = b.settle(Some(&mut pool), out_b).unwrap();
+        assert_eq!(pool.shelved(), 1);
+        let out_c = imputer
+            .impute_pooled(&mut pool, &wa, &mut StdRng::seed_from_u64(8))
+            .unwrap();
+        assert_eq!(out_c.text, out_a.text);
+
+        let events = |o: &DecodedOutput| {
+            (
+                o.stats.pool_hits,
+                o.stats.pool_misses,
+                o.stats.pool_evictions,
+            )
+        };
+        assert_eq!(events(&out_a), (0, 1, 0));
+        assert_eq!(events(&out_b), (0, 1, 0));
+        assert_eq!(events(&out_c), (1, 0, 1), "the eviction follows b");
+        let total = pool.stats();
+        assert_eq!((total.hits, total.misses, total.evictions), (1, 2, 1));
     }
 
     #[test]

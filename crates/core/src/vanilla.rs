@@ -17,7 +17,7 @@ use lejit_lm::{LanguageModel, SamplerConfig};
 use crate::decoder::{DecodeError, DecodeStats, DecodedOutput};
 use crate::lanes::{decode_lane, LaneJob};
 use crate::schema::{DecodeSchema, VarSpec};
-use crate::transition::{CharOptions, Lookahead, VarState};
+use crate::transition::{CharOptions, VarState};
 
 /// Structural-only masking: everything that keeps the output *parseable*,
 /// nothing that keeps it *correct*.
@@ -57,7 +57,6 @@ impl<'m, M: LanguageModel> VanillaDecoder<'m, M> {
             self.model,
             schema,
             &self.sampler,
-            Lookahead::default(),
             &mut StructuralJob(rng),
             prompt,
         )
@@ -73,7 +72,7 @@ impl<R: Rng> LaneJob for StructuralJob<'_, R> {
     fn admissible(&mut self) -> bool {
         true
     }
-    fn allowed(&mut self, _k: usize, spec: &VarSpec, st: &VarState, _: Lookahead) -> CharOptions {
+    fn allowed(&mut self, _k: usize, spec: &VarSpec, st: &VarState) -> CharOptions {
         structural_options(spec, st)
     }
     fn commit(&mut self, _k: usize, _value: i64) {}

@@ -13,9 +13,8 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use lejit_core::{
-    allowed_chars, record_seed, AdmitOutcome, CharOptions, ContinuousBatcher, DecodeStats,
-    DecodeTrace, DecodedOutput, FinishedLane, Imputer, JitDecoder, JitSession, LaneJob, Lookahead,
-    TaskConfig, VarSpec, VarState,
+    record_seed, AdmitOutcome, ContinuousBatcher, DecodedOutput, FinishedLane, Imputer, JitDecoder,
+    JitSession, SessionJob, TaskConfig,
 };
 use lejit_lm::{NgramLm, Vocab};
 use lejit_rules::parse_rules;
@@ -57,35 +56,9 @@ fn imputer<'m>(model: &'m NgramLm, d: &lejit_telemetry::Dataset) -> Imputer<'m, 
     )
 }
 
-/// An owned per-request job, as `lejit-serve` seats them — plus an optional
-/// trace sink.
-struct OwnedJob {
-    session: JitSession,
-    rng: StdRng,
-    trace: Option<DecodeTrace>,
-}
-
-impl LaneJob for OwnedJob {
-    type Rng = StdRng;
-    fn admissible(&mut self) -> bool {
-        self.session.satisfiable()
-    }
-    fn allowed(&mut self, k: usize, spec: &VarSpec, st: &VarState, la: Lookahead) -> CharOptions {
-        allowed_chars(&mut self.session, k, spec, st, la)
-    }
-    fn commit(&mut self, k: usize, value: i64) {
-        self.session.fix(k, value);
-    }
-    fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-    fn fill_stats(&self, stats: &mut DecodeStats) {
-        self.session.fill_stats(stats);
-    }
-    fn trace_mut(&mut self) -> Option<&mut DecodeTrace> {
-        self.trace.as_mut()
-    }
-}
+/// An owned per-request job, as `lejit-serve` seats them — here holding a
+/// bare session where the server's holds a lease.
+type OwnedJob = SessionJob<JitSession, StdRng>;
 
 /// Deterministic driver-side randomness (admission order / step
 /// interleaving) — deliberately distinct from the decode RNGs.
@@ -160,11 +133,8 @@ fn run_interleaved(
             let i = order[next];
             next += 1;
             let (session, _) = imputer.build_session(&windows[i]);
-            let job = OwnedJob {
-                session,
-                rng: StdRng::seed_from_u64(record_seed(base_seed, i as u64)),
-                trace: None,
-            };
+            let rng = StdRng::seed_from_u64(record_seed(base_seed, i as u64));
+            let job = OwnedJob::new(session, rng);
             match batcher.admit(model, job, &imputer.prompt(&windows[i]), i as u64) {
                 AdmitOutcome::Seated => {}
                 AdmitOutcome::Finished(f) => settle(f, &mut results),
@@ -234,11 +204,8 @@ fn traced_lane_beside_untraced_lanes_matches_serial_trace() {
     let mut batcher: ContinuousBatcher<OwnedJob> =
         ContinuousBatcher::new(imp.schema(), TaskConfig::default().sampler, 4);
     for (i, w) in windows.iter().enumerate() {
-        let job = OwnedJob {
-            session: imp.build_session(w).0,
-            rng: rng_for(i),
-            trace: (i == traced_lane).then(DecodeTrace::default),
-        };
+        let job = OwnedJob::new(imp.build_session(w).0, rng_for(i));
+        let job = if i == traced_lane { job.traced() } else { job };
         assert!(matches!(
             batcher.admit(&model, job, &imp.prompt(w), i as u64),
             AdmitOutcome::Seated
@@ -251,11 +218,12 @@ fn traced_lane_beside_untraced_lanes_matches_serial_trace() {
     assert_eq!(finished.len(), windows.len());
     for f in finished {
         let out = f.result.unwrap();
+        let (_, trace) = f.job.into_parts();
         if f.tag as usize != traced_lane {
-            assert!(f.job.trace.is_none());
+            assert!(trace.is_none());
             continue;
         }
-        let trace = f.job.trace.unwrap();
+        let trace = trace.unwrap();
         assert_eq!(out.text, want_out.text);
         assert_eq!(format!("{trace:?}"), format!("{want_trace:?}"));
         assert_eq!(

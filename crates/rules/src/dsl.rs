@@ -177,13 +177,36 @@ fn tokenize(src: &str) -> Result<Vec<(Tok, usize)>, ParseError> {
     Ok(out)
 }
 
+/// Deepest nesting (parentheses, `not`, quantifiers, `=>` chains) a rule may
+/// have. The parser recurses once per level and rule text can arrive from
+/// the network (`lejit-serve`'s inline `rules`): unbounded, a line of
+/// parentheses overflows the reading thread's stack and aborts the process.
+/// Mined and hand-written rules nest a handful of levels.
+const MAX_DEPTH: usize = 64;
+
 struct Parser {
     toks: Vec<(Tok, usize)>,
     pos: usize,
     src_len: usize,
+    /// Open [`Self::nested`] levels.
+    depth: usize,
 }
 
 impl Parser {
+    /// Runs one level of recursive descent, refusing past [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        level: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let out = level(self);
+        self.depth -= 1;
+        out
+    }
+
     fn peek(&self) -> Option<&Tok> {
         self.toks.get(self.pos).map(|(t, _)| t)
     }
@@ -256,7 +279,15 @@ impl Parser {
     }
 
     // pred := or ("=>" pred)?
+    //
+    // Every cycle through the grammar holds a `nested` level open: `=>`,
+    // parentheses and quantifiers re-enter here, `not` re-enters
+    // `unary_pred`, a parenthesized expression re-enters `factor`.
     fn pred(&mut self) -> Result<Pred, ParseError> {
+        self.nested(Self::pred_level)
+    }
+
+    fn pred_level(&mut self) -> Result<Pred, ParseError> {
         let lhs = self.or_pred()?;
         if self.peek() == Some(&Tok::Arrow) {
             self.pos += 1;
@@ -294,6 +325,10 @@ impl Parser {
     }
 
     fn unary_pred(&mut self) -> Result<Pred, ParseError> {
+        self.nested(Self::unary_pred_level)
+    }
+
+    fn unary_pred_level(&mut self) -> Result<Pred, ParseError> {
         match self.peek() {
             Some(Tok::Ident(s)) if s == "not" => {
                 self.pos += 1;
@@ -394,6 +429,10 @@ impl Parser {
     }
 
     fn factor(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Self::factor_level)
+    }
+
+    fn factor_level(&mut self) -> Result<Expr, ParseError> {
         match self.bump() {
             Some(Tok::Int(n)) => Ok(Expr::Const(n)),
             Some(Tok::Minus) => match self.bump() {
@@ -456,15 +495,19 @@ impl Parser {
     }
 }
 
-/// Structural validation: `max`/`min` only stand alone on comparison sides,
-/// `fine[t]` only under a quantifier, and comparison sides are otherwise
-/// linear.
+/// Structural validation: `max`/`min` only stand alone on comparison sides
+/// and on one side at a time (grounding expands an aggregate against a
+/// linear bound), `fine[t]` only under a quantifier, and comparison sides
+/// are otherwise linear.
 fn validate_pred(p: &Pred, under_quantifier: bool) -> Result<(), String> {
     match p {
         Pred::Cmp(_, a, b) => {
+            let aggregate = |e: &Expr| matches!(e, Expr::MaxFine | Expr::MinFine);
+            if aggregate(a) && aggregate(b) {
+                return Err("max/min on both sides of a comparison".to_string());
+            }
             for side in [a, b] {
-                let standalone_aggregate = matches!(side, Expr::MaxFine | Expr::MinFine);
-                if !standalone_aggregate && !side.is_linear() {
+                if !aggregate(side) && !side.is_linear() {
                     return Err(format!(
                         "`{side}` mixes max/min into arithmetic; max/min must stand alone"
                     ));
@@ -494,6 +537,7 @@ pub fn parse_rules(src: &str) -> Result<RuleSet, ParseError> {
         toks,
         pos: 0,
         src_len: src.len(),
+        depth: 0,
     };
     p.rules()
 }
@@ -595,6 +639,33 @@ mod tests {
     fn rejects_unknown_identifier() {
         let err = parse_rules("rule a: bogus_field > 0;").unwrap_err();
         assert!(err.message.contains("bogus_field"));
+    }
+
+    #[test]
+    fn nesting_is_bounded_so_hostile_text_cannot_overflow_the_stack() {
+        let nested = |open: &str, close: &str, n: usize| {
+            format!("rule x: {}1{} >= 0;", open.repeat(n), close.repeat(n))
+        };
+        assert!(parse_rules(&nested("(", ")", 20)).is_ok());
+        for src in [
+            nested("(", ")", 30_000),
+            format!("rule x: {}1 >= 0;", "not ".repeat(15_000)),
+            format!("rule x: {}1 >= 0;", "1 >= 0 => ".repeat(6_000)),
+            format!("rule x: {}1 >= 0;", "forall t: ".repeat(6_000)),
+        ] {
+            // On a stack the size `lejit-serve` gives a connection's reader.
+            let parse = move || parse_rules(&src).unwrap_err().message;
+            let message = std::thread::spawn(parse).join().expect("no overflow");
+            assert!(message.contains("nested deeper"), "{message}");
+        }
+    }
+
+    #[test]
+    fn rejects_an_aggregate_compared_with_an_aggregate() {
+        // Evaluable, but grounding has no expansion for it (it panicked).
+        let e = parse_rules("rule x: max(fine) >= min(fine);").unwrap_err();
+        assert!(e.message.contains("both sides"), "{e}");
+        assert!(parse_rules("rule x: max(fine) >= 2 * total_ingress;").is_ok());
     }
 
     #[test]

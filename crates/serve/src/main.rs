@@ -35,11 +35,15 @@ fn train_model(window_len: usize, bandwidth: i64) -> NgramLm {
 
 fn main() -> std::io::Result<()> {
     let config = ServeConfig::from_env();
+    // Before anything is trained on a geometry nothing can decode.
+    config.schema()?;
     let addr = std::env::var("LEJIT_SERVE_ADDR").unwrap_or_else(|_| "127.0.0.1:7433".to_string());
     eprintln!("lejit-serve: training telemetry model...");
     let model = train_model(config.window_len, config.bandwidth);
     let rules = manual_rules(config.bandwidth);
     let listener = TcpListener::bind(&addr)?;
+    let server = Server::new(model, rules, config);
+    let config = server.config();
     eprintln!(
         "lejit-serve: listening on {} ({} shards x {} lanes, queue {}, pool {})",
         listener.local_addr()?,
@@ -48,7 +52,6 @@ fn main() -> std::io::Result<()> {
         config.queue_cap,
         config.pool_per_key,
     );
-    let server = Server::new(model, rules, config);
     server.run(listener)?;
     eprintln!("lejit-serve: drained, bye");
     Ok(())

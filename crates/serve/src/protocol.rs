@@ -18,10 +18,12 @@
 //! `id` names the request in its responses (default 0); `seed` pins the
 //! sampling RNG stream (default: derived from `id` via the same splitmix64
 //! record seeding the batch paths use); `stream` opts into chunk events;
-//! `rules` overrides the server's rule set with an inline DSL program.
-//! `coarse` entries are counts in `0..=`[`MAX_COARSE`]; anything else is a
-//! `bad_request`. A line longer than [`MAX_LINE_BYTES`] or not UTF-8 is
-//! answered with `bad_request` and ends the connection.
+//! `rules` overrides the server's rule set with an inline DSL program,
+//! which must fit the server's window and `i64` arithmetic
+//! (`check_inline_rules`). `coarse` entries are counts in
+//! `0..=`[`MAX_COARSE`]; anything else is a `bad_request`. A line longer
+//! than [`MAX_LINE_BYTES`] or not UTF-8 is answered with `bad_request` and
+//! ends the connection.
 //!
 //! Responses:
 //!
@@ -37,6 +39,7 @@
 //! `missing_char`, `internal` (with `detail`).
 
 use lejit_core::DecodeError;
+use lejit_rules::{Expr, Pred, RuleSet};
 use lejit_telemetry::CoarseSignals;
 use serde_json::Value;
 
@@ -44,8 +47,9 @@ use serde_json::Value;
 /// packet counts; 2⁴⁰ is far above any real window and a factor of 2²³
 /// below `i64::MAX`, so grounding (sums of six entries times rule
 /// coefficients) stays in range while those coefficients are small — true
-/// of the server rule set and of mined ones. It does not cover an inline
-/// `rules` override that writes a huge constant itself.
+/// of the server rule set and of mined ones. An inline `rules` override
+/// writes its own coefficients; `check_inline_rules` bounds those against
+/// this cap before the request is queued.
 pub const MAX_COARSE: i64 = 1 << 40;
 
 /// Longest accepted request line, newline excluded (inline rule sets are a
@@ -146,6 +150,96 @@ pub fn parse_line(line: &str) -> Result<Op, String> {
         }
         other => Err(format!("unknown op `{other}`")),
     }
+}
+
+/// The bounds [`check_inline_rules`] holds an inline rule set to.
+struct RuleBounds {
+    /// Magnitude of one fine step: the bandwidth, and at least 1 so that a
+    /// step's coefficient is bounded along with its value.
+    fine: i128,
+    /// Fine steps per window.
+    steps: i128,
+}
+
+impl RuleBounds {
+    /// Largest magnitude a comparison's two sides may reach together: what
+    /// `i64` holds, less the 1 a strict comparison and the 1 a negated atom
+    /// add.
+    const LIMIT: i128 = i64::MAX as i128 - 2;
+
+    fn within(m: i128) -> Result<i128, String> {
+        if m <= Self::LIMIT {
+            Ok(m)
+        } else {
+            Err("constants overflow 64-bit arithmetic".to_string())
+        }
+    }
+
+    /// The largest magnitude `e` can take with cancellation ignored: `|c|`
+    /// per constant, [`MAX_COARSE`] per coarse field, the bandwidth per fine
+    /// step, sums added and products multiplied. Each subexpression is held
+    /// to the limit on its own, because grounding folds it before its parent
+    /// scales or cancels it — which also keeps these `i128` products (two
+    /// factors of at most 2⁶³) in range.
+    fn magnitude(&self, e: &Expr) -> Result<i128, String> {
+        Self::within(match e {
+            Expr::Const(n) => i128::from(*n).abs(),
+            Expr::Coarse(_) => i128::from(MAX_COARSE),
+            Expr::FineAt(k) if i128::try_from(*k).map_or(true, |k| k >= self.steps) => {
+                return Err(format!(
+                    "fine[{k}] is outside the {}-step window",
+                    self.steps
+                ));
+            }
+            Expr::FineAt(_)
+            | Expr::FineVar
+            | Expr::FineVarPlus(_)
+            | Expr::MaxFine
+            | Expr::MinFine => self.fine,
+            Expr::SumFine => self.fine.saturating_mul(self.steps),
+            Expr::Add(kids) => kids.iter().try_fold(0i128, |sum, k| {
+                Ok::<_, String>(sum.saturating_add(self.magnitude(k)?))
+            })?,
+            Expr::Sub(a, b) => self.magnitude(a)? + self.magnitude(b)?,
+            Expr::MulConst(c, inner) => i128::from(*c).abs() * self.magnitude(inner)?,
+        })
+    }
+
+    fn check(&self, p: &Pred) -> Result<(), String> {
+        match p {
+            Pred::Cmp(_, a, b) => Self::within(self.magnitude(a)? + self.magnitude(b)?).map(drop),
+            Pred::And(kids) | Pred::Or(kids) => kids.iter().try_for_each(|k| self.check(k)),
+            Pred::Not(x) | Pred::ForallT(x) | Pred::ExistsT(x) => self.check(x),
+            Pred::Implies(a, b) => {
+                self.check(a)?;
+                self.check(b)
+            }
+        }
+    }
+}
+
+/// Refuses an inline rule set the shard threads could not ground without a
+/// panic: a `fine[k]` past the window, or a comparison whose sides can leave
+/// `i64` (what the grammar itself cannot ground, `parse_rules` has already
+/// refused). Every value that
+/// constant folding, `mul_const` or the `lhs - rhs <= 0` normal form
+/// produces from a comparison is a signed partial sum of the terms
+/// `RuleBounds::magnitude` adds up, so bounding that sum keeps all of them
+/// representable. (The `i128` rationals inside simplex are not covered.)
+pub(crate) fn check_inline_rules(
+    rules: &RuleSet,
+    window_len: usize,
+    bandwidth: i64,
+) -> Result<(), String> {
+    let bounds = RuleBounds {
+        fine: i128::from(bandwidth.max(1)),
+        steps: i128::try_from(window_len).unwrap_or(i128::MAX),
+    };
+    rules.rules.iter().try_for_each(|rule| {
+        bounds
+            .check(&rule.pred)
+            .map_err(|e| format!("rule `{}`: {e}", rule.name))
+    })
 }
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
@@ -325,6 +419,45 @@ mod tests {
         for good in [0, MAX_COARSE] {
             assert!(parse_line(&line(good)).is_ok(), "{good}");
         }
+    }
+
+    #[test]
+    fn inline_rules_are_bounded_by_what_i64_grounding_can_hold() {
+        let check = |src: &str| check_inline_rules(&lejit_rules::parse_rules(src).unwrap(), 5, 60);
+        // Exactly at the limit and one past it: a coarse field weighs
+        // MAX_COARSE, a fine step the bandwidth, sum(fine) five of them.
+        let room = RuleBounds::LIMIT as i64;
+        for (lhs, weight) in [
+            ("total_ingress", MAX_COARSE),
+            ("fine[4]", 60),
+            ("sum(fine)", 300),
+            ("2 * (fine[0] - drops)", 2 * (60 + MAX_COARSE)),
+        ] {
+            let rule = |c: i64| format!("rule x: {lhs} <= {c};");
+            assert_eq!(check(&rule(room - weight)), Ok(()), "{lhs}");
+            let err = check(&rule(room - weight + 1)).unwrap_err();
+            assert!(
+                err.contains("rule `x`") && err.contains("overflow"),
+                "{err}"
+            );
+        }
+        // Held per subexpression, not only per comparison: grounding folds
+        // the inner sum before the zero drops it.
+        let max = i64::MAX;
+        assert!(check(&format!("rule x: 0 * ({max} + {max}) >= 0;")).is_err());
+        assert!(check(&format!(
+            "rule x: {max} * ({max} * ({max} * fine[0])) >= 0;"
+        ))
+        .is_err());
+        // A coefficient is bounded even where the bandwidth is zero.
+        let rules = lejit_rules::parse_rules(&format!("rule x: {max} * fine[0] >= 0;")).unwrap();
+        assert!(check_inline_rules(&rules, 5, 0).is_err());
+        // Window and shape.
+        assert!(check("rule x: fine[5] >= 0;")
+            .unwrap_err()
+            .contains("fine[5]"));
+        assert!(check("rule x: forall t: fine[t+9] >= fine[t];").is_ok());
+        assert!(check("rule x: ecn_bytes > 0 => max(fine) >= 45;").is_ok());
     }
 
     #[test]

@@ -17,11 +17,11 @@
 //! ## Determinism under interleaving
 //!
 //! A request's terminal response depends only on `(coarse, rules, seed)`:
-//! the decode runs against a private solver frame (checkpointed pooled
-//! session) with a private `splitmix64`-derived RNG stream, and every
-//! lookahead tier is exact, so neither pool warmth nor which lanes decode
-//! beside it can change a single byte. Arrival order, shard count, lane
-//! width, and queue timing are throughput knobs only — the serving
+//! the decode runs against a private solver frame (a [`lejit_core::Lease`]
+//! on a pooled session) with a private `splitmix64`-derived RNG stream, and
+//! every lookahead tier is exact, so neither pool warmth nor which lanes
+//! decode beside it can change a single byte. Arrival order, shard count,
+//! lane width, and queue timing are throughput knobs only — the serving
 //! equivalent of the workspace's `(threads, batch)` byte-identity matrix.
 //!
 //! ## Graceful drain
@@ -40,7 +40,7 @@
 //! shutdown; a platform that discards them drops those refusals.)
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -50,23 +50,24 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use lejit_core::{
-    allowed_chars, record_seed, AdmitOutcome, CharOptions, ContinuousBatcher, DecodeError,
-    DecodeSchema, DecodeStats, FinishedLane, Imputer, JitSession, LaneJob, Lookahead, PoolStats,
-    PooledSession, SessionCheckpoint, SessionPool, TaskConfig, VarSpec, VarState,
+    record_seed, AdmitOutcome, ContinuousBatcher, DecodeError, DecodeSchema, FinishedLane, Imputer,
+    Lease, PoolStats, SessionJob, SessionPool, TaskConfig,
 };
 use lejit_lm::{LanguageModel, SamplerConfig};
 use lejit_rules::{parse_rules, RuleSet};
 use lejit_telemetry::CoarseSignals;
 
 use crate::protocol::{
-    parse_line, render_bad_request, render_chunk, render_decode_err, render_drain_ack, render_ok,
-    render_overloaded, render_pong, render_shutting_down, render_stats, ImputeRequest, Op,
-    MAX_LINE_BYTES,
+    check_inline_rules, parse_line, render_bad_request, render_chunk, render_decode_err,
+    render_drain_ack, render_ok, render_overloaded, render_pong, render_shutting_down,
+    render_stats, ImputeRequest, Op, MAX_LINE_BYTES,
 };
 use crate::queue::{PushError, RequestQueue};
 
 /// Server knobs, each with a `LEJIT_SERVE_*` (or shared `LEJIT_*`)
-/// environment override — see [`ServeConfig::from_env`].
+/// environment override — see [`ServeConfig::from_env`]. [`Server::new`]
+/// raises `queue_cap`, `shards`, `lanes` and `pool_per_key` to at least 1;
+/// [`Server::run`] refuses a window geometry [`ServeConfig::schema`] does.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Bound on queued (admitted but unseated) requests; the backpressure
@@ -138,11 +139,23 @@ impl ServeConfig {
         if let Some(v) = env_parse("LEJIT_SERVE_SEED") {
             c.base_seed = v;
         }
-        c.queue_cap = c.queue_cap.max(1);
-        c.shards = c.shards.max(1);
-        c.lanes = c.lanes.max(1);
-        c.pool_per_key = c.pool_per_key.max(1);
         c
+    }
+
+    /// The schema every shard decodes, or [`ErrorKind::InvalidInput`] saying
+    /// what is wrong with `window_len` / `bandwidth` — found without the
+    /// panics `DecodeSchema::fine_series` and `JitSession::new` keep for
+    /// callers that hard-code theirs.
+    pub fn schema(&self) -> std::io::Result<DecodeSchema> {
+        let checked = if self.window_len == 0 {
+            Err("window_len must be at least 1".to_string())
+        } else {
+            let schema = DecodeSchema::fine_series(self.window_len, self.bandwidth);
+            schema.validate().map(|()| schema)
+        };
+        checked.map_err(|why| {
+            std::io::Error::new(ErrorKind::InvalidInput, format!("serve config: {why}"))
+        })
     }
 }
 
@@ -175,46 +188,20 @@ struct Request {
     conn: Arc<Mutex<TcpStream>>,
 }
 
-/// Per-request lane state: an owned pooled session plus the response route.
-struct ServeJob {
-    session: JitSession,
-    cp: SessionCheckpoint,
-    rng: StdRng,
+/// A seated request's lane state: the lease on its pooled session and its
+/// private RNG stream.
+type ServeJob = SessionJob<Lease, StdRng>;
+
+/// Where a seated request's responses go.
+struct Route {
     conn: Arc<Mutex<TcpStream>>,
-    key: u64,
     client_id: u64,
-    baseline: DecodeStats,
+    /// Whether the client asked for chunk events.
+    stream: bool,
 }
 
-impl LaneJob for ServeJob {
-    type Rng = StdRng;
-
-    fn admissible(&mut self) -> bool {
-        self.session.satisfiable()
-    }
-
-    fn allowed(
-        &mut self,
-        k: usize,
-        spec: &VarSpec,
-        st: &VarState,
-        lookahead: Lookahead,
-    ) -> CharOptions {
-        allowed_chars(&mut self.session, k, spec, st, lookahead)
-    }
-
-    fn commit(&mut self, k: usize, value: i64) {
-        self.session.fix(k, value);
-    }
-
-    fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-
-    fn fill_stats(&self, stats: &mut DecodeStats) {
-        self.session.fill_stats(stats);
-    }
-}
+/// The response routes of the requests a shard has seated, by tag.
+type Routes = BTreeMap<u64, Route>;
 
 /// Locks `m`, poisoned or not: every value guarded here is left consistent
 /// between statements, so a panicked holder has broken nothing.
@@ -267,10 +254,6 @@ fn read_request_line(reader: &mut impl BufRead) -> LineRead {
     }
 }
 
-/// Which connections a shard must route chunk events to: `tag →
-/// (connection, client id)` for the streaming requests it has seated.
-type StreamRoutes = BTreeMap<u64, (Arc<Mutex<TcpStream>>, u64)>;
-
 /// The decode server. Generic over the language model; `Sync` because the
 /// shard workers share it for batched forward passes.
 pub struct Server<M: LanguageModel + Sync> {
@@ -285,8 +268,14 @@ pub struct Server<M: LanguageModel + Sync> {
 
 impl<M: LanguageModel + Sync> Server<M> {
     /// A server decoding with `model` under `rules` (per-request inline
-    /// overrides allowed).
-    pub fn new(model: M, rules: RuleSet, config: ServeConfig) -> Self {
+    /// overrides allowed). A zero `queue_cap`, `shards`, `lanes` or
+    /// `pool_per_key` is raised to 1: none of them has a meaning at zero,
+    /// and zero shards would queue every request for ever.
+    pub fn new(model: M, rules: RuleSet, mut config: ServeConfig) -> Self {
+        config.queue_cap = config.queue_cap.max(1);
+        config.shards = config.shards.max(1);
+        config.lanes = config.lanes.max(1);
+        config.pool_per_key = config.pool_per_key.max(1);
         Server {
             model,
             rules,
@@ -326,8 +315,12 @@ impl<M: LanguageModel + Sync> Server<M> {
         }
     }
 
-    /// Serves until a `shutdown` op completes its graceful drain.
+    /// Serves until a `shutdown` op completes its graceful drain. Returns
+    /// [`ServeConfig::schema`]'s error before accepting anything if no
+    /// decode schema fits the configured geometry: a shard that panicked on
+    /// it would leave the acceptor taking connections nothing ever answers.
     pub fn run(&self, listener: TcpListener) -> std::io::Result<()> {
+        let schema = &self.config.schema()?;
         let addr = listener.local_addr()?;
         // Write halves of the open connections, so drain can unblock
         // readers stuck in `read`. A reader takes its entry out when it
@@ -338,7 +331,7 @@ impl<M: LanguageModel + Sync> Server<M> {
         thread::scope(|s| {
             let workers = s.spawn(|| {
                 minipool::ThreadPool::new(self.config.shards)
-                    .par_map(self.config.shards, |shard| self.shard_loop(shard));
+                    .par_map(self.config.shards, |_| self.shard_loop(schema.clone()));
             });
             loop {
                 let stream = match listener.accept() {
@@ -434,22 +427,26 @@ impl<M: LanguageModel + Sync> Server<M> {
         }
     }
 
-    /// Parses a decode request's rule override and pushes it onto the
-    /// bounded queue — the admission-control point.
+    /// Parses and bounds-checks a decode request's rule override and pushes
+    /// the request onto the bounded queue — the admission-control point.
+    /// Whatever passes here must ground and decode without a panic: the
+    /// shard threads have no one to answer for them.
     fn admit_request(&self, conn: &Arc<Mutex<TcpStream>>, req: ImputeRequest) {
         if self.draining() {
             write_line(conn, &render_shutting_down(req.id));
             return;
         }
-        let rules = match &req.rules {
-            Some(src) => match parse_rules(src) {
-                Ok(r) => Some(r),
-                Err(e) => {
-                    write_line(conn, &render_bad_request(&format!("rules: {e}")));
-                    return;
-                }
-            },
-            None => None,
+        let (window_len, bandwidth) = (self.config.window_len, self.config.bandwidth);
+        let inline = req.rules.as_deref().map(|src| {
+            let rules = parse_rules(src).map_err(|e| e.to_string())?;
+            check_inline_rules(&rules, window_len, bandwidth).map(|()| rules)
+        });
+        let rules = match inline.transpose() {
+            Ok(rules) => rules,
+            Err(e) => {
+                write_line(conn, &render_bad_request(&format!("rules: {e}")));
+                return;
+            }
         };
         let request = Request {
             client_id: req.id,
@@ -476,27 +473,26 @@ impl<M: LanguageModel + Sync> Server<M> {
     /// shared queue. Free lanes are refilled without blocking; the shard
     /// blocks only when fully idle, and exits once the queue is closed and
     /// drained.
-    fn shard_loop(&self, _shard: usize) {
+    fn shard_loop(&self, schema: DecodeSchema) {
         let mut pool = SessionPool::new(self.config.pool_per_key);
-        let schema = DecodeSchema::fine_series(self.config.window_len, self.config.bandwidth);
         let mut batcher: ContinuousBatcher<ServeJob> =
             ContinuousBatcher::new(schema, self.config.sampler, self.config.lanes);
         // The server rule set's imputer (and its pool fingerprint), built
         // once; only a request with an inline override builds its own.
         let imputer = self.imputer(self.rules.clone());
-        let mut streams = StreamRoutes::new();
+        let mut routes = Routes::new();
         let mut pool_seen = PoolStats::default();
         loop {
             while batcher.has_free_slot() {
                 match self.queue.try_pop() {
-                    Some(req) => self.seat(&mut batcher, &mut pool, &mut streams, &imputer, req),
+                    Some(req) => self.seat(&mut batcher, &mut pool, &mut routes, &imputer, req),
                     None => break,
                 }
             }
             if batcher.is_idle() {
                 match self.queue.pop_wait() {
                     Some(req) => {
-                        self.seat(&mut batcher, &mut pool, &mut streams, &imputer, req);
+                        self.seat(&mut batcher, &mut pool, &mut routes, &imputer, req);
                         continue;
                     }
                     None => break, // closed and drained
@@ -506,12 +502,12 @@ impl<M: LanguageModel + Sync> Server<M> {
             // Chunks first: a finishing lane's last delta must reach the
             // client before its terminal response.
             for (tag, delta) in &outcome.chunks {
-                if let Some((conn, client_id)) = streams.get(tag) {
-                    write_line(conn, &render_chunk(*client_id, delta));
+                if let Some(route) = routes.get(tag).filter(|r| r.stream) {
+                    write_line(&route.conn, &render_chunk(route.client_id, delta));
                 }
             }
             for finished in outcome.finished {
-                self.settle(&mut pool, &mut streams, finished);
+                self.settle(&mut pool, &mut routes, finished);
             }
             self.sync_pool_metrics(&pool, &mut pool_seen);
         }
@@ -531,104 +527,67 @@ impl<M: LanguageModel + Sync> Server<M> {
         )
     }
 
-    /// Seats one request: acquire a warm session under the rule-set
-    /// fingerprint, ground this window's rules in a checkpoint frame,
-    /// invalidate derived state, and admit the lane.
+    /// Seats one request: lease a warm session for its window under the
+    /// rule-set fingerprint, file its response route, and admit the lane.
     fn seat(
         &self,
         batcher: &mut ContinuousBatcher<ServeJob>,
         pool: &mut SessionPool,
-        streams: &mut StreamRoutes,
+        routes: &mut Routes,
         server_rules: &Imputer<'_, M>,
-        mut req: Request,
+        req: Request,
     ) {
         let inline;
-        let imputer = match req.rules.take() {
+        let imputer = match req.rules {
             Some(rules) => {
                 inline = self.imputer(rules);
                 &inline
             }
             None => server_rules,
         };
-        let key = imputer.pool_key();
-        let PooledSession {
-            mut session,
-            baseline,
-        } = pool.acquire(key, || JitSession::new(&imputer.schema()));
-        let cp = session.checkpoint();
-        imputer.ground_in(&mut session, &req.coarse);
-        session.invalidate_derived();
-        let prompt = imputer.prompt(&req.coarse);
-        let job = ServeJob {
-            session,
-            cp,
-            rng: StdRng::seed_from_u64(req.seed),
-            conn: Arc::clone(&req.conn),
-            key,
+        let lease = imputer.lease(Some(pool), &req.coarse);
+        let job = SessionJob::new(lease, StdRng::seed_from_u64(req.seed));
+        let route = Route {
+            conn: req.conn,
             client_id: req.client_id,
-            baseline,
+            stream: req.stream,
         };
-        if req.stream {
-            streams.insert(req.tag, (Arc::clone(&req.conn), req.client_id));
-        }
-        match batcher.admit(&self.model, job, &prompt, req.tag) {
-            AdmitOutcome::Seated => {}
-            AdmitOutcome::Finished(finished) => self.settle(pool, streams, finished),
-            AdmitOutcome::Full(job) => {
-                // Unreachable by construction (callers check
-                // `has_free_slot`); recycle and answer rather than wedge.
-                let ServeJob {
-                    mut session,
-                    cp,
-                    conn,
-                    key,
-                    client_id,
-                    ..
-                } = job;
-                session.rollback(cp);
-                pool.release(key, session);
-                streams.remove(&req.tag);
-                self.with_metrics(|m| m.failed += 1);
-                write_line(
-                    &conn,
-                    &render_decode_err(client_id, &DecodeError::Internal("no free lane slot")),
-                );
-            }
-        }
+        routes.insert(req.tag, route);
+        let prompt = imputer.prompt(&req.coarse);
+        let finished = match batcher.admit(&self.model, job, &prompt, req.tag) {
+            AdmitOutcome::Seated => return,
+            AdmitOutcome::Finished(finished) => finished,
+            // Unreachable by construction (callers check `has_free_slot`);
+            // settle and answer rather than wedge.
+            AdmitOutcome::Full(job) => FinishedLane {
+                tag: req.tag,
+                job,
+                result: Err(DecodeError::Internal("no free lane slot")),
+            },
+        };
+        self.settle(pool, routes, finished);
     }
 
-    /// Retires a finished lane: roll the session back to its pre-grounding
-    /// checkpoint, shelve it for the next request with the same
-    /// fingerprint, rebase the stats to this request, and write the
-    /// terminal response.
-    fn settle(
-        &self,
-        pool: &mut SessionPool,
-        streams: &mut StreamRoutes,
-        f: FinishedLane<ServeJob>,
-    ) {
-        let FinishedLane { tag, job, result } = f;
-        let ServeJob {
-            mut session,
-            cp,
-            conn,
-            key,
-            client_id,
-            baseline,
-            ..
-        } = job;
-        session.rollback(cp);
-        pool.release(key, session);
-        streams.remove(&tag);
+    /// Retires a finished lane: settle its lease (roll back, shelve, make
+    /// the stats this request's) and write the terminal response down its
+    /// route.
+    fn settle(&self, pool: &mut SessionPool, routes: &mut Routes, f: FinishedLane<ServeJob>) {
+        let (lease, _) = f.job.into_parts();
+        let result = lease.settle(Some(pool), f.result);
+        let Some(route) = routes.remove(&f.tag) else {
+            return;
+        };
         match result {
-            Ok(mut out) => {
-                out.stats.rebase_against(&baseline);
+            Ok(out) => {
                 self.with_metrics(|m| m.completed += 1);
-                write_line(&conn, &render_ok(client_id, &out.text, &out.values));
+                write_line(
+                    &route.conn,
+                    &render_ok(route.client_id, &out.text, &out.values),
+                );
             }
             Err(e) => {
                 self.with_metrics(|m| m.failed += 1);
-                write_line(&conn, &render_decode_err(client_id, &e));
+                write_line(&route.conn, &render_decode_err(route.client_id, &e));
             }
         }
     }

@@ -1,8 +1,9 @@
 //! End-to-end tests over a live TCP server: arrival-order determinism
 //! against a serial [`Imputer`] reference, typed overload under a
 //! saturating burst, graceful drain with no lost or duplicated responses,
-//! and hostile input (out-of-range counts, oversized and non-UTF-8 lines)
-//! that must cost a typed response and nothing else.
+//! and hostile input (out-of-range counts, inline rules the grounder cannot
+//! take, oversized and non-UTF-8 lines, a geometry no schema fits) that
+//! must cost a typed refusal and nothing else.
 
 use std::collections::BTreeMap;
 use std::io::ErrorKind::{TimedOut, WouldBlock};
@@ -10,10 +11,10 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
-use lejit_core::{record_seed, Imputer, TaskConfig};
+use lejit_core::{record_seed, Imputer, SessionPool, TaskConfig};
 use lejit_lm::{NgramLm, Vocab};
 use lejit_rules::{parse_rules, RuleSet};
-use lejit_serve::protocol::{render_ok, MAX_LINE_BYTES};
+use lejit_serve::protocol::{render_ok, MAX_COARSE, MAX_LINE_BYTES};
 use lejit_serve::{ServeConfig, Server};
 use lejit_telemetry::{
     encode_imputation_example, generate, CoarseSignals, Dataset, TelemetryConfig,
@@ -65,6 +66,12 @@ fn impute_line(id: usize, coarse: &CoarseSignals) -> String {
         r#"{{"op":"impute","id":{id},"coarse":[{},{},{},{},{},{}]}}"#,
         c[0], c[1], c[2], c[3], c[4], c[5]
     )
+}
+
+/// [`impute_line`] with an inline `rules` override.
+fn impute_line_with_rules(id: usize, coarse: &CoarseSignals, rules: &str) -> String {
+    let line = impute_line(id, coarse);
+    format!(r#"{},"rules":"{rules}"}}"#, line.trim_end_matches('}'))
 }
 
 fn connect(addr: SocketAddr) -> (BufReader<TcpStream>, TcpStream) {
@@ -465,6 +472,10 @@ fn oversized_and_non_utf8_lines_cost_one_connection_and_nothing_else() {
         ("endless", &endless),
         ("non-UTF-8", b"\xff\xfe\n"),
     ];
+    // Within the cap, but nested deeper than any thread's stack: refused
+    // like any other unparseable line, and the connection goes on.
+    let deep_json = "[".repeat(60_000);
+    let mut deep_replies = [None, None];
     std::thread::scope(|s| {
         let run = s.spawn(|| server.run(listener).unwrap());
         let (mut by_reader, mut by_stream) = connect(addr);
@@ -495,6 +506,10 @@ fn oversized_and_non_utf8_lines_cost_one_connection_and_nothing_else() {
             hostile.push((what, reply, closed, write_ended));
         }
         // A connection opened before the hostile ones is still served.
+        writeln!(by_stream, "{deep_json}").unwrap();
+        deep_replies[0] = read_reply(&mut by_reader);
+        writeln!(by_stream, "{}", impute_line(8, &valid)).unwrap();
+        deep_replies[1] = read_reply(&mut by_reader);
         writeln!(by_stream, "{}", impute_line(7, &valid)).unwrap();
         bystander = read_reply(&mut by_reader);
         shutdown(addr);
@@ -509,8 +524,261 @@ fn oversized_and_non_utf8_lines_cost_one_connection_and_nothing_else() {
         assert!(closed, "{what}: connection left open");
         assert!(write_ended, "{what}: the client's write never returned");
     }
+    let [deep_refusal, after_deep] = deep_replies;
+    let deep_refusal = deep_refusal.as_deref().unwrap_or("<no response>");
+    assert!(
+        deep_refusal.contains(r#""error":"bad_request""#),
+        "{deep_refusal}"
+    );
+    assert_eq!(
+        after_deep.as_deref(),
+        Some(expected_reply(&d, &cfg, 8, &valid).as_str())
+    );
     assert_eq!(
         bystander.as_deref(),
         Some(expected_reply(&d, &cfg, 7, &valid).as_str())
     );
+}
+
+#[test]
+fn inline_rules_the_grounder_cannot_take_get_bad_request_and_leave_the_shard_serving() {
+    // Each of these used to parse and then panic the shard thread while
+    // grounding (an index past the window, `i64` overflow folding a
+    // constant, an aggregate where only an expression grounds): that
+    // request and every later one on the shard then got no reply.
+    let d = dataset();
+    let cfg = ServeConfig {
+        shards: 1,
+        ..config(&d)
+    };
+    let valid = d.test[0].coarse;
+    // The last one never reached a shard: it overflowed the stack of the
+    // reader thread parsing it and aborted the process.
+    let deep = format!(
+        "rule x: {}1{} >= 0;",
+        "(".repeat(20_000),
+        ")".repeat(20_000)
+    );
+    let hostile = [
+        "rule x: fine[9] >= 0;",
+        "rule x: total_ingress + 9223372036854775807 >= 0;",
+        "rule x: 3 * (fine[0] * 4611686018427387904) >= 0;",
+        "rule x: 0 * (9223372036854775807 + 9223372036854775807) >= 0;",
+        "rule x: max(fine) >= min(fine);",
+        deep.as_str(),
+    ];
+    let server = Server::new(imputation_model(&d), rules(), cfg);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    // (refusal, next reply on the same connection, reply on a fresh one)
+    let mut replies: Vec<[Option<String>; 3]> = Vec::new();
+    std::thread::scope(|s| {
+        let run = s.spawn(|| server.run(listener).unwrap());
+        let (mut reader, mut stream) = connect(addr);
+        for (i, rule) in hostile.iter().enumerate() {
+            let line = impute_line_with_rules(100 + i, &valid, rule);
+            writeln!(stream, "{line}").unwrap();
+            let refusal = read_reply(&mut reader);
+            if refusal.is_none() {
+                // The shard is gone; nothing after this would be answered.
+                replies.push([None, None, None]);
+                break;
+            }
+            writeln!(stream, "{}", impute_line(2 * i, &valid)).unwrap();
+            let same_conn = read_reply(&mut reader);
+            let (mut fresh_reader, mut fresh_stream) = connect(addr);
+            writeln!(fresh_stream, "{}", impute_line(2 * i + 1, &valid)).unwrap();
+            replies.push([refusal, same_conn, read_reply(&mut fresh_reader)]);
+        }
+        shutdown(addr);
+        run.join().unwrap();
+    });
+    for (i, (rule, [refusal, same_conn, fresh_conn])) in hostile.iter().zip(&replies).enumerate() {
+        let refusal = refusal.as_deref().unwrap_or("<no response>");
+        assert!(
+            refusal.contains(r#""error":"bad_request""#) && refusal.contains("rules: "),
+            "{rule}: {refusal}"
+        );
+        for (id, reply) in [(2 * i, same_conn), (2 * i + 1, fresh_conn)] {
+            assert_eq!(
+                reply.as_deref(),
+                Some(expected_reply(&d, &cfg, id, &valid).as_str()),
+                "plain request {id} after `{rule}`"
+            );
+        }
+    }
+    assert_eq!(server.metrics().failed, 0, "refused before the queue");
+}
+
+#[test]
+fn inline_rules_at_the_edge_of_the_bounds_are_served() {
+    // The admission check refuses what cannot be grounded, not what is
+    // merely large: the last in-window index, and constants that leave the
+    // two sides of a comparison just inside `i64`, decode like any rule.
+    let d = dataset();
+    let cfg = ServeConfig {
+        shards: 1,
+        ..config(&d)
+    };
+    let valid = d.test[0].coarse;
+    let last = d.window_len - 1;
+    // Two sides, the 1 of a strict comparison and the 1 of a negated atom.
+    let largest = i64::MAX - 2 - MAX_COARSE;
+    let edge = format!(
+        "rule a: fine[{last}] >= 0; rule b: total_ingress + {largest} >= 0; \
+         rule c: sum(fine) == total_ingress;"
+    );
+    let server = Server::new(imputation_model(&d), rules(), cfg);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let mut reply = None;
+    std::thread::scope(|s| {
+        let run = s.spawn(|| server.run(listener).unwrap());
+        let (mut reader, mut stream) = connect(addr);
+        let line = impute_line_with_rules(1, &valid, &edge);
+        writeln!(stream, "{line}").unwrap();
+        reply = read_reply(&mut reader);
+        shutdown(addr);
+        run.join().unwrap();
+    });
+    let reply = reply.expect("a reply");
+    assert!(reply.contains(r#""ok":true"#), "{reply}");
+}
+
+#[test]
+fn a_geometry_no_schema_fits_is_refused_before_anything_is_accepted() {
+    // `window_len: 0` used to panic every shard as it started and
+    // `bandwidth: -1` each shard on its first request, while the acceptor
+    // went on accepting connections nothing would ever answer.
+    let d = dataset();
+    for cfg in [
+        ServeConfig {
+            window_len: 0,
+            ..config(&d)
+        },
+        ServeConfig {
+            bandwidth: -1,
+            ..config(&d)
+        },
+    ] {
+        let server = Server::new(imputation_model(&d), rules(), cfg);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let result = std::thread::scope(|s| {
+            let run = s.spawn(|| server.run(listener));
+            for _ in 0..500 {
+                if run.is_finished() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            if !run.is_finished() {
+                // Still accepting: drain it so the test can say so.
+                shutdown(addr);
+            }
+            run.join().unwrap()
+        });
+        let kind = result.as_ref().map_err(std::io::Error::kind);
+        assert_eq!(kind, Err(std::io::ErrorKind::InvalidInput), "{cfg:?}");
+    }
+}
+
+#[test]
+fn zero_sized_knobs_get_the_floor_the_environment_path_gives_them() {
+    // `shards: 0` used to start no shard loop at all: every request queued
+    // for ever.
+    let d = dataset();
+    let cfg = ServeConfig {
+        shards: 0,
+        lanes: 0,
+        queue_cap: 0,
+        pool_per_key: 0,
+        ..config(&d)
+    };
+    let valid = d.test[0].coarse;
+    let server = Server::new(imputation_model(&d), rules(), cfg);
+    let c = server.config();
+    assert_eq!(
+        (c.shards, c.lanes, c.queue_cap, c.pool_per_key),
+        (1, 1, 1, 1)
+    );
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let mut reply = None;
+    std::thread::scope(|s| {
+        let run = s.spawn(|| server.run(listener).unwrap());
+        let (mut reader, mut stream) = connect(addr);
+        writeln!(stream, "{}", impute_line(4, &valid)).unwrap();
+        reply = read_reply(&mut reader);
+        shutdown(addr);
+        run.join().unwrap();
+    });
+    assert_eq!(
+        reply.as_deref(),
+        Some(expected_reply(&d, &cfg, 4, &valid).as_str())
+    );
+}
+
+#[test]
+fn stats_op_reports_the_pool_counters_of_an_in_process_replay() {
+    // One call-and-wait client against one shard is `impute_pooled` in a
+    // loop with a socket in front: the `stats` op must report the pool
+    // events that loop's per-request stats add up to.
+    let d = dataset();
+    let cfg = ServeConfig {
+        shards: 1,
+        ..config(&d)
+    };
+    let windows: Vec<CoarseSignals> = d.test.iter().take(6).map(|w| w.coarse).collect();
+
+    let model = imputation_model(&d);
+    let imputer = Imputer::new(
+        &model,
+        rules(),
+        d.window_len,
+        d.bandwidth,
+        TaskConfig::default(),
+    );
+    let mut pool = SessionPool::new(cfg.pool_per_key);
+    let mut want = [0u64; 3];
+    for (i, w) in windows.iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(record_seed(cfg.base_seed, i as u64));
+        let stats = imputer.impute_pooled(&mut pool, w, &mut rng).unwrap().stats;
+        want[0] += stats.pool_hits;
+        want[1] += stats.pool_misses;
+        want[2] += stats.pool_evictions;
+    }
+    assert_eq!(want, [windows.len() as u64 - 1, 1, 0]);
+
+    let server = Server::new(imputation_model(&d), rules(), cfg);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let mut stats = None;
+    std::thread::scope(|s| {
+        let run = s.spawn(|| server.run(listener).unwrap());
+        let (mut reader, mut stream) = connect(addr);
+        for (i, w) in windows.iter().enumerate() {
+            writeln!(stream, "{}", impute_line(i, w)).unwrap();
+            assert!(read_reply(&mut reader).is_some_and(|r| r.contains(r#""ok":true"#)));
+        }
+        // The shard folds its pool's counters in after the step that wrote
+        // the last reply; ask until it has.
+        for _ in 0..200 {
+            writeln!(stream, r#"{{"op":"stats"}}"#).unwrap();
+            stats = read_reply(&mut reader);
+            let folded = format!(r#""pool_hits":{}"#, want[0]);
+            if stats.as_deref().is_some_and(|s| s.contains(&folded)) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        shutdown(addr);
+        run.join().unwrap();
+    });
+    let stats = serde_json::parse_value(&stats.expect("a stats reply")).unwrap();
+    let got = ["pool_hits", "pool_misses", "pool_evictions"].map(|k| match &stats[k] {
+        Value::Number(n) => n.as_u64().unwrap(),
+        other => panic!("`{k}` is {other:?}"),
+    });
+    assert_eq!(got, want);
 }

@@ -44,12 +44,12 @@ pub struct Encoder {
     def_guard: BTreeMap<TermId, Option<u64>>,
     /// Cache of each encoded term's *atom cone*: the registry indices of
     /// every theory atom reachable in its encoding, sorted and deduplicated.
-    /// The SMT layer refcounts these per assertion frame so a theory check
-    /// only receives atoms belonging to live assertions — definitional
-    /// clauses are permanent (that is what makes `cache` sound across
-    /// frames), so without the cone bookkeeping every atom ever encoded
-    /// would stay decidable forever and per-check theory cost would grow
-    /// with session history.
+    /// The SMT layer refcounts these per assertion frame to keep the list
+    /// of atoms some live assertion references: the registry only grows (an
+    /// atom keeps its index and SAT variable after its frame's definitional
+    /// clauses are retracted), so a consult or theory check that walked it
+    /// would cost more with every window a long session has seen; they walk
+    /// the live list instead.
     cones: BTreeMap<TermId, Vec<u32>>,
     /// SAT variable per boolean problem variable.
     bool_vars: BTreeMap<VarId, SatVar>,

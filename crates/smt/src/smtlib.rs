@@ -263,7 +263,7 @@ fn exec(solver: &mut Solver, form: &Sexp, out: &mut ScriptOutput) -> Result<(), 
                  :theory-propagations {} \
                  :theory-explanations {} :tableau-builds {} :slack-rows {} \
                  :slack-row-hits {} :pivots {} :bnb-nodes {} \
-                 :encode-cache {}/{} :session-pool {}/{}/{})",
+                 :encode-cache {}/{})",
                 s.checks,
                 s.theory_checks,
                 s.theory_conflicts,
@@ -276,9 +276,6 @@ fn exec(solver: &mut Solver, form: &Sexp, out: &mut ScriptOutput) -> Result<(), 
                 s.bnb_nodes,
                 s.encode_cache_hits,
                 s.encode_cache_hits + s.encode_cache_misses,
-                s.pool_hits,
-                s.pool_misses,
-                s.pool_evictions,
             ));
         }
         "set-logic" | "set-option" | "set-info" | "exit" => {} // accepted, ignored

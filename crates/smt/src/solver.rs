@@ -121,15 +121,6 @@ pub struct SolverStats {
     pub encode_cache_hits: u64,
     /// Tseitin encode-cache misses (terms freshly encoded).
     pub encode_cache_misses: u64,
-    /// Times this solver was handed out warm by a session pool
-    /// ([`Solver::note_pool_events`]; zero for solvers that never lived in
-    /// a pool).
-    pub pool_hits: u64,
-    /// Times a session pool had to build this solver fresh (a cold miss).
-    pub pool_misses: u64,
-    /// Pool evictions attributed to this solver's acquisition (sessions the
-    /// pool dropped to stay within its per-key cap since the last acquire).
-    pub pool_evictions: u64,
     /// Atom literals enqueued on the SAT trail by theory propagation —
     /// bound consequences the warm tableau derived between unit propagation
     /// and the next decision, instead of a later full check refuting them.
@@ -338,12 +329,10 @@ impl TheoryPropagator for SessionPropagator<'_> {
         self.refinements_left -= 1;
         self.stats.theory_checks += 1;
 
-        // Collect the theory atoms the SAT core actually assigned,
-        // restricted to atoms some *live* assertion references: the
-        // permanent definitional clauses keep retired encodings' atom
-        // variables assignable, but their truth values carry no meaning for
-        // the live formula, and handing them to the theory would make
-        // per-check cost grow with session history.
+        // Collect the theory atoms the SAT core actually assigned, walking
+        // the atoms some *live* assertion references rather than the
+        // registry: a retired atom is unassigned (see `atom_live`), and the
+        // registry grows with session history where the live list does not.
         let atoms = self.enc.atoms();
         let conj = &mut self.scratch.asserted;
         conj.clear();
@@ -414,11 +403,18 @@ pub struct Solver {
     /// lockstep with `frames` by [`Self::retract`].
     frame_atoms: Vec<Vec<u32>>,
     /// Live-assertion refcount per atom-registry index. An atom with count
-    /// zero belongs only to retired (or never-asserted) encodings; theory
-    /// checks skip it even when the SAT core assigned its variable — the
-    /// permanent definitional clauses keep old atom variables decidable, and
-    /// without this filter a long-lived session's theory checks would grow
-    /// with everything it ever asserted instead of with what is live now.
+    /// zero belongs only to retired (or never-asserted) encodings. Nothing
+    /// can leave such an atom assigned: every clause that mentioned it —
+    /// its frame's guarded assertions and definitions, the lemmas and
+    /// explanations guarded by that frame or one inside it, the learnts
+    /// resolved through them — went with the frame's retract, so the SAT
+    /// core neither decides nor propagates it; and a consult enqueues live
+    /// atoms only, above the assumption levels, which that retract's
+    /// `cancel_until(0)` undoes (it enqueues at the root only in a check
+    /// with no frame open, whose live atoms are root-asserted and never
+    /// retire). The count is therefore not a soundness filter; it maintains
+    /// `live_atoms`, which is what keeps per-check cost proportional to what
+    /// is asserted now rather than to everything the session ever saw.
     atom_live: Vec<u32>,
     /// The registry indices with a non-zero `atom_live` count, ascending:
     /// what a consult and a theory check walk instead of the registry, so
@@ -486,20 +482,6 @@ impl Solver {
         s.theory_propagations = sat.theory_propagations;
         s.theory_explanations = sat.theory_explanations;
         s
-    }
-
-    /// Credits session-pool traffic to this solver's statistics. Called by
-    /// the pool that owns the enclosing session (e.g. `lejit-core`'s
-    /// `SessionPool`) so warm-reuse observability flows through the same
-    /// [`SolverStats`] → decode-stats → table pipeline as every other
-    /// counter. Each pool event is attributed to exactly one solver, so
-    /// summing these fields across sessions reproduces the pool's totals.
-    /// Deterministic: pool traffic is a pure function of the request
-    /// sequence, never of timing.
-    pub fn note_pool_events(&mut self, hits: u64, misses: u64, evictions: u64) {
-        self.stats.pool_hits += hits;
-        self.stats.pool_misses += misses;
-        self.stats.pool_evictions += evictions;
     }
 
     /// The theory configuration used by every check.
