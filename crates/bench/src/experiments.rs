@@ -574,7 +574,9 @@ pub fn fig5_synthesis(env: &BenchEnv) -> Table {
 /// and per-character solver cost: "solver checks" is the session's logical
 /// booking, one per exact query and two per range analysis; "raw checks"
 /// counts the `Solver::check` calls actually made, the honest ratio between
-/// tiers) — plus the serving configuration
+/// tiers; "searches" the ones among them that ran a CDCL search, the rest
+/// answered by the solver's standing implicant) — plus the serving
+/// configuration
 /// (interval-guided over a warm per-worker [`SessionPool`], which must
 /// decode the same bytes while skipping the cold session build) and the
 /// theory-propagation off-oracles (full and interval-guided tiers with
@@ -592,6 +594,7 @@ pub fn ablation_lookahead(env: &BenchEnv) -> Table {
         "violation rate (completed)",
         "solver checks/char",
         "raw checks/char",
+        "searches/char",
         "checks saved/char",
         "pivots/char",
         "b&b nodes/char",
@@ -669,6 +672,7 @@ pub fn ablation_lookahead(env: &BenchEnv) -> Table {
                 Ok((s, values)) => {
                     total.solver_checks += s.solver_checks;
                     total.solver_raw_checks += s.solver_raw_checks;
+                    total.solver_searches += s.solver_searches;
                     total.solver_checks_saved += s.solver_checks_saved;
                     total.solver_pivots += s.solver_pivots;
                     total.solver_bnb_nodes += s.solver_bnb_nodes;
@@ -712,6 +716,7 @@ pub fn ablation_lookahead(env: &BenchEnv) -> Table {
             pct(stats.rate()),
             per_char(total.solver_checks),
             per_char(total.solver_raw_checks),
+            per_char(total.solver_searches),
             per_char(total.solver_checks_saved),
             per_char(total.solver_pivots),
             per_char(total.solver_bnb_nodes),

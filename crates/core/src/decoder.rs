@@ -84,6 +84,10 @@ pub struct DecodeStats {
     /// `Solver::check` calls actually made ([`lejit_smt::SolverStats::checks`]),
     /// range analyses counted by the checks they ran.
     pub solver_raw_checks: u64,
+    /// The raw checks that ran a CDCL search
+    /// ([`lejit_smt::SolverStats::searches`]); the rest were answered `Sat`
+    /// by one warm theory check of the solver's standing implicant.
+    pub solver_searches: u64,
     /// Per-character solver queries answered without a solver check by the
     /// interval-guided lookahead (hull rejection, witness acceptance, or
     /// a certified gap). Zero under [`Lookahead::Full`] /
@@ -146,6 +150,9 @@ impl DecodeStats {
         self.solver_raw_checks = self
             .solver_raw_checks
             .saturating_sub(baseline.solver_raw_checks);
+        self.solver_searches = self
+            .solver_searches
+            .saturating_sub(baseline.solver_searches);
         self.solver_checks_saved = self
             .solver_checks_saved
             .saturating_sub(baseline.solver_checks_saved);

@@ -341,6 +341,12 @@ pub struct StepOutcome<J: LaneJob> {
 }
 
 /// What [`ContinuousBatcher::admit`] did with the offered job.
+// `Finished` carries a whole `DecodeStats` (every counter a decode reports,
+// by value) where `Seated` carries nothing. Both callers match the outcome
+// where `admit` returns it and none stores it, so the size is stack that
+// lives for one statement; a `Box` would put an allocation on the
+// failed-admission path and change a signature `lejit-serve` matches on.
+#[allow(clippy::large_enum_variant)]
 pub enum AdmitOutcome<J: LaneJob> {
     /// The job was seated in a free lane slot and will advance on the next
     /// [`ContinuousBatcher::step`].

@@ -179,6 +179,7 @@ impl JitSession {
         stats.solver_checks_saved = self.checks_saved;
         let s = self.solver.stats();
         stats.solver_raw_checks = s.checks;
+        stats.solver_searches = s.searches;
         stats.solver_pivots = s.pivots;
         stats.solver_bnb_nodes = s.bnb_nodes;
         stats.theory_propagations = s.theory_propagations;

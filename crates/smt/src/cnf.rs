@@ -96,6 +96,32 @@ impl Encoder {
         l
     }
 
+    /// The registry entry of the atom `a ≤ b` — its SAT variable and
+    /// registry index — entered on first sight with a fresh variable and no
+    /// clause, so a range probe can name its bound to the theory without
+    /// being encoded. `Err(truth)` for a comparison whose variables cancel
+    /// (`x - x <= -1` gets past the pool's constant folding): it has no
+    /// atom, only a truth value.
+    pub fn atom(
+        &mut self,
+        pool: &TermPool,
+        sat: &mut SatSolver,
+        a: TermId,
+        b: TermId,
+    ) -> Result<(SatVar, u32), bool> {
+        let atom = LinAtom::from_le(pool, a, b);
+        if atom.expr.is_constant() {
+            return Err(atom.expr.constant <= 0);
+        }
+        if let Some(&entry) = self.atom_vars.get(&atom) {
+            return Ok(entry);
+        }
+        let entry = (sat.new_var(), self.atoms.len() as u32);
+        self.atom_vars.insert(atom.clone(), entry);
+        self.atoms.push((atom, entry.0));
+        Ok(entry)
+    }
+
     /// Encodes a boolean term, returning its literal.
     ///
     /// `guard` is the current frame's selector literal plus its generation
@@ -132,31 +158,17 @@ impl Encoder {
                 let sv = *self.bool_vars.entry(*v).or_insert_with(|| sat.new_var());
                 Lit::new(sv, true)
             }
-            Term::Le(a, b) => {
-                let atom = LinAtom::from_le(pool, *a, *b);
-                // Constant atoms should have been folded by the pool, but a
-                // cancellation (x - x <= -1) can still reach here.
-                if atom.expr.is_constant() {
+            Term::Le(a, b) => match self.atom(pool, sat, *a, *b) {
+                Ok((sv, _)) => Lit::new(sv, true),
+                Err(truth) => {
                     let l = self.true_lit(sat);
-                    if atom.expr.constant <= 0 {
+                    if truth {
                         l
                     } else {
                         !l
                     }
-                } else {
-                    let sv = match self.atom_vars.get(&atom) {
-                        Some(&(sv, _)) => sv,
-                        None => {
-                            let sv = sat.new_var();
-                            let idx = self.atoms.len() as u32;
-                            self.atom_vars.insert(atom.clone(), (sv, idx));
-                            self.atoms.push((atom, sv));
-                            sv
-                        }
-                    };
-                    Lit::new(sv, true)
                 }
-            }
+            },
             Term::And(kids) => {
                 let kids: Vec<TermId> = kids.to_vec();
                 let lits: Vec<Lit> = kids
@@ -288,6 +300,24 @@ impl Encoder {
     pub fn cone(&mut self, pool: &TermPool, t: TermId) -> &[u32] {
         self.ensure_cone(pool, t);
         &self.cones[&t]
+    }
+
+    /// Whether `pred` holds of every variable of every atom in `t`'s cone
+    /// (same precondition as [`Self::cone`]): true of a term whose truth
+    /// rests on those variables alone.
+    pub fn cone_vars_all(
+        &mut self,
+        pool: &TermPool,
+        t: TermId,
+        pred: impl Fn(VarId) -> bool,
+    ) -> bool {
+        self.ensure_cone(pool, t);
+        let atoms = &self.atoms;
+        self.cones[&t].iter().all(|&i| {
+            atoms
+                .get(i as usize)
+                .is_some_and(|(atom, _)| atom.expr.coeffs.keys().all(|&v| pred(v)))
+        })
     }
 
     /// Memoized cone computation: every subterm's cone is cached, so shared

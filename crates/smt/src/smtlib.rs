@@ -259,12 +259,15 @@ fn exec(solver: &mut Solver, form: &Sexp, out: &mut ScriptOutput) -> Result<(), 
             // `(get-info :all-statistics)`.
             let s = solver.stats();
             out.lines.push(format!(
-                "(:checks {} :theory-checks {} :theory-conflicts {} \
+                "(:checks {} :searches {} :implicant-answers {} \
+                 :theory-checks {} :theory-conflicts {} \
                  :theory-propagations {} \
                  :theory-explanations {} :tableau-builds {} :slack-rows {} \
                  :slack-row-hits {} :pivots {} :bnb-nodes {} \
                  :encode-cache {}/{})",
                 s.checks,
+                s.searches,
+                s.implicant_answers,
                 s.theory_checks,
                 s.theory_conflicts,
                 s.theory_propagations,
@@ -588,7 +591,11 @@ mod tests {
         .unwrap();
         assert_eq!(out.lines[0], "sat");
         let stats = &out.lines[2];
-        assert!(stats.starts_with("(:checks 2"), "{stats}");
+        // The second `check-sat` met the implicant of the first's model.
+        assert!(
+            stats.starts_with("(:checks 2 :searches 1 :implicant-answers 1 "),
+            "{stats}"
+        );
         for key in [
             ":theory-checks",
             ":theory-propagations",

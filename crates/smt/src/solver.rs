@@ -19,6 +19,32 @@
 //! open frame's selector all the same and go with it (an unguarded one
 //! would keep its atoms decidable for ever); learnt clauses derived purely
 //! from permanent clauses persist across retractions.
+//!
+//! # The standing implicant
+//!
+//! A decode session's queries come in runs that differ by a bound on one
+//! variable, and most answer `Sat`. After every `Sat` the solver keeps a
+//! *standing implicant*: theory literals `(atom index, polarity)`, read off
+//! the live assertions under the model by a justification walk (`And` true
+//! — every child; `Or` true — one true child), such that **any** integer
+//! model of the literals satisfies every live assertion. A query whose
+//! assumptions are conjunctions of atom literals (a bound probe, a decade
+//! probe) or one disjunction of such (a window query, tried per disjunct)
+//! first goes to the theory as `implicant ∪ probe`: `Sat` there is `Sat`,
+//! with the theory's model as the witness and the SAT core untouched — no
+//! frame, no encoding, no retraction. Anything else falls through to the
+//! CDCL search, which stays the only source of `Unsat`: a refusal by the
+//! implicant says nothing about the other branches of the formula.
+//!
+//! The implicant is built from the model over the frames still open, never
+//! from the trail of a probe's search: that trail omits what the theory
+//! propagated *from the probe's own atom*, so with the probe popped it
+//! need not imply the assertions any more. The walk is lazy — it runs
+//! when the next query or assertion asks for the implicant, so a frame
+//! popped straight after its check pays for none. The implicant is
+//! extended by the `assert` of a pure conjunction the theory accepts beside
+//! it (a session's `v == c`), and dropped by any other `assert` and by any
+//! `retract`.
 
 use std::collections::BTreeMap;
 
@@ -63,27 +89,47 @@ impl Model {
     }
 
     /// Evaluates an integer term under this model.
-    pub fn eval_int(&self, pool: &TermPool, t: TermId) -> i64 {
+    /// [`SolverError::InvalidQuery`] for a term that is not an integer term
+    /// over variables the model assigns, [`SolverError::Overflow`] for a
+    /// value outside `i64`.
+    pub fn eval_int(&self, pool: &TermPool, t: TermId) -> Result<i64, SolverError> {
         match pool.get(t) {
-            Term::IntConst(n) => *n,
-            Term::Var(v) => self.int_value(*v).expect("int var missing from model"),
-            Term::Add(kids) => kids.iter().map(|&k| self.eval_int(pool, k)).sum(),
-            Term::MulConst(c, inner) => c * self.eval_int(pool, *inner),
-            other => panic!("eval_int on non-integer term {other:?}"),
+            Term::IntConst(n) => Ok(*n),
+            Term::Var(v) => self.int_value(*v).ok_or(SolverError::InvalidQuery(
+                "integer variable missing from the model",
+            )),
+            Term::Add(kids) => kids.iter().try_fold(0i64, |sum, &k| {
+                sum.checked_add(self.eval_int(pool, k)?)
+                    .ok_or(SolverError::Overflow("evaluating a sum"))
+            }),
+            Term::MulConst(c, inner) => c
+                .checked_mul(self.eval_int(pool, *inner)?)
+                .ok_or(SolverError::Overflow("evaluating a product")),
+            _ => Err(SolverError::InvalidQuery("eval_int on a non-integer term")),
         }
     }
 
-    /// Evaluates a boolean term under this model.
-    pub fn eval_bool(&self, pool: &TermPool, t: TermId) -> bool {
+    /// Evaluates a boolean term under this model; errors as
+    /// [`Self::eval_int`], and [`SolverError::InvalidQuery`] for a term
+    /// that is not boolean.
+    pub fn eval_bool(&self, pool: &TermPool, t: TermId) -> Result<bool, SolverError> {
+        let all = |kids: &[TermId], want: bool| {
+            for &k in kids {
+                if self.eval_bool(pool, k)? != want {
+                    return Ok(false);
+                }
+            }
+            Ok(true)
+        };
         match pool.get(t) {
-            Term::True => true,
-            Term::False => false,
-            Term::Not(x) => !self.eval_bool(pool, *x),
-            Term::And(kids) => kids.iter().all(|&k| self.eval_bool(pool, k)),
-            Term::Or(kids) => kids.iter().any(|&k| self.eval_bool(pool, k)),
-            Term::Var(v) => self.bool_value(*v),
-            Term::Le(a, b) => self.eval_int(pool, *a) <= self.eval_int(pool, *b),
-            other => panic!("eval_bool on non-boolean term {other:?}"),
+            Term::True => Ok(true),
+            Term::False => Ok(false),
+            Term::Not(x) => Ok(!self.eval_bool(pool, *x)?),
+            Term::And(kids) => all(kids, true),
+            Term::Or(kids) => Ok(!all(kids, false)?),
+            Term::Var(v) if pool.var_info(*v).sort == Sort::Bool => Ok(self.bool_value(*v)),
+            Term::Le(a, b) => Ok(self.eval_int(pool, *a)? <= self.eval_int(pool, *b)?),
+            _ => Err(SolverError::InvalidQuery("eval_bool on a non-boolean term")),
         }
     }
 }
@@ -97,8 +143,34 @@ impl Model {
 /// the `(LEJIT_THREADS, LEJIT_BATCH)` matrix suite in `lejit-core`).
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct SolverStats {
-    /// `check()` calls (including internal ones from minimize/maximize).
+    /// Queries answered — `check()` / `check_assuming()` calls, including
+    /// the probes of a range search: `searches + implicant_answers`.
     pub checks: u64,
+    /// Queries answered by a CDCL search: every `Unsat` and `Unknown`, and
+    /// each `Sat` the standing implicant could not give.
+    pub searches: u64,
+    /// Queries answered `Sat` by one warm theory check of the standing
+    /// implicant with the probe's bounds, the SAT core untouched (see the
+    /// [module docs](self#the-standing-implicant)).
+    ///
+    /// ```
+    /// use lejit_smt::{SatResult, Solver};
+    ///
+    /// let mut s = Solver::new();
+    /// let x = s.int_var("x", 0, 60);
+    /// let y = s.int_var("y", 0, 60);
+    /// let (tx, ty) = (s.var(x), s.var(y));
+    /// let (sum, c100) = (s.add(&[tx, ty]), s.int(100));
+    /// let rule = s.eq(sum, c100);
+    /// s.assert(rule);
+    /// assert_eq!(s.check().unwrap(), SatResult::Sat); // a search
+    /// let c50 = s.int(50);
+    /// let probe = s.ge(tx, c50);
+    /// assert_eq!(s.check_assuming(&[probe]).unwrap(), SatResult::Sat);
+    /// let stats = s.stats();
+    /// assert_eq!((stats.checks, stats.searches, stats.implicant_answers), (2, 1, 1));
+    /// ```
+    pub implicant_answers: u64,
     /// DPLL(T) iterations: SAT models proposed to the theory.
     pub theory_checks: u64,
     /// Theory conflicts (blocking clauses learned).
@@ -383,6 +455,131 @@ impl TheoryPropagator for SessionPropagator<'_> {
     }
 }
 
+/// The midpoint of `lo ≤ hi`, biased toward `lo`. `lo + span / 2` cannot
+/// pass `hi`, but the span itself overflows when the two straddle most of
+/// the `i64` range.
+fn midpoint(lo: i64, hi: i64) -> Result<i64, SolverError> {
+    let span = hi
+        .checked_sub(lo)
+        .ok_or(SolverError::Overflow("bound_search span"))?;
+    lo.checked_add(span / 2)
+        .ok_or(SolverError::Overflow("bound_search midpoint"))
+}
+
+/// Appends to `out` the theory literals of `t` taken at polarity `want`,
+/// when that is a conjunction of them: atoms, negated atoms, `And`s of
+/// these (under negation, `Or`s). An atom not seen before is entered in
+/// the registry, no clause emitted. `false` for any other shape — `out`
+/// may then hold a partial list the caller truncates — and for one that
+/// folds to `false`, which the search refutes.
+fn conjunction(
+    pool: &TermPool,
+    enc: &mut Encoder,
+    sat: &mut SatSolver,
+    t: TermId,
+    want: bool,
+    out: &mut Vec<(u32, bool)>,
+) -> bool {
+    match pool.get(t) {
+        Term::True => want,
+        Term::False => !want,
+        Term::Not(x) => conjunction(pool, enc, sat, *x, !want, out),
+        Term::Le(a, b) => match enc.atom(pool, sat, *a, *b) {
+            Ok((_, i)) => {
+                out.push((i, want));
+                true
+            }
+            Err(truth) => truth == want,
+        },
+        Term::And(kids) | Term::Or(kids) if matches!(pool.get(t), Term::And(_)) == want => kids
+            .iter()
+            .all(|&k| conjunction(pool, enc, sat, k, want, out)),
+        _ => false,
+    }
+}
+
+/// The justification walk behind the standing implicant: appends to `out`
+/// theory literals, all true under `model`, that force the already-encoded
+/// `t` to `want` in *every* model that satisfies them. An `And` to be true
+/// (an `Or` to be false) takes every child; an `Or` to be true (an `And`
+/// to be false) takes one child that is: one over `pinned` variables if
+/// there is one — its literals constrain nothing that is still free — else
+/// the last, which in a rule over a series is the variable decoded last.
+/// `false` when `t` is not `want` under `model`, or is only through a
+/// Boolean variable; `out` may then hold a partial justification.
+fn justify(
+    pool: &TermPool,
+    enc: &mut Encoder,
+    model: &Model,
+    pinned: &[bool],
+    t: TermId,
+    want: bool,
+    out: &mut Vec<(u32, bool)>,
+) -> bool {
+    match pool.get(t) {
+        Term::True => want,
+        Term::False => !want,
+        Term::Not(x) => justify(pool, enc, model, pinned, *x, !want, out),
+        Term::Le(a, b) => {
+            let (Ok(a), Ok(b)) = (model.eval_int(pool, *a), model.eval_int(pool, *b)) else {
+                return false;
+            };
+            // A comparison whose variables cancel has an empty cone and
+            // holds or fails in every model alike.
+            out.extend(enc.cone(pool, t).first().map(|&i| (i, want)));
+            (a <= b) == want
+        }
+        Term::And(kids) | Term::Or(kids) if matches!(pool.get(t), Term::And(_)) == want => kids
+            .iter()
+            .all(|&k| justify(pool, enc, model, pinned, k, want, out)),
+        Term::And(kids) | Term::Or(kids) => {
+            let mark = out.len();
+            let is_pinned = |v: VarId| pinned.get(v.index()).copied().unwrap_or(false);
+            [true, false].into_iter().any(|pinned_only| {
+                kids.iter().rev().any(|&k| {
+                    out.truncate(mark);
+                    (!pinned_only || enc.cone_vars_all(pool, k, is_pinned))
+                        && justify(pool, enc, model, pinned, k, want, out)
+                })
+            })
+        }
+        _ => false,
+    }
+}
+
+/// The variable `t` pins to a constant, if `t` is `v == c` as
+/// [`TermPool::eq`] builds it.
+fn pinned_by(pool: &TermPool, t: TermId) -> Option<VarId> {
+    let Term::And(kids) = pool.get(t) else {
+        return None;
+    };
+    let &[x, y] = &**kids else {
+        return None;
+    };
+    let (Term::Le(a, b), Term::Le(c, d)) = (pool.get(x), pool.get(y)) else {
+        return None;
+    };
+    match (pool.get(*a), pool.get(*b)) {
+        _ if (a, b) != (d, c) => None,
+        (Term::Var(v), Term::IntConst(_)) | (Term::IntConst(_), Term::Var(v)) => Some(*v),
+        _ => None,
+    }
+}
+
+/// What a [`Solver`] holds of a standing implicant.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Implicant {
+    /// Nothing: `Solver::implicant` means nothing, every query is a search.
+    Absent,
+    /// A search has answered `Sat` and its model, still in `Solver::model`,
+    /// has not been walked. The walk waits for the first caller that wants
+    /// the implicant, so a frame popped straight after its check (the
+    /// exact lookahead's `push; assert; check; pop`) never pays for one.
+    Unread,
+    /// `Solver::implicant` implies every live assertion.
+    Standing,
+}
+
 /// The SMT solver. See the [crate docs](crate) for an end-to-end example.
 pub struct Solver {
     pool: TermPool,
@@ -420,7 +617,21 @@ pub struct Solver {
     /// what a consult and a theory check walk instead of the registry, so
     /// neither grows with the atoms a long session has retired.
     live_atoms: Vec<u32>,
+    /// The live assertions in assertion order — what the justification
+    /// walk justifies. A probe's assumptions never enter it.
+    asserted: Vec<TermId>,
+    /// `asserted.len()` at each open frame's `push`, parallel to `frames`.
+    frame_asserts: Vec<usize>,
+    /// The standing implicant (see the [module docs](self)); while a probe
+    /// is with the theory its literals sit past the end.
+    implicant: Vec<(u32, bool)>,
+    /// Whether `implicant` is one; see [`Self::implicant_stands`].
+    implicant_state: Implicant,
+    /// Scratch of the justification walk: per pool variable, whether a
+    /// live `v == c` assertion pins it.
+    pinned: Vec<bool>,
     model: Option<Model>,
+    /// `checks` is filled in by [`Self::stats`].
     stats: SolverStats,
     theory_config: TheoryConfig,
     prop_scratch: PropScratch,
@@ -446,6 +657,11 @@ impl Solver {
             frame_atoms: Vec::new(),
             atom_live: Vec::new(),
             live_atoms: Vec::new(),
+            asserted: Vec::new(),
+            frame_asserts: Vec::new(),
+            implicant: Vec::new(),
+            implicant_state: Implicant::Absent,
+            pinned: Vec::new(),
             model: None,
             stats: SolverStats::default(),
             theory_config: TheoryConfig::default(),
@@ -468,6 +684,7 @@ impl Solver {
     /// read live from the theory session and the Tseitin encoder).
     pub fn stats(&self) -> SolverStats {
         let mut s = self.stats;
+        s.checks = s.searches + s.implicant_answers;
         let t = self.theory.stats();
         s.tableau_builds = t.tableau_builds;
         s.tableau_vars = t.tableau_vars;
@@ -600,10 +817,28 @@ impl Solver {
 
     // --- assertions and frames --------------------------------------------
 
-    /// Asserts a boolean term in the current frame.
+    /// Asserts a boolean term in the current frame. A pure conjunction of
+    /// atom literals the theory accepts beside the standing implicant
+    /// extends it; any other assertion drops it.
     pub fn assert(&mut self, t: TermId) {
         debug_assert_eq!(self.pool.sort_of(t), Sort::Bool);
+        let standing = self.implicant_stands();
         self.model = None;
+        self.add_assertion(t);
+        self.asserted.push(t);
+        if standing {
+            let (pool, enc, sat) = (&self.pool, &mut self.enc, &mut self.sat);
+            let extended = conjunction(pool, enc, sat, t, true, &mut self.implicant)
+                && matches!(self.implicant_model(), Ok(Some(_)));
+            if !extended {
+                self.implicant_state = Implicant::Absent;
+            }
+        }
+    }
+
+    /// Encodes `t` and adds it, guarded, to the innermost frame of the
+    /// clause database: an assertion, or one assumption of a probe's search.
+    fn add_assertion(&mut self, t: TermId) {
         let guard = match (self.frames.last(), self.frame_ids.last()) {
             (Some(&sel), Some(&id)) => Some((sel, id)),
             _ => None,
@@ -651,6 +886,7 @@ impl Solver {
         self.frame_ids.push(self.next_frame_id);
         self.next_frame_id += 1;
         self.frame_atoms.push(Vec::new());
+        self.frame_asserts.push(self.asserted.len());
     }
 
     /// Discards the most recent frame and all its assertions. A `pop` with
@@ -664,22 +900,39 @@ impl Solver {
     /// from the SAT core (see [`SatSolver::retract`]), so the clause
     /// database does not grow with the number of discarded frames.
     /// [`Self::pop`] is an alias. A retract with no open frame is a no-op.
+    ///
+    /// The standing implicant goes with the frame: it may rest on the
+    /// frame's own assertions.
     pub fn retract(&mut self) {
-        if let Some(sel) = self.frames.pop() {
-            self.frame_ids.pop();
-            self.sat.retract(sel.var());
-            if let Some(cone) = self.frame_atoms.pop() {
-                for i in cone {
-                    if let Some(c) = self.atom_live.get_mut(i as usize) {
-                        *c = c.saturating_sub(1);
-                    }
-                }
-                let atom_live = &self.atom_live;
-                self.live_atoms
-                    .retain(|&j| atom_live.get(j as usize).is_some_and(|&c| c > 0));
-            }
-            self.model = None;
+        if self.close_frame() {
+            self.implicant_state = Implicant::Absent;
         }
+    }
+
+    /// [`Self::retract`] without a word to the implicant — all there is to
+    /// closing a probe's frame, which asserted nothing the implicant knows.
+    /// Whether there was a frame to close.
+    fn close_frame(&mut self) -> bool {
+        let Some(sel) = self.frames.pop() else {
+            return false;
+        };
+        self.frame_ids.pop();
+        self.sat.retract(sel.var());
+        if let Some(cone) = self.frame_atoms.pop() {
+            for i in cone {
+                if let Some(c) = self.atom_live.get_mut(i as usize) {
+                    *c = c.saturating_sub(1);
+                }
+            }
+            let atom_live = &self.atom_live;
+            self.live_atoms
+                .retain(|&j| atom_live.get(j as usize).is_some_and(|&c| c > 0));
+        }
+        if let Some(mark) = self.frame_asserts.pop() {
+            self.asserted.truncate(mark);
+        }
+        self.model = None;
+        true
     }
 
     /// Number of open frames.
@@ -697,7 +950,8 @@ impl Solver {
 
     // --- solving ------------------------------------------------------------
 
-    /// Checks satisfiability of all live assertions: one CDCL search
+    /// Checks satisfiability of all live assertions: answered by the
+    /// standing implicant when there is one, else by one CDCL search
     /// ([`SatSolver::solve_with`]) under the assumption that every open
     /// frame's selector holds, with the theory inside it — consulted at the
     /// search root, asked for a final check at each complete assignment,
@@ -710,12 +964,52 @@ impl Solver {
     /// arithmetic overflow, or an internal invariant violation) — it is not
     /// a third truth value and callers must not treat it as `Unsat`.
     pub fn check(&mut self) -> Result<SatResult, SolverError> {
-        self.stats.checks += 1;
-        self.model = None;
-        // Compile atoms registered since the last check into the theory.
-        for (atom, _) in self.enc.atoms().iter().skip(self.theory.num_atoms()) {
-            self.theory.add_atom(&self.pool, atom)?;
+        self.check_assuming(&[])
+    }
+
+    /// Checks satisfiability of the live assertions *plus* the given
+    /// temporary assumptions, which are discarded afterwards. Equivalent to
+    /// `push(); assert(each); check(); pop()` — the model (on `Sat`) remains
+    /// readable until the next solver call. The standing implicant answers
+    /// when it can (see the [module docs](self#the-standing-implicant)); the
+    /// search answers otherwise.
+    pub fn check_assuming(&mut self, assumptions: &[TermId]) -> Result<SatResult, SolverError> {
+        if self.probe(assumptions)? {
+            return Ok(SatResult::Sat);
         }
+        self.search_assuming(assumptions)
+    }
+
+    /// The CDCL search for `assumptions`, asserted in a frame of their own
+    /// that is retracted whatever the outcome, even an error. `Sat` leaves
+    /// the model, and the implicant to be read off it; any other answer
+    /// leaves the implicant it found.
+    fn search_assuming(&mut self, assumptions: &[TermId]) -> Result<SatResult, SolverError> {
+        let result = if assumptions.is_empty() {
+            self.search()
+        } else {
+            self.push();
+            for &t in assumptions {
+                self.add_assertion(t);
+            }
+            let result = self.search();
+            // Closing the frame clears the model; keep it for the caller.
+            let model = self.model.take();
+            self.close_frame();
+            self.model = model;
+            result
+        };
+        if self.model.is_some() {
+            self.implicant_state = Implicant::Unread;
+        }
+        result
+    }
+
+    /// One CDCL search over the clause database as it stands.
+    fn search(&mut self) -> Result<SatResult, SolverError> {
+        self.stats.searches += 1;
+        self.model = None;
+        self.sync_theory()?;
         let mut prop = SessionPropagator {
             pool: &self.pool,
             enc: &self.enc,
@@ -750,22 +1044,120 @@ impl Solver {
         }
     }
 
-    /// Checks satisfiability of the live assertions *plus* the given
-    /// temporary assumptions, which are discarded afterwards. Equivalent to
-    /// `push(); assert(each); check(); pop()` — the model (on `Sat`) remains
-    /// readable until the next solver call.
-    pub fn check_assuming(&mut self, assumptions: &[TermId]) -> Result<SatResult, SolverError> {
-        self.push();
-        for &t in assumptions {
-            self.assert(t);
+    /// Compiles atoms registered since the last theory call into the theory.
+    fn sync_theory(&mut self) -> Result<(), SolverError> {
+        for (atom, _) in self.enc.atoms().iter().skip(self.theory.num_atoms()) {
+            self.theory.add_atom(&self.pool, atom)?;
         }
-        let result = self.check();
-        // `pop` would clear the model; keep it for the caller. The frame is
-        // popped even when `check` failed, so the solver stays balanced.
-        let model = self.model.take();
-        self.pop();
-        self.model = model;
-        result
+        Ok(())
+    }
+
+    // --- the standing implicant ---------------------------------------------
+
+    /// Tries to answer `assumptions` from the standing implicant: each a
+    /// conjunction of atom literals, or — one of them — a disjunction of
+    /// such, each disjunct tried in turn. `true` is `Sat`, with the theory's
+    /// model installed; `false` is no answer (no implicant, another shape,
+    /// or the theory refuses, which only the search can turn into `Unsat`).
+    fn probe(&mut self, assumptions: &[TermId]) -> Result<bool, SolverError> {
+        if !self.implicant_stands() {
+            return Ok(false);
+        }
+        let base = self.implicant.len();
+        let model = self.probe_model(assumptions);
+        // Whatever happened, the probe's literals leave the implicant.
+        self.implicant.truncate(base);
+        let Some(ints) = model? else {
+            return Ok(false);
+        };
+        self.stats.implicant_answers += 1;
+        self.model = Some(Model {
+            ints,
+            bools: BTreeMap::new(),
+        });
+        Ok(true)
+    }
+
+    /// The work of [`Self::probe`], which cleans up after it: stands the
+    /// assumptions' literals past the implicant's end and asks the theory.
+    fn probe_model(
+        &mut self,
+        assumptions: &[TermId],
+    ) -> Result<Option<BTreeMap<VarId, i64>>, SolverError> {
+        let mut window = None;
+        for &t in assumptions {
+            let mark = self.implicant.len();
+            let (pool, enc, sat) = (&self.pool, &mut self.enc, &mut self.sat);
+            if conjunction(pool, enc, sat, t, true, &mut self.implicant) {
+                continue;
+            }
+            self.implicant.truncate(mark);
+            match self.pool.get(t) {
+                Term::Or(kids) if window.is_none() => window = Some(kids.to_vec()),
+                _ => return Ok(None),
+            }
+        }
+        let Some(window) = window else {
+            return self.implicant_model();
+        };
+        let mark = self.implicant.len();
+        for k in window {
+            let (pool, enc, sat) = (&self.pool, &mut self.enc, &mut self.sat);
+            if conjunction(pool, enc, sat, k, true, &mut self.implicant) {
+                if let Some(ints) = self.implicant_model()? {
+                    return Ok(Some(ints));
+                }
+            }
+            self.implicant.truncate(mark);
+        }
+        Ok(None)
+    }
+
+    /// One warm theory check of everything in `implicant` — the standing
+    /// literals and whatever a caller stood past them: the integer model of
+    /// a `Sat`, `None` for any other verdict.
+    fn implicant_model(&mut self) -> Result<Option<BTreeMap<VarId, i64>>, SolverError> {
+        self.sync_theory()?;
+        let verdict = self
+            .theory
+            .check(&self.pool, &self.implicant, self.theory_config)?;
+        Ok(match verdict {
+            TheoryVerdict::Sat(ints) => Some(ints),
+            TheoryVerdict::Unsat(_) | TheoryVerdict::Unknown => None,
+        })
+    }
+
+    /// Whether an implicant stands, reading it off the last search's model
+    /// first if that is still to do: the justification of every live
+    /// assertion under that model, or nothing when the model leans on a
+    /// Boolean variable (no theory literal pins one).
+    fn implicant_stands(&mut self) -> bool {
+        if self.implicant_state == Implicant::Unread {
+            self.implicant_state = Implicant::Absent;
+            if let Some(model) = &self.model {
+                self.implicant.clear();
+                self.pinned.clear();
+                self.pinned.resize(self.pool.vars().len(), false);
+                for &t in &self.asserted {
+                    let pin = pinned_by(&self.pool, t).and_then(|v| self.pinned.get_mut(v.index()));
+                    if let Some(pin) = pin {
+                        *pin = true;
+                    }
+                }
+                let (pool, enc, pinned) = (&self.pool, &mut self.enc, &self.pinned);
+                let out = &mut self.implicant;
+                if self
+                    .asserted
+                    .iter()
+                    .all(|&t| justify(pool, enc, model, pinned, t, true, out))
+                {
+                    out.sort_unstable();
+                    out.dedup();
+                    self.implicant_state = Implicant::Standing;
+                }
+            }
+        }
+        self.implicant_state == Implicant::Standing
     }
 
     /// A **minimal** subset of `assumptions` that is jointly unsatisfiable
@@ -883,6 +1275,12 @@ impl Solver {
     /// `witness`-side endpoint is known feasible; satisfying probes tighten
     /// using the model value of `v` (which can overshoot `mid`), not just
     /// `mid` itself.
+    ///
+    /// While an implicant stands, the search first bisects *inside* it with
+    /// theory checks alone, down to the extreme the implicant admits, and
+    /// then spends one real probe just beyond that: `Unsat` ends the
+    /// search, `Sat` brings a new implicant to bisect inside. With none
+    /// standing each probe is a search at the midpoint.
     fn bound_search(
         &mut self,
         v: VarId,
@@ -892,23 +1290,45 @@ impl Solver {
         witnesses: &mut Vec<i64>,
     ) -> Result<Option<i64>, SolverError> {
         while lo < hi {
-            // Biased toward lo. `lo + span/2` cannot pass `hi`, but the span
-            // itself overflows when the hull straddles most of the i64 range.
-            let span = hi
-                .checked_sub(lo)
-                .ok_or(SolverError::Overflow("bound_search span"))?;
-            let mid = lo
-                .checked_add(span / 2)
-                .ok_or(SolverError::Overflow("bound_search midpoint"))?;
-            let vt = self.var(v);
-            let c = self.int(mid);
-            let probe = if minimize {
-                self.le(vt, c)
-            } else {
-                let c1 = self.int(mid + 1);
-                self.ge(vt, c1)
+            let inside = self.implicant_stands();
+            // What the implicant refuses is not refuted: only the
+            // witness-side endpoint moves.
+            let (mut a, mut b) = (lo, hi);
+            while inside && a < b {
+                let mid = midpoint(a, b)?;
+                let probe = self.bound_probe(v, mid, minimize);
+                if self.probe(&[probe])? {
+                    let w = self.model_int(v)?;
+                    witnesses.push(w);
+                    if minimize {
+                        b = w.min(mid);
+                    } else {
+                        a = w.max(mid + 1);
+                    }
+                } else if minimize {
+                    a = mid + 1;
+                } else {
+                    b = mid;
+                }
+            }
+            // The implicant's extreme is the new witness-side endpoint, and
+            // the real probe asks for anything beyond it.
+            let mid = match (inside, minimize) {
+                (false, _) => midpoint(lo, hi)?,
+                (true, true) => {
+                    hi = a;
+                    a.saturating_sub(1)
+                }
+                (true, false) => {
+                    lo = a;
+                    a
+                }
             };
-            match self.check_assuming(&[probe])? {
+            if lo >= hi {
+                break;
+            }
+            let probe = self.bound_probe(v, mid, minimize);
+            match self.search_assuming(&[probe])? {
                 SatResult::Sat => {
                     let w = self.model_int(v)?;
                     witnesses.push(w);
@@ -924,6 +1344,18 @@ impl Solver {
             }
         }
         Ok(Some(lo))
+    }
+
+    /// The probe of a range search at `mid`: `v ≤ mid` when minimizing,
+    /// `v > mid` when maximizing.
+    fn bound_probe(&mut self, v: VarId, mid: i64, minimize: bool) -> TermId {
+        let vt = self.var(v);
+        let c = self.int(mid);
+        if minimize {
+            self.le(vt, c)
+        } else {
+            self.gt(vt, c)
+        }
     }
 
     /// One round of interval analysis of `v`: the feasible hull plus a
@@ -963,15 +1395,15 @@ impl Solver {
         let mut harvested = Vec::new();
         // Witnesses and buckets both ascend: one cursor walks them together.
         let mut known = witnesses.iter().copied().peekable();
-        let mut bucket = lo - lo.rem_euclid(stride);
-        while bucket <= hi {
-            // The last bucket's upper edge can pass i64::MAX before `.min(hi)`
-            // clamps it; an overflowed edge is >= i64::MAX >= hi.
-            let edge = match bucket.checked_add(stride) {
-                Some(next) => next - 1, // stride > 0, so next > i64::MIN
-                None => i64::MAX,
-            };
-            let (a, b) = (bucket.max(lo), edge.min(hi));
+        // `[a, b]` is a stride-aligned bucket clipped to the hull. The sweep
+        // steps from the clipped ends: an aligned edge can lie outside i64
+        // (a hull that starts near i64::MIN, or ends near i64::MAX).
+        let mut a = lo;
+        loop {
+            // `!a` is `-a - 1`, in range for every `a`: its remainder is the
+            // distance from `a` to the last value of `a`'s bucket.
+            let to_edge = (!a).rem_euclid(stride);
+            let b = a.checked_add(to_edge).map_or(hi, |edge| edge.min(hi));
             while known.next_if(|&w| w < a).is_some() {}
             let witnessed = known.peek().is_some_and(|&w| w <= b);
             if !witnessed {
@@ -987,11 +1419,10 @@ impl Solver {
                     SatResult::Unknown => {} // bucket stays unclassified
                 }
             }
-            bucket = match bucket.checked_add(stride) {
-                // Past i64::MAX means past `hi`: the sweep is done.
-                None => break,
-                Some(next) => next,
-            };
+            match b.checked_add(1) {
+                Some(next) if next <= hi => a = next,
+                _ => break,
+            }
         }
         witnesses.extend(harvested);
         witnesses.sort_unstable();
@@ -1004,13 +1435,16 @@ impl Solver {
         }))
     }
 
-    /// The exact feasible subset of `[lo, hi]` for `v`, computed by
-    /// solve-and-block enumeration: repeatedly find a model with `v` in the
-    /// range and none of the values found so far, until UNSAT. Values in
-    /// `known` are assumed already proven feasible and are blocked up front
-    /// rather than re-discovered. Returns `None` if the solver answers
-    /// `Unknown` mid-enumeration (the partial set would be unsound to treat
-    /// as exact).
+    /// The exact feasible subset of `[lo, hi]` for `v`. Values in `known`
+    /// are assumed already proven feasible. While an implicant stands, the
+    /// gaps between the values found so far are probed under it (theory
+    /// checks alone), each `Sat` splitting its gap; what is left goes to
+    /// solve-and-block — a search for a model with `v` in the range and
+    /// none of the values found — whose `Sat` brings a new value and a new
+    /// implicant to probe the gaps under, and whose `Unsat` ends the
+    /// enumeration. Returns `None` if the solver answers `Unknown`
+    /// mid-enumeration (the partial set would be unsound to treat as
+    /// exact).
     pub fn feasible_values_in(
         &mut self,
         v: VarId,
@@ -1029,19 +1463,44 @@ impl Solver {
             .checked_sub(lo)
             .and_then(|w| w.checked_add(1))
             .ok_or(SolverError::Overflow("feasible_values_in width"))? as usize;
+        let vt = self.var(v);
         while found.len() < width {
-            let vt = self.var(v);
+            // `found[i]` is the first value found at or above `a`; below it
+            // (below `hi`, past the last) lies the gap `[a, b]`.
+            let (mut a, mut i) = (lo, 0);
+            while self.implicant_stands() && a <= hi {
+                let b = match found.get(i) {
+                    Some(&f) if f == a => {
+                        i += 1;
+                        a
+                    }
+                    upper => {
+                        let b = upper.map_or(hi, |&f| f - 1);
+                        let (ca, cb) = (self.int(a), self.int(b));
+                        let (ge, le) = (self.ge(vt, ca), self.le(vt, cb));
+                        if self.probe(&[ge, le])? {
+                            // In `[a, b]`: the gap splits, its lower part next.
+                            found.insert(i, self.model_int(v)?);
+                            continue;
+                        }
+                        b
+                    }
+                };
+                // Nothing (more) this implicant admits up to `b`.
+                let Some(next) = b.checked_add(1) else { break };
+                a = next;
+            }
+            if found.len() == width {
+                break;
+            }
             let (ca, cb) = (self.int(lo), self.int(hi));
-            let ge = self.ge(vt, ca);
-            let le = self.le(vt, cb);
-            let mut assumptions = vec![ge, le];
+            let mut assumptions = vec![self.ge(vt, ca), self.le(vt, cb)];
             for &w in &found {
                 let cw = self.int(w);
                 let eq = self.eq(vt, cw);
-                let neq = self.not(eq);
-                assumptions.push(neq);
+                assumptions.push(self.not(eq));
             }
-            match self.check_assuming(&assumptions)? {
+            match self.search_assuming(&assumptions)? {
                 SatResult::Sat => {
                     let w = self.model_int(v)?;
                     debug_assert!((lo..=hi).contains(&w));
@@ -1072,7 +1531,7 @@ mod tests {
         assert_eq!(s.check().unwrap(), SatResult::Sat);
         let m = s.model().unwrap();
         assert!(m.int_value(x).unwrap() >= 7);
-        assert!(m.eval_bool(s.pool(), f));
+        assert!(m.eval_bool(s.pool(), f).unwrap());
     }
 
     #[test]
@@ -1348,6 +1807,27 @@ mod tests {
     }
 
     #[test]
+    fn interval_map_sweeps_a_hull_whose_first_bucket_starts_below_i64_min() {
+        // The stride-aligned start of the first bucket, `lo - lo mod 10`,
+        // is not an i64 here: the old sweep panicked on it in debug and, in
+        // release, wrapped past `hi` and skipped every bucket.
+        let lo = i64::MIN + 1;
+        let mut s = Solver::new();
+        let x = s.int_var("x", lo, lo + 25);
+        let tx = s.var(x);
+        let (c4, c17) = (s.int(lo + 4), s.int(lo + 17));
+        let (low, high) = (s.le(tx, c4), s.ge(tx, c17));
+        let either = s.or(&[low, high]);
+        s.assert(either);
+        let map = s.interval_map(x, 10).unwrap().unwrap();
+        assert_eq!((map.lo, map.hi), (lo, lo + 25));
+        // `lo mod 10 == 3`: buckets end at lo + 6 and lo + 16, and the one
+        // bucket inside the hole is the one certified gap.
+        assert_eq!(map.gaps, vec![(lo + 7, lo + 16)]);
+        assert!(map.witnesses.iter().all(|w| *w <= lo + 4 || *w >= lo + 17));
+    }
+
+    #[test]
     fn bounds_shares_the_initial_check() {
         // minimize + maximize issue two initial checks; bounds issues one.
         // Two identically-built solvers: the warm theory basis carries model
@@ -1411,7 +1891,208 @@ mod tests {
         s.assert(all);
         assert_eq!(s.check().unwrap(), SatResult::Sat);
         let m = s.model().unwrap().clone();
-        assert!(m.eval_bool(s.pool(), all));
+        assert!(m.eval_bool(s.pool(), all).unwrap());
+    }
+}
+
+#[cfg(test)]
+mod implicant_tests {
+    use super::*;
+
+    /// `max(fine) >= 30` over five steps in `[0, 60]`.
+    fn burst_rule(s: &mut Solver) -> (Vec<VarId>, Vec<TermId>, TermId) {
+        let vars: Vec<VarId> = (0..5)
+            .map(|t| s.int_var(&format!("fine{t}"), 0, 60))
+            .collect();
+        let terms: Vec<TermId> = vars.iter().map(|&v| s.var(v)).collect();
+        let thirty = s.int(30);
+        let rule = s.pool_mut().max_ge(&terms, thirty);
+        s.assert(rule);
+        (vars, terms, rule)
+    }
+
+    #[test]
+    fn a_popped_probe_leaves_an_implicant_of_what_is_still_asserted() {
+        // The search for `fine0 >= 31` has the theory propagate
+        // `fine0 >= 30` from the probe's own atom, so the final check's
+        // conjunction holds neither: an implicant read off that trail, less
+        // the popped probe, is empty, admits `fine0 <= 5` with every step at
+        // its lower bound, and breaks the rule. Read off the model, it
+        // holds a disjunct of the rule.
+        let mut s = Solver::new();
+        let (vars, terms, rule) = burst_rule(&mut s);
+        let (c31, c5) = (s.int(31), s.int(5));
+        let (high, low) = (s.ge(terms[0], c31), s.le(terms[0], c5));
+        assert_eq!(s.check_assuming(&[high]).unwrap(), SatResult::Sat);
+        assert_eq!(s.stats().searches, 1);
+        assert!(s.implicant_stands() && !s.implicant.is_empty());
+        assert_eq!(s.check_assuming(&[low]).unwrap(), SatResult::Sat);
+        let m = s.model().unwrap().clone();
+        assert!(m.int_value(vars[0]).unwrap() <= 5);
+        assert!(
+            m.eval_bool(s.pool(), rule).unwrap(),
+            "{m:?} breaks the rule"
+        );
+    }
+
+    #[test]
+    fn only_a_search_says_unsat_and_it_leaves_the_implicant_standing() {
+        let mut s = Solver::new();
+        let (_, terms, _) = burst_rule(&mut s);
+        let sum = s.add(&terms);
+        let c100 = s.int(100);
+        let total = s.eq(sum, c100);
+        s.assert(total);
+        assert_eq!(s.check().unwrap(), SatResult::Sat);
+        assert!(s.implicant_stands());
+        let standing = s.implicant.clone();
+        // 5 * 19 < 100: refused by the implicant, refuted by the search.
+        let c19 = s.int(19);
+        let capped = s.pool_mut().max_le(&terms, c19);
+        let before = s.stats();
+        assert_eq!(s.check_assuming(&[capped]).unwrap(), SatResult::Unsat);
+        let after = s.stats();
+        assert_eq!(after.searches, before.searches + 1);
+        assert_eq!(after.implicant_answers, before.implicant_answers);
+        assert!(s.implicant_stands());
+        assert_eq!(s.implicant, standing);
+        // And goes on answering.
+        assert_eq!(s.check().unwrap(), SatResult::Sat);
+        assert_eq!(s.stats().searches, after.searches);
+    }
+
+    #[test]
+    fn a_fixed_value_extends_the_implicant_and_the_next_range_search_opens_on_it() {
+        // Fig. 1b: the base check of each variable's range search, and the
+        // bisection down to the extreme, run on the implicant; what is left
+        // to the search is the probe beyond each extreme.
+        let mut s = Solver::new();
+        let (vars, terms, _) = burst_rule(&mut s);
+        let sum = s.add(&terms);
+        let c100 = s.int(100);
+        let total = s.eq(sum, c100);
+        s.assert(total);
+        assert_eq!(s.check().unwrap(), SatResult::Sat);
+        for (t, val) in [(0usize, 20i64), (1, 15), (2, 25)] {
+            let c = s.int(val);
+            let eq = s.eq(terms[t], c);
+            s.assert(eq);
+            assert!(
+                s.implicant_stands(),
+                "fine{t} == {val} dropped the implicant"
+            );
+        }
+        let before = s.stats();
+        let b = s.bounds(vars[3]).unwrap().unwrap();
+        assert_eq!((b.lo, b.hi), (0, 40));
+        let after = s.stats();
+        assert!(after.implicant_answers > before.implicant_answers);
+        assert!(
+            after.searches - before.searches <= 3,
+            "{} searches for one hull",
+            after.searches - before.searches
+        );
+        // A fix the implicant's branch of the rule cannot take drops it; the
+        // next check is a search and stands a new one.
+        let c0 = s.int(0);
+        let eq = s.eq(terms[3], c0);
+        s.assert(eq);
+        let searches = s.stats().searches;
+        assert_eq!(s.check().unwrap(), SatResult::Sat);
+        assert_eq!(s.model().unwrap().int_value(vars[4]), Some(40));
+        assert!(s.stats().searches <= searches + 1);
+        assert!(s.implicant_stands());
+    }
+
+    #[test]
+    fn a_retract_and_an_assertion_that_is_no_conjunction_drop_the_implicant() {
+        let mut s = Solver::new();
+        let (_, terms, _) = burst_rule(&mut s);
+        assert_eq!(s.check().unwrap(), SatResult::Sat);
+        s.push();
+        assert!(s.implicant_stands(), "a push asserts nothing");
+        let c10 = s.int(10);
+        let low = s.pool_mut().min_le(&terms, c10);
+        s.assert(low);
+        assert!(!s.implicant_stands());
+        assert_eq!(s.check().unwrap(), SatResult::Sat);
+        assert!(s.implicant_stands());
+        s.pop();
+        assert!(!s.implicant_stands());
+        let searches = s.stats().searches;
+        assert_eq!(s.check().unwrap(), SatResult::Sat);
+        assert_eq!(s.stats().searches, searches + 1);
+    }
+
+    #[test]
+    fn a_model_that_leans_on_a_boolean_variable_leaves_no_implicant() {
+        let mut s = Solver::new();
+        let flag = s.bool_var("flag");
+        let x = s.int_var("x", 0, 10);
+        let (tf, tx) = (s.var(flag), s.var(x));
+        let c5 = s.int(5);
+        let ge = s.ge(tx, c5);
+        let rule = s.implies(tf, ge);
+        s.assert(rule);
+        let nf = s.not(tf);
+        let lt = s.not(ge);
+        let other = s.implies(nf, lt);
+        s.assert(other);
+        for _ in 0..2 {
+            assert_eq!(s.check().unwrap(), SatResult::Sat);
+            assert!(!s.implicant_stands());
+            let m = s.model().unwrap();
+            assert_eq!(m.bool_value(flag), m.int_value(x).unwrap() >= 5);
+        }
+        assert_eq!(s.stats().implicant_answers, 0);
+        assert_eq!(s.minimize(x).unwrap(), Some(0));
+        assert_eq!(s.maximize(x).unwrap(), Some(10));
+    }
+
+    #[test]
+    fn model_evaluation_is_total() {
+        let mut s = Solver::new();
+        let big = 1i64 << 62;
+        let x = s.int_var("x", 0, big);
+        let flag = s.bool_var("flag");
+        let (tx, tf) = (s.var(x), s.var(flag));
+        let top = s.int(big);
+        let pin = s.eq(tx, top);
+        s.assert(pin);
+        assert_eq!(s.check().unwrap(), SatResult::Sat);
+        let m = s.model().unwrap().clone();
+        let doubled = s.mul_const(2, tx);
+        let sum = s.add(&[tx, tx]);
+        for t in [doubled, sum] {
+            assert!(matches!(
+                m.eval_int(s.pool(), t),
+                Err(SolverError::Overflow(_))
+            ));
+        }
+        let le = s.le(doubled, top);
+        assert!(matches!(
+            m.eval_bool(s.pool(), le),
+            Err(SolverError::Overflow(_))
+        ));
+        for (int, boolean) in [(pin, tx), (tf, top)] {
+            assert!(matches!(
+                m.eval_int(s.pool(), int),
+                Err(SolverError::InvalidQuery(_))
+            ));
+            assert!(matches!(
+                m.eval_bool(s.pool(), boolean),
+                Err(SolverError::InvalidQuery(_))
+            ));
+        }
+        // A variable declared after the model was taken.
+        let y = s.int_var("y", 0, 1);
+        let ty = s.var(y);
+        assert!(matches!(
+            m.eval_int(s.pool(), ty),
+            Err(SolverError::InvalidQuery(_))
+        ));
+        assert_eq!(m.eval_int(s.pool(), tx), Ok(big));
+        assert_eq!(m.eval_bool(s.pool(), pin), Ok(true));
     }
 }
 

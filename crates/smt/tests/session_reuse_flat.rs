@@ -53,7 +53,7 @@ fn per_cycle_sat_cost_is_flat_across_pooled_reuse() {
         assert_eq!(s.check().unwrap(), SatResult::Sat, "round {round}");
         let model = s.model().unwrap().clone();
         assert!(
-            model.eval_bool(s.pool(), disj) && model.eval_bool(s.pool(), sum_eq),
+            model.eval_bool(s.pool(), disj).unwrap() && model.eval_bool(s.pool(), sum_eq).unwrap(),
             "round {round}: model violates a live assertion — stale \
              definitional clauses are satisfying the formula variable"
         );
