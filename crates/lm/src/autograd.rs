@@ -6,7 +6,7 @@
 //! no more:
 //!
 //! * `matmul`, `add`, `add_bias` (row broadcast), `scale`
-//! * `gelu`
+//! * `gelu` (keeps the forward's `tanh` for the backward)
 //! * `layer_norm` (with per-row mean/rstd cache)
 //! * `causal_softmax` (row-wise softmax over the causal prefix)
 //! * `embed` (gather rows; scatter-add on backward)
@@ -16,13 +16,17 @@
 //! Model parameters live *outside* the tape; each training step clones them
 //! in as gradient-requiring leaves and reads the gradients back out. At the
 //! scale of this reproduction (models of ~10⁵ parameters) the clone is
-//! negligible and keeps ownership simple.
+//! negligible and keeps ownership simple (a borrowing leaf measured no
+//! faster). The backward reads each node's value, cache and gradient in
+//! place; only the gradients it hands to inputs are new matrices.
 
 // Index-based loops in the backward kernels mirror the math; iterator
 // rewrites obscure the row/column structure.
 #![allow(clippy::needless_range_loop)]
 
-use crate::tensor::{gelu, gelu_grad, softmax_inplace, Matrix};
+use std::borrow::Cow;
+
+use crate::tensor::{gelu_and_tanh, gelu_grad, softmax_inplace, Matrix};
 
 /// Index of a node on a [`Tape`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -36,7 +40,11 @@ enum Op {
     Add(NodeId, NodeId),
     AddBias(NodeId, NodeId),
     Scale(NodeId, f32),
-    Gelu(NodeId),
+    /// The forward's `tanh` per element, which the backward reuses.
+    Gelu {
+        x: NodeId,
+        tanh: Vec<f32>,
+    },
     LayerNorm {
         x: NodeId,
         gamma: NodeId,
@@ -44,15 +52,13 @@ enum Op {
         xhat: Matrix,
         rstd: Vec<f32>,
     },
-    CausalSoftmax {
-        x: NodeId,
-        probs: Matrix,
-    },
+    /// The probabilities are the node's own value.
+    CausalSoftmax(NodeId),
     Embed {
         table: NodeId,
         indices: Vec<usize>,
     },
-    SliceCols(NodeId, usize, usize),
+    SliceCols(NodeId, usize),
     ConcatCols(Vec<NodeId>),
     Transpose(NodeId),
     CrossEntropy {
@@ -133,20 +139,17 @@ impl Tape {
 
     /// GELU activation.
     pub fn gelu(&mut self, a: NodeId) -> NodeId {
-        let mut data = self.value(a).clone();
-        for v in data.data_mut() {
-            *v = gelu(*v);
-        }
-        self.push(data, Op::Gelu(a))
+        let xv = self.value(a);
+        let (data, tanh) = xv.data().iter().map(|&x| gelu_and_tanh(x)).unzip();
+        let data = Matrix::from_vec(xv.rows(), xv.cols(), data);
+        self.push(data, Op::Gelu { x: a, tanh })
     }
 
     /// Layer normalization over each row, with learned gain and bias
     /// (`gamma`, `beta` are 1×cols).
     pub fn layer_norm(&mut self, x: NodeId, gamma: NodeId, beta: NodeId) -> NodeId {
         const EPS: f32 = 1e-5;
-        let xv = self.value(x).clone();
-        let g = self.value(gamma).clone();
-        let b = self.value(beta).clone();
+        let (xv, g, b) = (self.value(x), self.value(gamma), self.value(beta));
         let (rows, cols) = (xv.rows(), xv.cols());
         let mut xhat = Matrix::zeros(rows, cols);
         let mut out = Matrix::zeros(rows, cols);
@@ -178,16 +181,16 @@ impl Tape {
     /// Row-wise softmax restricted to the causal prefix: in row `i` only
     /// columns `0..=i` participate; later columns are exactly zero.
     pub fn causal_softmax(&mut self, x: NodeId) -> NodeId {
-        let xv = self.value(x).clone();
+        let xv = self.value(x);
         let (rows, cols) = (xv.rows(), xv.cols());
         let mut probs = Matrix::zeros(rows, cols);
         for r in 0..rows {
             let visible = (r + 1).min(cols);
-            let mut slice: Vec<f32> = xv.row(r)[..visible].to_vec();
-            softmax_inplace(&mut slice);
-            probs.row_mut(r)[..visible].copy_from_slice(&slice);
+            let slice = &mut probs.row_mut(r)[..visible];
+            slice.copy_from_slice(&xv.row(r)[..visible]);
+            softmax_inplace(slice);
         }
-        self.push(probs.clone(), Op::CausalSoftmax { x, probs })
+        self.push(probs, Op::CausalSoftmax(x))
     }
 
     /// Gathers rows of `table` (V×d) by `indices`, producing a T×d matrix.
@@ -210,7 +213,7 @@ impl Tape {
     /// Copies columns `[start, end)`.
     pub fn slice_cols(&mut self, a: NodeId, start: usize, end: usize) -> NodeId {
         let data = self.value(a).slice_cols(start, end);
-        self.push(data, Op::SliceCols(a, start, end))
+        self.push(data, Op::SliceCols(a, start))
     }
 
     /// Horizontally concatenates nodes with equal row counts.
@@ -229,9 +232,8 @@ impl Tape {
     /// Fused softmax + cross-entropy, averaged over positions. Returns a
     /// 1×1 node.
     pub fn cross_entropy(&mut self, logits: NodeId, targets: &[usize]) -> NodeId {
-        let lv = self.value(logits).clone();
-        assert_eq!(lv.rows(), targets.len(), "one target per position");
-        let mut probs = lv.clone();
+        let mut probs = self.value(logits).clone();
+        assert_eq!(probs.rows(), targets.len(), "one target per position");
         let mut loss = 0.0f32;
         for r in 0..probs.rows() {
             softmax_inplace(probs.row_mut(r));
@@ -249,20 +251,6 @@ impl Tape {
         )
     }
 
-    fn accumulate(&mut self, id: NodeId, delta: &Matrix) {
-        let n = &mut self.nodes[id.0];
-        if let Op::Leaf {
-            requires_grad: false,
-        } = n.op
-        {
-            return; // inputs that don't need gradients skip the allocation
-        }
-        match &mut n.grad {
-            Some(g) => g.add_scaled_inplace(delta, 1.0),
-            None => n.grad = Some(delta.clone()),
-        }
-    }
-
     /// Runs reverse-mode differentiation from `root` (which must be 1×1).
     pub fn backward(&mut self, root: NodeId) {
         assert_eq!(
@@ -273,45 +261,44 @@ impl Tape {
         self.nodes[root.0].grad = Some(Matrix::from_vec(1, 1, vec![1.0]));
 
         for i in (0..=root.0).rev() {
-            let Some(gy) = self.nodes[i].grad.clone() else {
+            // A node's inputs precede it on the tape: split there, so the
+            // node's value, cache and gradient are read in place while its
+            // inputs' gradients are written.
+            let (inputs, rest) = self.nodes.split_at_mut(i);
+            let node = &rest[0];
+            let Some(gy) = &node.grad else {
                 continue;
             };
-            // Dispatch on op; borrow data snapshots as needed.
-            match &self.nodes[i].op {
+            match &node.op {
                 Op::Leaf { .. } => {}
                 Op::MatMul(a, b) => {
-                    let (a, b) = (*a, *b);
-                    let ga = gy.matmul_bt(&self.nodes[b.0].data);
-                    let gb = self.nodes[a.0].data.matmul_at(&gy);
-                    self.accumulate(a, &ga);
-                    self.accumulate(b, &gb);
+                    let ga = gy.matmul_bt(&inputs[b.0].data);
+                    let gb = inputs[a.0].data.matmul_at(gy);
+                    accumulate(inputs, *a, Cow::Owned(ga));
+                    accumulate(inputs, *b, Cow::Owned(gb));
                 }
                 Op::Add(a, b) => {
-                    let (a, b) = (*a, *b);
-                    self.accumulate(a, &gy);
-                    self.accumulate(b, &gy);
+                    accumulate(inputs, *a, Cow::Borrowed(gy));
+                    accumulate(inputs, *b, Cow::Borrowed(gy));
                 }
                 Op::AddBias(a, bias) => {
-                    let (a, bias) = (*a, *bias);
-                    self.accumulate(a, &gy);
-                    let gb = gy.sum_rows();
-                    self.accumulate(bias, &gb);
+                    accumulate(inputs, *a, Cow::Borrowed(gy));
+                    accumulate(inputs, *bias, Cow::Owned(gy.sum_rows()));
                 }
                 Op::Scale(a, k) => {
-                    let (a, k) = (*a, *k);
-                    let ga = gy.scale(k);
-                    self.accumulate(a, &ga);
+                    accumulate(inputs, *a, Cow::Owned(gy.scale(*k)));
                 }
-                Op::Gelu(a) => {
-                    let a = *a;
-                    let mut ga = gy.clone();
-                    {
-                        let xs = self.nodes[a.0].data.data();
-                        for (g, &x) in ga.data_mut().iter_mut().zip(xs) {
-                            *g *= gelu_grad(x);
-                        }
-                    }
-                    self.accumulate(a, &ga);
+                Op::Gelu { x, tanh } => {
+                    let xs = inputs[x.0].data.data();
+                    let ga = gy
+                        .data()
+                        .iter()
+                        .zip(xs)
+                        .zip(tanh)
+                        .map(|((&g, &xv), &t)| g * gelu_grad(xv, t))
+                        .collect();
+                    let ga = Matrix::from_vec(gy.rows(), gy.cols(), ga);
+                    accumulate(inputs, *x, Cow::Owned(ga));
                 }
                 Op::LayerNorm {
                     x,
@@ -320,20 +307,20 @@ impl Tape {
                     xhat,
                     rstd,
                 } => {
-                    let (x, gamma, beta) = (*x, *gamma, *beta);
-                    let xhat = xhat.clone();
-                    let rstd = rstd.clone();
-                    let gmat = self.nodes[gamma.0].data.clone();
+                    let gmat = &inputs[gamma.0].data;
                     let (rows, cols) = (gy.rows(), gy.cols());
 
                     let mut dgamma = Matrix::zeros(1, cols);
                     let mut dbeta = Matrix::zeros(1, cols);
                     let mut dx = Matrix::zeros(rows, cols);
+                    let mut dxhat = vec![0.0f32; cols];
                     for r in 0..rows {
                         let gy_r = gy.row(r);
                         let xh_r = xhat.row(r);
                         // dxhat = gy * gamma
-                        let dxhat: Vec<f32> = (0..cols).map(|c| gy_r[c] * gmat.get(0, c)).collect();
+                        for c in 0..cols {
+                            dxhat[c] = gy_r[c] * gmat.get(0, c);
+                        }
                         let mean_dxhat: f32 = dxhat.iter().sum::<f32>() / cols as f32;
                         let mean_dxhat_xhat: f32 =
                             dxhat.iter().zip(xh_r).map(|(d, x)| d * x).sum::<f32>() / cols as f32;
@@ -344,13 +331,12 @@ impl Tape {
                             dbeta.set(0, c, dbeta.get(0, c) + gy_r[c]);
                         }
                     }
-                    self.accumulate(x, &dx);
-                    self.accumulate(gamma, &dgamma);
-                    self.accumulate(beta, &dbeta);
+                    accumulate(inputs, *x, Cow::Owned(dx));
+                    accumulate(inputs, *gamma, Cow::Owned(dgamma));
+                    accumulate(inputs, *beta, Cow::Owned(dbeta));
                 }
-                Op::CausalSoftmax { x, probs } => {
-                    let x = *x;
-                    let probs = probs.clone();
+                Op::CausalSoftmax(x) => {
+                    let probs = &node.data;
                     let (rows, cols) = (gy.rows(), gy.cols());
                     let mut dx = Matrix::zeros(rows, cols);
                     for r in 0..rows {
@@ -362,64 +348,67 @@ impl Tape {
                             dx.set(r, c, p[c] * (g[c] - dot));
                         }
                     }
-                    self.accumulate(x, &dx);
+                    accumulate(inputs, *x, Cow::Owned(dx));
                 }
                 Op::Embed { table, indices } => {
-                    let table = *table;
-                    let indices = indices.clone();
-                    let tv = &self.nodes[table.0].data;
+                    let tv = &inputs[table.0].data;
                     let mut gt = Matrix::zeros(tv.rows(), tv.cols());
                     for (r, &ix) in indices.iter().enumerate() {
-                        let src = gy.row(r).to_vec();
-                        for (o, v) in gt.row_mut(ix).iter_mut().zip(src) {
+                        for (o, &v) in gt.row_mut(ix).iter_mut().zip(gy.row(r)) {
                             *o += v;
                         }
                     }
-                    self.accumulate(table, &gt);
+                    accumulate(inputs, *table, Cow::Owned(gt));
                 }
-                Op::SliceCols(a, start, end) => {
-                    let (a, start, end) = (*a, *start, *end);
-                    let src = &self.nodes[a.0].data;
+                Op::SliceCols(a, start) => {
+                    let src = &inputs[a.0].data;
                     let mut ga = Matrix::zeros(src.rows(), src.cols());
                     for r in 0..gy.rows() {
-                        let g_row = gy.row(r).to_vec();
-                        ga.row_mut(r)[start..end].copy_from_slice(&g_row);
+                        ga.row_mut(r)[*start..*start + gy.cols()].copy_from_slice(gy.row(r));
                     }
-                    self.accumulate(a, &ga);
+                    accumulate(inputs, *a, Cow::Owned(ga));
                 }
                 Op::ConcatCols(parts) => {
-                    let parts = parts.clone();
                     let mut off = 0;
-                    for p in parts {
-                        let w = self.nodes[p.0].data.cols();
-                        let gp = gy.slice_cols(off, off + w);
-                        self.accumulate(p, &gp);
+                    for &p in parts {
+                        let w = inputs[p.0].data.cols();
+                        accumulate(inputs, p, Cow::Owned(gy.slice_cols(off, off + w)));
                         off += w;
                     }
                 }
                 Op::Transpose(a) => {
-                    let a = *a;
-                    let ga = gy.transpose();
-                    self.accumulate(a, &ga);
+                    accumulate(inputs, *a, Cow::Owned(gy.transpose()));
                 }
                 Op::CrossEntropy {
                     logits,
                     targets,
                     probs,
                 } => {
-                    let logits = *logits;
-                    let targets = targets.clone();
                     let mut dl = probs.clone();
-                    let n = targets.len() as f32;
-                    let upstream = gy.get(0, 0);
                     for (r, &t) in targets.iter().enumerate() {
                         dl.set(r, t, dl.get(r, t) - 1.0);
                     }
-                    let dl = dl.scale(upstream / n);
-                    self.accumulate(logits, &dl);
+                    let k = gy.get(0, 0) / targets.len() as f32;
+                    accumulate(inputs, *logits, Cow::Owned(dl.scale(k)));
                 }
             }
         }
+    }
+}
+
+/// Adds `delta` into node `id`'s gradient; a first contribution is moved
+/// in (or cloned, if borrowed).
+fn accumulate(nodes: &mut [Node], id: NodeId, delta: Cow<'_, Matrix>) {
+    let n = &mut nodes[id.0];
+    if let Op::Leaf {
+        requires_grad: false,
+    } = n.op
+    {
+        return; // inputs that don't need gradients skip the allocation
+    }
+    match &mut n.grad {
+        Some(g) => g.add_scaled_inplace(&delta, 1.0),
+        None => n.grad = Some(delta.into_owned()),
     }
 }
 

@@ -530,6 +530,53 @@ mod tests {
         assert!(l.iter().all(|v| v.is_finite()));
     }
 
+    /// FNV-1a over the `f32::to_bits` of every parameter after a fixed-seed
+    /// training run: 30 steps at batch 2 of a two-layer `d_model` 40 model,
+    /// so the products see widths 40 and 120 (not multiples of the kernel's
+    /// tile) as well as 160 (a multiple).
+    fn trained_params_hash() -> u64 {
+        let vocab = Vocab::from_corpus("0123456789,.");
+        let corpus: Vec<Vec<TokenId>> = (0..12u64)
+            .map(|i| {
+                let text: String = (0..9)
+                    .map(|j| format!("{},", (i * 7919 + j * 104_729) % 9973))
+                    .collect();
+                vocab.encode(&format!("{text}.")).unwrap()
+            })
+            .collect();
+        let config = GptConfig {
+            d_model: 40,
+            n_layers: 2,
+            n_heads: 2,
+            max_seq_len: 40,
+        };
+        let mut model = TinyGpt::new(config, vocab, 11);
+        let adam = AdamConfig {
+            lr: 1e-2,
+            warmup_steps: 5,
+            total_steps: 30,
+            ..AdamConfig::default()
+        };
+        model.train(&corpus, 30, 2, adam, &mut StdRng::seed_from_u64(17));
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for p in model.raw_params() {
+            for x in p.data() {
+                for byte in x.to_bits().to_le_bytes() {
+                    h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn trained_weights_bits_match_the_golden() {
+        // Captured at commit 4234814, before the four product loop nests
+        // became one kernel: the test that fails if a training float moves.
+        const GOLDEN: u64 = 1_844_309_926_814_062_477;
+        assert_eq!(trained_params_hash(), GOLDEN);
+    }
+
     #[test]
     fn num_params_counts_everything() {
         let vocab = Vocab::from_corpus("abc");

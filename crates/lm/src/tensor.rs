@@ -1,28 +1,28 @@
 //! Dense row-major `f32` matrices with the kernels a tiny transformer needs.
 //!
-//! No SIMD intrinsics, no unsafe. The three matrix products are *blocked*
-//! (cache-tiled over the inner and output-column dimensions) and
-//! *row-parallel* over the workspace thread pool ([`minipool`]) once a
-//! product is large enough to amortize the scoped-thread spawn; small
-//! products run the serial kernel inline. Every kernel accumulates each
-//! output element in ascending inner-dimension order regardless of tiling
-//! or thread count, so results are bit-identical to the naive triple loop —
-//! the workspace-wide determinism contract.
+//! No SIMD intrinsics, no unsafe. All four products (`matmul`, `affine`,
+//! `matmul_at`, `matmul_bt`) run one kernel, `accumulate_product`: per
+//! output row it holds a `MM_TILE`-wide tile of accumulators in registers
+//! across the whole inner dimension, starting from the output's initial
+//! value (zero or bias) and adding `a[i][k] · b[k][j]` in ascending `k`,
+//! skipping `a[i][k] == 0.0`; the last `n mod MM_TILE` columns take a
+//! scalar tail in the same order. That is the per-element order of the
+//! naive `i-k-j` loop, so every product is bit-identical to it. The two
+//! transposed products transpose one operand once and call the same
+//! kernel. Output rows are *row-parallel* over the workspace thread pool
+//! ([`minipool`]) once a product is large enough to amortize the
+//! scoped-thread spawn; small products run inline. No thread count changes
+//! a float — the workspace-wide determinism contract.
 
 use minipool::ThreadPool;
 use rand::Rng;
 
-/// Tile height of the inner (`k`) dimension: one tile of the right-hand
-/// matrix is `MM_BLOCK_K` rows long and stays cache-resident while a block
-/// of output rows consumes it.
-const MM_BLOCK_K: usize = 64;
+/// Width of the kernel's register tile: the accumulators one output row
+/// holds across the whole inner dimension.
+const MM_TILE: usize = 16;
 
-/// Tile width of the output-column (`j`) dimension (with `MM_BLOCK_K` this
-/// bounds the right-hand tile at 64 KiB of `f32`).
-const MM_BLOCK_J: usize = 256;
-
-/// Output rows handed to one worker at a time. Chosen so a row block's
-/// accumulators stay in cache while it sweeps the shared right-hand tile.
+/// Output rows handed to one worker at a time; the rows of a chunk share
+/// each column strip of the right-hand matrix while it is in cache.
 const MM_BLOCK_I: usize = 16;
 
 /// Minimum multiply-accumulate count before a product is worth
@@ -38,6 +38,56 @@ fn matmul_pool(rows: usize, macs: usize) -> ThreadPool {
     } else {
         ThreadPool::new(1)
     }
+}
+
+/// `out += a · b`, the one product kernel. `out` arrives holding each
+/// element's initial value (zero or bias); per element the products are
+/// added in ascending `k`, skipping `a[i][k] == 0.0`, whatever the tile,
+/// chunk or thread count.
+fn accumulate_product(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    debug_assert_eq!((a.cols, a.rows, b.cols), (b.rows, out.rows, out.cols));
+    let n = b.cols;
+    if n == 0 || a.rows == 0 {
+        return;
+    }
+    let pool = matmul_pool(a.rows, a.rows * a.cols * n);
+    pool.run_chunks(&mut out.data, MM_BLOCK_I * n, |chunk_idx, out_chunk| {
+        let r0 = chunk_idx * MM_BLOCK_I;
+        let tiled = n - n % MM_TILE;
+        for j0 in (0..tiled).step_by(MM_TILE) {
+            for (i, out_row) in out_chunk.chunks_exact_mut(n).enumerate() {
+                let a_row = a.row(r0 + i);
+                let out_tile = &mut out_row[j0..j0 + MM_TILE];
+                let mut acc: [f32; MM_TILE] = out_tile.try_into().expect("tile width");
+                for (k, &x) in a_row.iter().enumerate() {
+                    if x == 0.0 {
+                        continue;
+                    }
+                    let b_tile: &[f32; MM_TILE] = b.data[k * n + j0..k * n + j0 + MM_TILE]
+                        .try_into()
+                        .expect("tile width");
+                    for (o, &y) in acc.iter_mut().zip(b_tile) {
+                        *o += x * y;
+                    }
+                }
+                out_tile.copy_from_slice(&acc);
+            }
+        }
+        if tiled < n {
+            for (i, out_row) in out_chunk.chunks_exact_mut(n).enumerate() {
+                let a_row = a.row(r0 + i);
+                let out_tail = &mut out_row[tiled..];
+                for (k, &x) in a_row.iter().enumerate() {
+                    if x == 0.0 {
+                        continue;
+                    }
+                    for (o, &y) in out_tail.iter_mut().zip(&b.data[k * n + tiled..(k + 1) * n]) {
+                        *o += x * y;
+                    }
+                }
+            }
+        }
+    });
 }
 
 /// A dense row-major matrix of `f32`.
@@ -135,54 +185,21 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product `self · other`, blocked and row-parallel.
-    ///
-    /// Output rows are computed in `MM_BLOCK_I`-row chunks distributed
-    /// over the global pool; within a chunk the kernel tiles the inner and
-    /// output-column dimensions so the active slice of `other` stays in
-    /// cache. Per output element the accumulation runs in ascending-`k`
-    /// order, so the result is bit-identical to the naive `i-k-j` loop at
-    /// any thread count.
+    /// Matrix product `self · other`: the `accumulate_product` kernel
+    /// over a zero-initialised output.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         let mut out = Matrix::zeros(self.rows, other.cols);
-        let n = other.cols;
-        if n == 0 || self.rows == 0 {
-            return out;
-        }
-        let pool = matmul_pool(self.rows, self.rows * self.cols * n);
-        pool.run_chunks(&mut out.data, MM_BLOCK_I * n, |chunk_idx, out_chunk| {
-            let r0 = chunk_idx * MM_BLOCK_I;
-            let chunk_rows = out_chunk.len() / n;
-            for jb in (0..n).step_by(MM_BLOCK_J) {
-                let j_end = (jb + MM_BLOCK_J).min(n);
-                for kb in (0..self.cols).step_by(MM_BLOCK_K) {
-                    let k_end = (kb + MM_BLOCK_K).min(self.cols);
-                    for i in 0..chunk_rows {
-                        let a_row = self.row(r0 + i);
-                        let out_row = &mut out_chunk[i * n + jb..i * n + j_end];
-                        for (dk, &a) in a_row[kb..k_end].iter().enumerate() {
-                            if a == 0.0 {
-                                continue;
-                            }
-                            let k = kb + dk;
-                            let b_row = &other.data[k * n + jb..k * n + j_end];
-                            for (o, &b) in out_row.iter_mut().zip(b_row) {
-                                *o += a * b;
-                            }
-                        }
-                    }
-                }
-            }
-        });
+        accumulate_product(self, other, &mut out);
         out
     }
 
-    /// Batched affine map `self · w + bias` (bias broadcast to every row),
-    /// blocked and row-parallel like [`Matrix::matmul`].
+    /// Batched affine map `self · w + bias` (bias broadcast to every row):
+    /// the `accumulate_product` kernel over an output initialised to
+    /// `bias`.
     ///
     /// This is the kernel behind the KV-cached forward step: each row of
     /// `self` is one lane's activation, and each output row is computed on
@@ -198,109 +215,28 @@ impl Matrix {
         assert_eq!(self.cols, w.rows, "affine dimension mismatch");
         assert_eq!(bias.rows, 1, "affine bias must be a row vector");
         assert_eq!(bias.cols, w.cols, "affine bias width mismatch");
-        let n = w.cols;
-        let mut out = Matrix::zeros(self.rows, n);
-        if n == 0 || self.rows == 0 {
-            return out;
-        }
-        for r in 0..self.rows {
-            out.row_mut(r).copy_from_slice(bias.row(0));
-        }
-        let pool = matmul_pool(self.rows, self.rows * self.cols * n);
-        pool.run_chunks(&mut out.data, MM_BLOCK_I * n, |chunk_idx, out_chunk| {
-            let r0 = chunk_idx * MM_BLOCK_I;
-            let chunk_rows = out_chunk.len() / n;
-            for jb in (0..n).step_by(MM_BLOCK_J) {
-                let j_end = (jb + MM_BLOCK_J).min(n);
-                for kb in (0..self.cols).step_by(MM_BLOCK_K) {
-                    let k_end = (kb + MM_BLOCK_K).min(self.cols);
-                    for i in 0..chunk_rows {
-                        let a_row = self.row(r0 + i);
-                        let out_row = &mut out_chunk[i * n + jb..i * n + j_end];
-                        for (dk, &a) in a_row[kb..k_end].iter().enumerate() {
-                            if a == 0.0 {
-                                continue;
-                            }
-                            let k = kb + dk;
-                            let b_row = &w.data[k * n + jb..k * n + j_end];
-                            for (o, &b) in out_row.iter_mut().zip(b_row) {
-                                *o += a * b;
-                            }
-                        }
-                    }
-                }
-            }
-        });
+        let mut out = Matrix {
+            rows: self.rows,
+            cols: w.cols,
+            data: bias.data.repeat(self.rows),
+        };
+        accumulate_product(self, w, &mut out);
         out
     }
 
-    /// `self · otherᵀ` without materializing the transpose (blocked,
-    /// row-parallel; bit-identical to the naive loop at any thread count).
+    /// `self · otherᵀ`: `other` is transposed once and handed to the
+    /// kernel. For finite inputs this equals the ascending-`k` dot product
+    /// bit for bit (skipping a zero term never changes a sum that starts
+    /// at `+0.0`).
     pub fn matmul_bt(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_bt dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        let n = other.rows;
-        if n == 0 || self.rows == 0 {
-            return out;
-        }
-        let pool = matmul_pool(self.rows, self.rows * self.cols * n);
-        pool.run_chunks(&mut out.data, MM_BLOCK_I * n, |chunk_idx, out_chunk| {
-            let r0 = chunk_idx * MM_BLOCK_I;
-            let chunk_rows = out_chunk.len() / n;
-            for jb in (0..n).step_by(MM_BLOCK_J) {
-                let j_end = (jb + MM_BLOCK_J).min(n);
-                for i in 0..chunk_rows {
-                    let a_row = self.row(r0 + i);
-                    let out_row = &mut out_chunk[i * n..(i + 1) * n];
-                    for (j, o) in out_row[jb..j_end].iter_mut().enumerate() {
-                        let b_row = other.row(jb + j);
-                        let mut acc = 0.0f32;
-                        for (x, y) in a_row.iter().zip(b_row) {
-                            acc += x * y;
-                        }
-                        *o = acc;
-                    }
-                }
-            }
-        });
-        out
+        self.matmul(&other.transpose())
     }
 
-    /// `selfᵀ · other` without materializing the transpose (blocked,
-    /// row-parallel; bit-identical to the naive loop at any thread count).
+    /// `selfᵀ · other`: `self` is transposed once and handed to the kernel.
     pub fn matmul_at(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "matmul_at dimension mismatch");
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        let n = other.cols;
-        if n == 0 || self.cols == 0 {
-            return out;
-        }
-        let pool = matmul_pool(self.cols, self.rows * self.cols * n);
-        pool.run_chunks(&mut out.data, MM_BLOCK_I * n, |chunk_idx, out_chunk| {
-            let r0 = chunk_idx * MM_BLOCK_I;
-            let chunk_rows = out_chunk.len() / n;
-            for jb in (0..n).step_by(MM_BLOCK_J) {
-                let j_end = (jb + MM_BLOCK_J).min(n);
-                for kb in (0..self.rows).step_by(MM_BLOCK_K) {
-                    let k_end = (kb + MM_BLOCK_K).min(self.rows);
-                    for k in kb..k_end {
-                        let a_row = self.row(k);
-                        let b_row = &other.data[k * n + jb..k * n + j_end];
-                        for i in 0..chunk_rows {
-                            let a = a_row[r0 + i];
-                            if a == 0.0 {
-                                continue;
-                            }
-                            let out_row = &mut out_chunk[i * n + jb..i * n + j_end];
-                            for (o, &b) in out_row.iter_mut().zip(b_row) {
-                                *o += a * b;
-                            }
-                        }
-                    }
-                }
-            }
-        });
-        out
+        self.transpose().matmul(other)
     }
 
     /// The transposed matrix.
@@ -434,22 +370,45 @@ pub fn softmax_inplace(xs: &mut [f32]) {
     }
 }
 
+/// `sqrt(2/π)`, the GELU tanh approximation's scale.
+const GELU_C: f32 = 0.797_884_6;
+
+/// The `tanh` argument of [`gelu`], rounded as the forward rounds it.
+#[inline]
+fn gelu_arg(x: f32) -> f32 {
+    GELU_C * (x + 0.044715 * x * x * x)
+}
+
 /// GELU activation (tanh approximation, as in GPT-2).
 #[inline]
 pub fn gelu(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/π)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
+    gelu_and_tanh(x).0
 }
 
-/// Derivative of [`gelu`].
+/// [`gelu`] and the `tanh` it computed, which [`gelu_grad`] takes back.
 #[inline]
-pub fn gelu_grad(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
+pub fn gelu_and_tanh(x: f32) -> (f32, f32) {
+    let t = gelu_arg(x).tanh();
+    (0.5 * x * (1.0 + t), t)
+}
+
+/// Derivative of [`gelu`] at `x`, given the forward's `tanh` there.
+///
+/// The derivative rounds its own `tanh` argument (`x·x·x` first, where the
+/// forward computes `((0.044715·x)·x)·x`). Where the two arguments are
+/// bit-equal — most of the time — it reuses `fwd_tanh`; elsewhere it calls
+/// `tanh`. Either way the result is the one its own argument gives.
+#[inline]
+pub fn gelu_grad(x: f32, fwd_tanh: f32) -> f32 {
     let x3 = x * x * x;
-    let inner = C * (x + 0.044715 * x3);
-    let t = inner.tanh();
+    let inner = GELU_C * (x + 0.044715 * x3);
+    let t = if inner.to_bits() == gelu_arg(x).to_bits() {
+        fwd_tanh
+    } else {
+        inner.tanh()
+    };
     let sech2 = 1.0 - t * t;
-    0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044715 * x * x)
+    0.5 * (1.0 + t) + 0.5 * x * sech2 * GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
 }
 
 #[cfg(test)]
@@ -543,12 +502,35 @@ mod tests {
         for &x in &[-2.0f32, -0.5, 0.0, 0.3, 1.7] {
             let h = 1e-3;
             let fd = (gelu(x + h) - gelu(x - h)) / (2.0 * h);
-            assert!(
-                (gelu_grad(x) - fd).abs() < 1e-3,
-                "x={x}: analytic {} vs fd {fd}",
-                gelu_grad(x)
-            );
+            let an = gelu_grad(x, gelu_and_tanh(x).1);
+            assert!((an - fd).abs() < 1e-3, "x={x}: analytic {an} vs fd {fd}");
         }
+    }
+
+    #[test]
+    fn gelu_grad_reusing_the_forward_tanh_is_bit_identical() {
+        // The derivative as written before it took the forward's `tanh`.
+        fn own_tanh_grad(x: f32) -> f32 {
+            let x3 = x * x * x;
+            let t = (GELU_C * (x + 0.044715 * x3)).tanh();
+            let sech2 = 1.0 - t * t;
+            0.5 * (1.0 + t) + 0.5 * x * sech2 * GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
+        }
+        let (mut reused, mut total) = (0, 0);
+        for i in -40_000i32..=40_000 {
+            let x = i as f32 * 1e-4;
+            let (y, t) = gelu_and_tanh(x);
+            assert_eq!(y.to_bits(), gelu(x).to_bits());
+            assert_eq!(
+                gelu_grad(x, t).to_bits(),
+                own_tanh_grad(x).to_bits(),
+                "x={x}"
+            );
+            total += 1;
+            reused += usize::from((GELU_C * (x + 0.044715 * (x * x * x))) == gelu_arg(x));
+        }
+        // Both branches are exercised.
+        assert!(reused > total / 2 && reused < total, "{reused} of {total}");
     }
 
     #[test]

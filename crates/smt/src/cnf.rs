@@ -13,10 +13,14 @@
 //! Theory atoms (`Le` terms) are canonicalized into [`LinAtom`]s first and
 //! cached *by atom*, so syntactic variants of the same inequality (`x ≤ 5`
 //! vs `x + 1 ≤ 6`) share one SAT variable — which both shrinks the search
-//! space and lets the theory layer keep a single registry.
+//! space and lets the theory layer keep a single registry. A comparison
+//! whose canonical form leaves `i64` (`x ≤ i64::MIN`) is registered all the
+//! same, keyed by its two terms and holding the overflow, which the theory
+//! returns from every check that asserts it.
 
 use std::collections::BTreeMap;
 
+use crate::error::SolverError;
 use crate::linear::LinAtom;
 use crate::sat::{Lit, SatSolver, SatVar};
 use crate::term::{Term, TermId, TermPool, VarId};
@@ -31,8 +35,12 @@ pub struct Encoder {
     cache: BTreeMap<TermId, Lit>,
     /// SAT variable and registry index per canonical theory atom.
     atom_vars: BTreeMap<LinAtom, (SatVar, u32)>,
-    /// Registry: every theory atom with its SAT variable, in allocation order.
-    atoms: Vec<(LinAtom, SatVar)>,
+    /// The same for a comparison `a ≤ b` whose normalization overflowed,
+    /// keyed by `(a, b)`.
+    overflowed: BTreeMap<(TermId, TermId), (SatVar, u32)>,
+    /// Registry: every theory atom (or its normalization's overflow) with
+    /// its SAT variable, in allocation order.
+    atoms: Vec<(Result<LinAtom, SolverError>, SatVar)>,
     /// Scope of each `And`/`Or` term's definitional clauses: `None` means
     /// permanent (emitted at the root, outside any frame); `Some(id)` means
     /// guarded by the frame with that *generation id* — live exactly while
@@ -68,7 +76,7 @@ impl Encoder {
     }
 
     /// The theory-atom registry: `(atom, sat_var)` pairs.
-    pub fn atoms(&self) -> &[(LinAtom, SatVar)] {
+    pub fn atoms(&self) -> &[(Result<LinAtom, SolverError>, SatVar)] {
         &self.atoms
     }
 
@@ -110,16 +118,34 @@ impl Encoder {
         b: TermId,
     ) -> Result<(SatVar, u32), bool> {
         let atom = LinAtom::from_le(pool, a, b);
-        if atom.expr.is_constant() {
-            return Err(atom.expr.constant <= 0);
+        if let Ok(atom) = &atom {
+            if atom.expr.is_constant() {
+                return Err(atom.expr.constant <= 0);
+            }
         }
-        if let Some(&entry) = self.atom_vars.get(&atom) {
+        if let Some(entry) = self.entry(&atom, (a, b)) {
             return Ok(entry);
         }
         let entry = (sat.new_var(), self.atoms.len() as u32);
-        self.atom_vars.insert(atom.clone(), entry);
+        match &atom {
+            Ok(atom) => self.atom_vars.insert(atom.clone(), entry),
+            Err(_) => self.overflowed.insert((a, b), entry),
+        };
         self.atoms.push((atom, entry.0));
         Ok(entry)
+    }
+
+    /// The registry entry of the comparison `terms` normalizing to `atom`.
+    fn entry(
+        &self,
+        atom: &Result<LinAtom, SolverError>,
+        terms: (TermId, TermId),
+    ) -> Option<(SatVar, u32)> {
+        match atom {
+            Ok(atom) => self.atom_vars.get(atom),
+            Err(_) => self.overflowed.get(&terms),
+        }
+        .copied()
     }
 
     /// Encodes a boolean term, returning its literal.
@@ -316,7 +342,8 @@ impl Encoder {
         self.cones[&t].iter().all(|&i| {
             atoms
                 .get(i as usize)
-                .is_some_and(|(atom, _)| atom.expr.coeffs.keys().all(|&v| pred(v)))
+                .and_then(|(atom, _)| atom.as_ref().ok())
+                .is_some_and(|atom| atom.expr.coeffs.keys().all(|&v| pred(v)))
         })
     }
 
@@ -335,13 +362,11 @@ impl Encoder {
                 acc.extend_from_slice(&self.cones[&inner]);
             }
             Term::Le(a, b) => {
-                let atom = LinAtom::from_le(pool, *a, *b);
                 // Constant atoms fold to truth literals in `encode` and
                 // never reach the registry.
-                if !atom.expr.is_constant() {
-                    if let Some(&(_, idx)) = self.atom_vars.get(&atom) {
-                        acc.push(idx);
-                    }
+                let atom = LinAtom::from_le(pool, *a, *b);
+                if let Some((_, idx)) = self.entry(&atom, (*a, *b)) {
+                    acc.push(idx);
                 }
             }
             Term::And(kids) | Term::Or(kids) => {

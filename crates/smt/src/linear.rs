@@ -8,7 +8,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::error::SolverError;
 use crate::term::{Term, TermId, TermPool, VarId};
+
+const COEFFICIENT: SolverError = SolverError::Overflow("linear coefficient");
+const CONSTANT: SolverError = SolverError::Overflow("linear constant");
 
 /// A linear expression `Σ cᵢ·xᵢ + constant` with integer coefficients.
 ///
@@ -52,37 +56,42 @@ impl LinExpr {
         self.coeffs.is_empty()
     }
 
-    /// Adds `c · v` into the expression.
-    pub fn add_term(&mut self, v: VarId, c: i64) {
+    /// Adds `c · v` into the expression. [`SolverError::Overflow`] (the
+    /// expression then half-updated) if the coefficient leaves `i64`; so for
+    /// every method below.
+    pub fn add_term(&mut self, v: VarId, c: i64) -> Result<(), SolverError> {
         if c == 0 {
-            return;
+            return Ok(());
         }
         let entry = self.coeffs.entry(v).or_insert(0);
-        *entry = entry.checked_add(c).expect("coefficient overflow");
+        *entry = entry.checked_add(c).ok_or(COEFFICIENT)?;
         if *entry == 0 {
             self.coeffs.remove(&v);
         }
+        Ok(())
     }
 
     /// Adds another expression scaled by `k` into this one.
-    pub fn add_scaled(&mut self, other: &LinExpr, k: i64) {
+    pub fn add_scaled(&mut self, other: &LinExpr, k: i64) -> Result<(), SolverError> {
         if k == 0 {
-            return;
+            return Ok(());
         }
         for (&v, &c) in &other.coeffs {
-            self.add_term(v, c.checked_mul(k).expect("coefficient overflow"));
+            self.add_term(v, c.checked_mul(k).ok_or(COEFFICIENT)?)?;
         }
-        self.constant = self
-            .constant
-            .checked_add(other.constant.checked_mul(k).expect("constant overflow"))
-            .expect("constant overflow");
+        self.add_constant(other.constant.checked_mul(k).ok_or(CONSTANT)?)
+    }
+
+    fn add_constant(&mut self, c: i64) -> Result<(), SolverError> {
+        self.constant = self.constant.checked_add(c).ok_or(CONSTANT)?;
+        Ok(())
     }
 
     /// The negated expression.
-    pub fn negated(&self) -> LinExpr {
+    pub fn negated(&self) -> Result<LinExpr, SolverError> {
         let mut out = LinExpr::zero();
-        out.add_scaled(self, -1);
-        out
+        out.add_scaled(self, -1)?;
+        Ok(out)
     }
 
     /// Evaluates under a full assignment (variables absent from `assign`
@@ -100,29 +109,27 @@ impl LinExpr {
     /// # Panics
     /// Panics if the term is not integer-sorted (cannot happen for terms
     /// produced by [`TermPool`] builders used on integer arguments).
-    pub fn from_term(pool: &TermPool, t: TermId) -> LinExpr {
+    pub fn from_term(pool: &TermPool, t: TermId) -> Result<LinExpr, SolverError> {
         let mut out = LinExpr::zero();
-        Self::accumulate(pool, t, 1, &mut out);
-        out
+        Self::accumulate(pool, t, 1, &mut out)?;
+        Ok(out)
     }
 
-    fn accumulate(pool: &TermPool, t: TermId, k: i64, out: &mut LinExpr) {
+    fn accumulate(
+        pool: &TermPool,
+        t: TermId,
+        k: i64,
+        out: &mut LinExpr,
+    ) -> Result<(), SolverError> {
         match pool.get(t) {
-            Term::IntConst(n) => {
-                out.constant = out
-                    .constant
-                    .checked_add(n.checked_mul(k).expect("constant overflow"))
-                    .expect("constant overflow");
-            }
+            Term::IntConst(n) => out.add_constant(n.checked_mul(k).ok_or(CONSTANT)?),
             Term::Var(v) => out.add_term(*v, k),
-            Term::Add(kids) => {
-                for &kid in kids.iter() {
-                    Self::accumulate(pool, kid, k, out);
-                }
-            }
+            Term::Add(kids) => kids
+                .iter()
+                .try_for_each(|&kid| Self::accumulate(pool, kid, k, out)),
             Term::MulConst(c, inner) => {
-                let kc = k.checked_mul(*c).expect("coefficient overflow");
-                Self::accumulate(pool, *inner, kc, out);
+                let kc = k.checked_mul(*c).ok_or(COEFFICIENT)?;
+                Self::accumulate(pool, *inner, kc, out)
             }
             other => panic!("non-integer term in linear context: {other:?}"),
         }
@@ -174,19 +181,21 @@ pub struct LinAtom {
 }
 
 impl LinAtom {
-    /// Builds the atom for the term-level comparison `lhs ≤ rhs`.
-    pub fn from_le(pool: &TermPool, lhs: TermId, rhs: TermId) -> LinAtom {
-        let mut expr = LinExpr::from_term(pool, lhs);
-        let r = LinExpr::from_term(pool, rhs);
-        expr.add_scaled(&r, -1);
-        LinAtom { expr }
+    /// Builds the atom for the term-level comparison `lhs ≤ rhs`;
+    /// [`SolverError::Overflow`] when `lhs − rhs` has a coefficient or
+    /// constant outside `i64` (`x ≤ i64::MIN` is `x + 2⁶³ ≤ 0`).
+    pub fn from_le(pool: &TermPool, lhs: TermId, rhs: TermId) -> Result<LinAtom, SolverError> {
+        let mut expr = LinExpr::from_term(pool, lhs)?;
+        let r = LinExpr::from_term(pool, rhs)?;
+        expr.add_scaled(&r, -1)?;
+        Ok(LinAtom { expr })
     }
 
     /// The integer negation of this atom: `¬(e ≤ 0) ⇔ (−e + 1 ≤ 0)`.
-    pub fn negated(&self) -> LinAtom {
-        let mut expr = self.expr.negated();
-        expr.constant = expr.constant.checked_add(1).expect("constant overflow");
-        LinAtom { expr }
+    pub fn negated(&self) -> Result<LinAtom, SolverError> {
+        let mut expr = self.expr.negated()?;
+        expr.add_constant(1)?;
+        Ok(LinAtom { expr })
     }
 
     /// Evaluates the atom under a concrete assignment.
@@ -210,7 +219,7 @@ mod tests {
         let three_y = p.mul_const(3, y);
         let c = p.int(-4);
         let t = p.add(&[two_x, three_y, c, x]);
-        let e = LinExpr::from_term(&p, t);
+        let e = LinExpr::from_term(&p, t).unwrap();
         assert_eq!(e.coeffs.get(&vx), Some(&3));
         assert_eq!(e.coeffs.get(&vy), Some(&3));
         assert_eq!(e.constant, -4);
@@ -223,7 +232,7 @@ mod tests {
         let x = p.var(vx);
         let nx = p.mul_const(-1, x);
         let t = p.add(&[x, nx]);
-        let e = LinExpr::from_term(&p, t);
+        let e = LinExpr::from_term(&p, t).unwrap();
         assert!(e.is_constant());
         assert_eq!(e.constant, 0);
     }
@@ -235,14 +244,31 @@ mod tests {
         let x = p.var(vx);
         let c = p.int(5);
         // x <= 5  =>  x - 5 <= 0 ; negation =>  -x + 6 <= 0  (x >= 6)
-        let a = LinAtom::from_le(&p, x, c);
+        let a = LinAtom::from_le(&p, x, c).unwrap();
         assert_eq!(a.expr.coeffs.get(&vx), Some(&1));
         assert_eq!(a.expr.constant, -5);
-        let n = a.negated();
+        let n = a.negated().unwrap();
         assert_eq!(n.expr.coeffs.get(&vx), Some(&-1));
         assert_eq!(n.expr.constant, 6);
         // Double negation is identity.
-        assert_eq!(n.negated(), a);
+        assert_eq!(n.negated().unwrap(), a);
+    }
+
+    #[test]
+    fn normalization_overflow_is_an_error() {
+        let mut p = TermPool::new();
+        let vx = p.int_var("x", i64::MIN, 0);
+        let x = p.var(vx);
+        let min = p.int(i64::MIN);
+        // x ≤ MIN is x + 2⁶³ ≤ 0; MIN ≤ x is MIN − x ≤ 0, representable.
+        assert!(matches!(
+            LinAtom::from_le(&p, x, min),
+            Err(SolverError::Overflow(_))
+        ));
+        let ge = LinAtom::from_le(&p, min, x).unwrap();
+        assert_eq!(ge.expr.constant, i64::MIN);
+        // Its negation, x − MIN + 1 ≤ 0, is not.
+        assert!(matches!(ge.negated(), Err(SolverError::Overflow(_))));
     }
 
     #[test]
@@ -251,11 +277,11 @@ mod tests {
         let vx = p.int_var("x", 0, 100);
         let x = p.var(vx);
         let c = p.int(5);
-        let a = LinAtom::from_le(&p, x, c);
+        let a = LinAtom::from_le(&p, x, c).unwrap();
         assert!(a.holds(&|_| 5));
         assert!(a.holds(&|_| 0));
         assert!(!a.holds(&|_| 6));
-        let n = a.negated();
+        let n = a.negated().unwrap();
         assert!(!n.holds(&|_| 5));
         assert!(n.holds(&|_| 6));
     }
@@ -270,7 +296,7 @@ mod tests {
         let ty = p.mul_const(-3, y);
         let c = p.int(7);
         let t = p.add(&[tx, ty, c]);
-        let e = LinExpr::from_term(&p, t);
+        let e = LinExpr::from_term(&p, t).unwrap();
         let val = e.eval(&|v| if v == vx { 10 } else { 3 });
         assert_eq!(val, 2 * 10 - 3 * 3 + 7);
     }
@@ -281,7 +307,7 @@ mod tests {
         let vx = p.int_var("ingress", 0, 100);
         let x = p.var(vx);
         let c = p.int(60);
-        let a = LinAtom::from_le(&p, x, c);
+        let a = LinAtom::from_le(&p, x, c).unwrap();
         assert_eq!(a.expr.display(&p), "ingress + -60");
     }
 }

@@ -1047,7 +1047,8 @@ impl Solver {
     /// Compiles atoms registered since the last theory call into the theory.
     fn sync_theory(&mut self) -> Result<(), SolverError> {
         for (atom, _) in self.enc.atoms().iter().skip(self.theory.num_atoms()) {
-            self.theory.add_atom(&self.pool, atom)?;
+            self.theory
+                .add_atom(&self.pool, atom.as_ref().map_err(|&e| e))?;
         }
         Ok(())
     }
@@ -1825,6 +1826,31 @@ mod tests {
         // bucket inside the hole is the one certified gap.
         assert_eq!(map.gaps, vec![(lo + 7, lo + 16)]);
         assert!(map.witnesses.iter().all(|w| *w <= lo + 4 || *w >= lo + 17));
+    }
+
+    #[test]
+    fn a_variable_declared_at_i64_min_answers_bounds_with_overflow_not_a_panic() {
+        // The range search probes `x ≤ i64::MIN`, whose canonical form
+        // `x + 2⁶³ ≤ 0` is no `i64` expression: normalizing it panicked in
+        // `LinExpr::add_scaled`.
+        let mut s = Solver::new();
+        let x = s.int_var("x", i64::MIN, 0);
+        let tx = s.var(x);
+        let c = s.int(-5);
+        let f = s.le(tx, c);
+        s.assert(f);
+        assert_eq!(s.check().unwrap(), SatResult::Sat);
+        assert!(matches!(s.bounds(x), Err(SolverError::Overflow(_))));
+        // The error leaves the solver usable.
+        assert_eq!(s.check().unwrap(), SatResult::Sat);
+        // Asserted, the same comparison fails the checks it is live in.
+        let min = s.int(i64::MIN);
+        let at_min = s.le(tx, min);
+        s.push();
+        s.assert(at_min);
+        assert!(matches!(s.check(), Err(SolverError::Overflow(_))));
+        s.pop();
+        assert_eq!(s.check().unwrap(), SatResult::Sat);
     }
 
     #[test]

@@ -276,21 +276,26 @@ impl TheorySession {
     /// solver registers its encoder's atom registry in order, so indices
     /// coincide.
     ///
-    /// An atom that cannot be translated (arithmetic overflow, a variable
+    /// An atom that cannot be translated (arithmetic overflow, in the
+    /// encoder's normalization — passed in as `Err` — or here; a variable
     /// `pool` does not declare) is registered all the same, so indices keep
     /// coinciding, and its error is returned by every [`Self::check`] and
     /// [`Self::propagate`] asked to assert it — and by no other: once its
     /// assertion is retracted the session answers as if it had never been
     /// registered. `Err` from this call means the registry is full or
     /// `pool` could not be mirrored.
-    pub fn add_atom(&mut self, pool: &TermPool, atom: &LinAtom) -> Result<u32, SolverError> {
+    pub fn add_atom(
+        &mut self,
+        pool: &TermPool,
+        atom: Result<&LinAtom, SolverError>,
+    ) -> Result<u32, SolverError> {
         self.sync_pool(pool)?;
         // Atom indices double as bound tags, below the declared-bound base.
         let idx = u32::try_from(self.atoms.len())
             .ok()
             .filter(|&i| i < DECL_BASE)
             .ok_or(SolverError::Overflow("theory atom registry"))?;
-        let compiled = self.compile(atom);
+        let compiled = atom.and_then(|atom| self.compile(atom));
         self.atoms.push(compiled);
         self.stood.push(0);
         self.wanted.push(0);
@@ -652,7 +657,7 @@ pub fn check_conjunction(
     let mut session = TheorySession::new();
     let mut lits = Vec::with_capacity(atoms.len());
     for atom in atoms {
-        lits.push((session.add_atom(pool, atom)?, true));
+        lits.push((session.add_atom(pool, Ok(atom))?, true));
     }
     session.check(pool, &lits, config)
 }
@@ -763,7 +768,7 @@ mod tests {
     fn atom(coeffs: &[(VarId, i64)], constant: i64) -> LinAtom {
         let mut e = LinExpr::constant(constant);
         for &(v, c) in coeffs {
-            e.add_term(v, c);
+            e.add_term(v, c).unwrap();
         }
         LinAtom { expr: e }
     }

@@ -71,7 +71,8 @@ fn build(p: &Problem) -> (TermPool, Vec<VarId>, Vec<LinAtom>) {
         .map(|(coeffs, k, mirror)| {
             let mut e = LinExpr::constant(*k);
             for (i, &c) in coeffs.iter().enumerate() {
-                e.add_term(vars[i], if *mirror { -p.atoms[0].0[i] } else { c });
+                e.add_term(vars[i], if *mirror { -p.atoms[0].0[i] } else { c })
+                    .unwrap();
             }
             LinAtom { expr: e }
         })
@@ -84,7 +85,7 @@ fn as_atom(atoms: &[LinAtom], (i, pol): (u32, bool)) -> LinAtom {
     if pol {
         a.clone()
     } else {
-        a.negated()
+        a.negated().unwrap()
     }
 }
 
@@ -116,7 +117,7 @@ fn run(p: &Problem) {
     let config = TheoryConfig::default();
     let register = |s: &mut TheorySession| {
         for (i, a) in atoms.iter().enumerate() {
-            assert_eq!(s.add_atom(&pool, a).unwrap() as usize, i);
+            assert_eq!(s.add_atom(&pool, Ok(a)).unwrap() as usize, i);
         }
     };
     let mut session = TheorySession::new();

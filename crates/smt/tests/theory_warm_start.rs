@@ -65,7 +65,7 @@ fn positive_lits(
 ) -> Vec<(u32, bool)> {
     atoms
         .iter()
-        .map(|a| (session.add_atom(pool, a).unwrap(), true))
+        .map(|a| (session.add_atom(pool, Ok(a)).unwrap(), true))
         .collect()
 }
 
@@ -74,7 +74,7 @@ fn build_atoms(vars: &[VarId], rows: &[(Vec<i64>, i64)]) -> Vec<LinAtom> {
         .map(|(coeffs, constant)| {
             let mut e = LinExpr::constant(*constant);
             for (i, &c) in coeffs.iter().enumerate() {
-                e.add_term(vars[i], c);
+                e.add_term(vars[i], c).unwrap();
             }
             LinAtom { expr: e }
         })
