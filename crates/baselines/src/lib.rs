@@ -16,7 +16,7 @@
 //! * [`copula`] — the Gaussian-copula math (normal CDF/quantile, Cholesky)
 //!   behind the TVAE-like generator.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::disallowed_methods)]
 #![warn(missing_docs)]
 
 pub mod copula;

@@ -11,7 +11,6 @@
 //! (seconds; the smoke tests), `quick` (default; minutes) or `full` (used
 //! for EXPERIMENTS.md).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;

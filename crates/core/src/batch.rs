@@ -133,6 +133,10 @@ where
     F: Fn(&mut S, std::ops::Range<usize>) -> Vec<T> + Sync,
 {
     let spans = batch_spans(len, batch);
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "par_map_with hands out group indices below spans.len(), the count it was given"
+    )]
     let groups = record_pool(threads).par_map_with(spans.len(), init, |state, g| {
         let span = spans[g].clone();
         let out = f(state, span.clone());

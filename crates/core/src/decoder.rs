@@ -18,6 +18,11 @@
 //! unconstrained argmax was masked away. This quantifies the paper's
 //! "minimally invasive" claim — a well-trained model needs few nudges.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "a lane tag is decode_batch's own usize index widened to u64, so it narrows back losslessly"
+)]
+
 use std::borrow::BorrowMut;
 use std::fmt;
 

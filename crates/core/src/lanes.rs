@@ -40,6 +40,15 @@
 //! arrival-order proptests and the CI determinism matrix's
 //! `LEJIT_ARRIVAL_SEED` axis pin down.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "lane slots are index-stable: the slot vector is allocated to the configured lane count once and slot ids come from enumerating it; digit_tokens is a [_; 10] indexed by a decimal digit, and masked/logits are indexed by token ids of the same vocabulary that sized them"
+)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "token ids are u32 (TokenId) over a vocabulary of a few hundred symbols, and a digit value is below 10"
+)]
+
 use rand::Rng;
 
 use lejit_lm::{sample_token, LanguageModel, SamplerConfig, TokenId, Vocab};

@@ -68,13 +68,26 @@
 //! assert!(out.values.iter().all(|&v| (0..=60).contains(&v)));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::float_cmp,
+    clippy::cast_possible_truncation
+)]
+// Unit tests compare floats exactly and narrow loop indices freely.
+#![cfg_attr(test, allow(clippy::float_cmp, clippy::cast_possible_truncation))]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod batch;
 pub mod decoder;
 pub mod lanes;
+#[cfg(clippy)]
+mod lint_canaries;
 pub mod pool;
 pub mod repair;
 pub mod schema;

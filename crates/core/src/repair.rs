@@ -12,6 +12,12 @@
 //!   binary search on the total-deviation bound. Still distorts statistics
 //!   whenever "semantic meaning does not align with numerical distance".
 
+#![expect(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    reason = "repair_nearest asserts one original value per variable up front (# Panics), and a model after a Sat answer holds a value for every declared variable"
+)]
+
 use std::fmt;
 
 use lejit_smt::{SatResult, SolverError};

@@ -6,6 +6,12 @@
 //! (variables) by walking this schema: literals are forced verbatim,
 //! variables run through the character-level transition system.
 
+#![expect(
+    clippy::panic,
+    clippy::expect_used,
+    reason = "max_digits/fine_series/coarse_record assert schema-shape preconditions, and terminator_of's panics are unreachable after DecodeSchema::validate, which every session constructor runs first"
+)]
+
 /// A numeric variable to be generated.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VarSpec {

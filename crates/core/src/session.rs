@@ -14,6 +14,11 @@
 //! *dynamic partial instantiation*: once `I_2 = 25` is fixed, every later
 //! query is answered relative to it.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "per-variable state (vars/var_terms/intervals) is built index-aligned in JitSession::new and never resized; k always comes from enumerating the same vectors"
+)]
+
 use std::collections::BTreeSet;
 
 use lejit_smt::{SatResult, Solver, TermId, VarId};
@@ -109,6 +114,10 @@ impl JitSession {
     ///
     /// # Panics
     /// Panics if the schema fails validation.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented '# Panics' contract: JitSession::new rejects invalid schemas up front so the decode loop never sees one; Server::run validates the configured schema before it accepts a connection"
+    )]
     pub fn new(schema: &DecodeSchema) -> JitSession {
         schema.validate().expect("invalid decode schema");
         let mut solver = Solver::new();

@@ -10,6 +10,11 @@
 //! same four decoding modes used throughout the evaluation:
 //! JIT (LeJIT), vanilla, rejection sampling, and post-hoc repair.
 
+#![expect(
+    clippy::expect_used,
+    reason = "ground_rules looks up the fine/coarse variables the task's own schema() just declared and arity-checks the coarse record it just built (both expects restate construction invariants of the same task); impute_group documents its one-RNG-per-window contract under # Panics"
+)]
+
 use std::borrow::{Borrow, BorrowMut};
 use std::fmt;
 use std::sync::OnceLock;
@@ -510,6 +515,10 @@ impl<'m, M: LanguageModel> Synthesizer<'m, M> {
         &self.rules
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "coarse_hi is a [_; 6] indexed by CoarseField::index, which is below 6 for every field"
+    )]
     fn schema(&self) -> DecodeSchema {
         let fields: Vec<(char, String, i64)> = CoarseField::ALL
             .into_iter()

@@ -141,6 +141,10 @@ impl<'m, M: LanguageModel> RejectionSampler<'m, M> {
     }
 
     /// Draws until `is_valid` accepts the values or the budget runs out.
+    #[expect(
+        clippy::expect_used,
+        reason = "RejectionSampler::new asserts max_attempts >= 1, so the loop ran and set `last` at least once"
+    )]
     pub fn sample<R: Rng>(
         &self,
         schema: &DecodeSchema,

@@ -8,6 +8,11 @@
 //! transformer preserves the phenomenon under study: an autoregressive model
 //! with good local statistics that nevertheless violates global rules.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "a step count is a training budget of thousands, far inside usize on any target"
+)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

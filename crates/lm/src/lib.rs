@@ -30,12 +30,21 @@
 //! multi-lane [`KvCache`] stepped through GEMM-shaped kernels and one
 //! wrapper, [`CachedGpt`], whose single-context call is a batch of one.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::float_cmp,
+    clippy::cast_possible_truncation
+)]
+// Unit tests compare floats exactly and narrow loop indices freely.
+#![cfg_attr(test, allow(clippy::float_cmp, clippy::cast_possible_truncation))]
 #![warn(missing_docs)]
 
 pub mod autograd;
 pub mod cache;
 pub mod gpt;
+#[cfg(clippy)]
+mod lint_canaries;
 pub mod ngram;
 pub mod optim;
 pub mod sample;

@@ -5,6 +5,11 @@
 //! in the evaluation: an autoregressive sequence model with decent local
 //! statistics but no rule awareness.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "n-gram orders are single digits and TokenId is u32 and every id indexes a vocabulary built from a character corpus of a few hundred symbols"
+)]
+
 use std::collections::BTreeMap;
 
 use crate::tokenizer::{TokenId, Vocab};

@@ -1,6 +1,11 @@
 //! AdamW optimizer with warmup + cosine learning-rate schedule and global
 //! gradient-norm clipping — the standard GPT training recipe, scaled down.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "powi takes i32, and step counts are training budgets of thousands"
+)]
+
 use crate::tensor::Matrix;
 
 /// AdamW hyperparameters.

@@ -15,6 +15,11 @@
 //! against the declared architecture, so a corrupted or mismatched file is
 //! an error — never a silently broken model.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "the format stores counts and dimensions as u32; a model past 2^32 parameters or symbols is far outside this tiny GPT"
+)]
+
 use std::io::{self, Read, Write};
 use std::path::Path;
 

@@ -412,6 +412,10 @@ pub fn gelu_grad(x: f32, fwd_tanh: f32) -> f32 {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "bit-identical comparisons of tensors produced by the same deterministic kernel; tolerance comparison would mask real determinism regressions"
+)]
 mod tests {
     use super::*;
 

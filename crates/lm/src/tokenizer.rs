@@ -6,6 +6,11 @@
 //! granularity. A [`Vocab`] is a bijection between the characters observed
 //! in a corpus and dense token ids.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "TokenId is u32 and every id indexes a vocabulary built from a character corpus of a few hundred symbols"
+)]
+
 use std::collections::BTreeMap;
 
 /// A token identifier (an index into the vocabulary).

@@ -13,7 +13,7 @@
 //! * [`violations`] — rule-violation accounting over model outputs —
 //!   Fig. 3 (left) and Fig. 5's compliance column.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::disallowed_methods)]
 #![warn(missing_docs)]
 
 pub mod burst;

@@ -26,7 +26,7 @@
 //!   sum-consistency, pairwise-order, and threshold-implication rules from
 //!   training windows at the paper's rule-set scale (hundreds of rules).
 
-#![forbid(unsafe_code)]
+#![deny(clippy::disallowed_methods)]
 #![warn(missing_docs)]
 
 pub mod ast;

@@ -27,7 +27,18 @@
 //! order for exactly this reason: serving is just the batch byte-identity
 //! contract with the batch assembled by a queue instead of a vector.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::float_cmp,
+    clippy::cast_possible_truncation
+)]
+// Unit tests compare floats exactly and narrow loop indices freely.
+#![cfg_attr(test, allow(clippy::float_cmp, clippy::cast_possible_truncation))]
 #![warn(missing_docs)]
 
 pub mod protocol;

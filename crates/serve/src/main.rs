@@ -9,6 +9,17 @@
 //!
 //! All knobs are environment variables — see [`ServeConfig::from_env`].
 
+#![deny(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::float_cmp,
+    clippy::cast_possible_truncation
+)]
+
 use std::net::TcpListener;
 
 use lejit_lm::{NgramLm, Vocab};

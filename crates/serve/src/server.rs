@@ -364,15 +364,19 @@ impl<M: LanguageModel + Sync> Server<M> {
             }
             // Shards drain every queued and in-flight request before the
             // readers are told to stop, so terminal responses always get
-            // out. Their panic-freedom is a lint invariant (L2); a violated
-            // invariant surfaces as missing responses, not a torn-down
-            // scope.
+            // out. Their panic-freedom is enforced by clippy (L2, DESIGN.md
+            // §9); a violated invariant surfaces as missing responses, not a
+            // torn-down scope.
             let _ = workers.join();
             // Read halves only: a reader still holding lines the client
             // sent before the drain refuses each one over its write half,
             // then sees EOF.
-            for conn in lock(conns).values() {
-                let _ = lock(conn).shutdown(Shutdown::Read);
+            // Released before any stream lock is taken: a reader blocked
+            // writing to a stalled client holds its `conn`, and every reader
+            // leaving meanwhile needs `conns`.
+            let open: Vec<Arc<Mutex<TcpStream>>> = lock(conns).values().cloned().collect();
+            for conn in open {
+                let _ = lock(&conn).shutdown(Shutdown::Read);
             }
             // Scope exit joins the reader threads.
         });

@@ -18,6 +18,15 @@
 //! same, keyed by its two terms and holding the overflow, which the theory
 //! returns from every check that asserts it.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "Tseitin encoder indexes term arguments after matching on the term's arity-checked constructor"
+)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "ids and positions are u32 by design (half the memory of usize on the hot structures); a solver with 2^32 variables, terms or trail entries is far outside any workload"
+)]
+
 use std::collections::BTreeMap;
 
 use crate::error::SolverError;
@@ -28,7 +37,7 @@ use crate::term::{Term, TermId, TermPool, VarId};
 /// Incremental Tseitin encoder shared by all assertions of a [`crate::Solver`].
 ///
 /// All caches are `BTreeMap`s: the encoder sits on the decode path, where
-/// map iteration order must be deterministic (`L1-hash-collection` lint).
+/// map iteration order must be deterministic (`clippy::disallowed_types`).
 #[derive(Default)]
 pub struct Encoder {
     /// Cache of already-encoded boolean terms.
@@ -159,6 +168,10 @@ impl Encoder {
     /// term's definitional clauses are still live; if their defining frame
     /// was retracted they are re-emitted under `guard`, reusing the cached
     /// variables.
+    #[expect(
+        clippy::panic,
+        reason = "encode is only called on Bool-sorted terms (sort is checked by Solver::assert); a non-boolean here is a type-discipline bug, not a runtime input"
+    )]
     pub fn encode(
         &mut self,
         pool: &TermPool,

@@ -2,7 +2,8 @@
 //!
 //! The solver's hot paths (CDCL propagate/analyze, the simplex pivot, and
 //! everything reachable from [`crate::Solver::check`]) are panic-free by
-//! policy — enforced statically by the `L2-unwrap` lint in `lejit-analyze`.
+//! policy — enforced statically by clippy's `unwrap_used`, `expect_used`,
+//! `panic` and `indexing_slicing`, denied at the crate root.
 //! Conditions that previously panicked (broken internal invariants,
 //! arithmetic overflow during constraint translation, clauses referencing
 //! unallocated variables) surface as a [`SolverError`] instead, so callers

@@ -68,13 +68,34 @@
 //! naively `I_3` could be any value in `[0, 60]`, but then `I_4` could not
 //! make the sum reach 100, so the feasible region is pruned to `[0, 40]`.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::float_cmp,
+    clippy::cast_possible_truncation,
+    clippy::float_arithmetic
+)]
+// Unit tests compare floats exactly and narrow loop indices freely.
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        clippy::cast_possible_truncation,
+        clippy::float_arithmetic
+    )
+)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod cnf;
 pub mod error;
 pub mod linear;
+#[cfg(clippy)]
+mod lint_canaries;
 pub mod rational;
 pub mod sat;
 pub mod simplex;

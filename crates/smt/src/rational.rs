@@ -7,6 +7,15 @@
 //! denominators with eager normalization never overflow in practice; all
 //! operations are checked and panic on overflow rather than silently wrap.
 
+#![expect(
+    clippy::expect_used,
+    reason = "Rational's operator impls cannot return Result; new/recip assert nonzero denominators (a Rational invariant) and add/mul use checked arithmetic with an explicit overflow abort, never silent wraparound"
+)]
+#![expect(
+    clippy::float_arithmetic,
+    reason = "to_f64 is a diagnostic/logging accessor on the exact Rational; no solver decision consumes it"
+)]
+
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};

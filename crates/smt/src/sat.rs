@@ -10,6 +10,19 @@
 //! for a final check at every complete assignment; a theory conflict is a
 //! falsified lemma analysed like any other conflict, inside the search.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "CDCL kernel: watch lists, trail, and reason indices are maintained in lockstep by propagate/backtrack; every subscript is covered by the solver state invariant (vars allocated up front, clause refs validated on add)"
+)]
+#![expect(
+    clippy::float_arithmetic,
+    reason = "VSIDS activity scores are f64 heuristic state only; they order decisions but never feed feasibility answers, which stay exact-rational"
+)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "ids and positions are u32 by design (half the memory of usize on the hot structures); a solver with 2^32 variables, terms or trail entries is far outside any workload"
+)]
+
 use std::fmt;
 
 use crate::error::SolverError;

@@ -17,6 +17,11 @@
 //! * bound assertions are recorded on a trail so branch-and-bound can
 //!   snapshot and undo them cheaply (relaxing bounds never invalidates `β`).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "simplex tableau: row/column indices come from the tableau's own basis maps, which are updated atomically with the matrix in pivot_and_update"
+)]
+
 use std::collections::BTreeMap;
 
 use crate::error::SolverError;

@@ -23,6 +23,16 @@
 //! Unbounded `Int` constants default to a wide-but-finite range
 //! (±2³¹), since the decision procedure requires finite branching.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the s-expression reader indexes the script's bytes below the loop guard `i < bytes.len()`, and slices between two such positions"
+)]
+#![expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "the reader's stack starts with one frame and only a `)` with a parent pops, so it is never empty; the final pop follows the length-1 check"
+)]
+
 use std::fmt;
 
 use crate::solver::{SatResult, Solver};

@@ -46,6 +46,11 @@
 //! it (a session's `v == c`), and dropped by any other `assert` and by any
 //! `retract`.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "ids and positions are u32 by design (half the memory of usize on the hot structures); a solver with 2^32 variables, terms or trail entries is far outside any workload; feasible_values_in's width is checked against i64 first, and `found` holds one entry per value, so a width past usize could not be enumerated anyway"
+)]
+
 use std::collections::BTreeMap;
 
 use crate::cnf::Encoder;
@@ -458,6 +463,7 @@ impl TheoryPropagator for SessionPropagator<'_> {
 /// The midpoint of `lo ≤ hi`, biased toward `lo`. `lo + span / 2` cannot
 /// pass `hi`, but the span itself overflows when the two straddle most of
 /// the `i64` range.
+#[deny(clippy::arithmetic_side_effects)]
 fn midpoint(lo: i64, hi: i64) -> Result<i64, SolverError> {
     let span = hi
         .checked_sub(lo)
@@ -1282,6 +1288,10 @@ impl Solver {
     /// then spends one real probe just beyond that: `Unsat` ends the
     /// search, `Sat` brings a new implicant to bisect inside. With none
     /// standing each probe is a search at the midpoint.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "every other i64 step here is checked; the unchecked one is mid + 1, where mid < hi (a bisection midpoint below its upper end, or the implicant's edge after the lo >= hi exit), so it cannot overflow"
+    )]
     fn bound_search(
         &mut self,
         v: VarId,
@@ -1374,6 +1384,7 @@ impl Solver {
     /// initial bound search is undecided, and
     /// [`SolverError::InvalidQuery`] for a `stride` that is not positive or
     /// a `v` that is not an integer variable.
+    #[deny(clippy::arithmetic_side_effects)]
     pub fn interval_map(
         &mut self,
         v: VarId,
@@ -1446,6 +1457,10 @@ impl Solver {
     /// enumeration. Returns `None` if the solver answers `Unknown`
     /// mid-enumeration (the partial set would be unsound to treat as
     /// exact).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "the width and the gap steps are checked; the unchecked steps are i += 1 over the indices of `found`, and f - 1 where f is a found value above a >= lo"
+    )]
     pub fn feasible_values_in(
         &mut self,
         v: VarId,

@@ -10,6 +10,19 @@
 //! * double negation is collapsed, `And`/`Or` are flattened and deduplicated,
 //!   and comparisons between constants are folded to `True`/`False`.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "TermPool is an arena: TermId/VarId are only handed out by the pool itself and index the same Vec they were pushed into; ids cannot outlive the pool"
+)]
+#![expect(
+    clippy::expect_used,
+    reason = "int_var/bool_var asserts enforce the declare-before-use pool contract at session construction; add/mul_const expects follow checked constant folding, aborting on unrepresentable constants instead of wrapping (lejit-serve bounds every inline rule set against i64 at admission, protocol::check_inline_rules, so no constant from the wire reaches them)"
+)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "ids and positions are u32 by design (half the memory of usize on the hot structures); a solver with 2^32 variables, terms or trail entries is far outside any workload"
+)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -94,8 +107,8 @@ pub enum Term {
 /// Arena of hash-consed terms plus the variable symbol table.
 ///
 /// Both lookup tables are `BTreeMap`s: the pool is part of the decode
-/// path, where iteration order must be deterministic (enforced by the
-/// `L1-hash-collection` lint in `lejit-analyze`).
+/// path, where iteration order must be deterministic (enforced by
+/// `clippy::disallowed_types`, DESIGN.md §9).
 #[derive(Default)]
 pub struct TermPool {
     terms: Vec<Term>,

@@ -33,6 +33,11 @@
 //! fresh single-check session, equivalent to the historical
 //! rebuild-per-check behaviour and used by the equivalence proptests.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "ids and positions are u32 by design (half the memory of usize on the hot structures); a solver with 2^32 variables, terms or trail entries is far outside any workload"
+)]
+
 use std::collections::BTreeMap;
 
 use crate::error::SolverError;

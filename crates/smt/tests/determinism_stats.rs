@@ -5,9 +5,9 @@
 //! search paths. Hash-keyed containers would break this — `HashMap`'s
 //! per-instance `RandomState` reorders iteration run to run, which changes
 //! clause/atom ordering, which changes the CDCL search trajectory even when
-//! the final verdicts agree. The static analyzer (`lejit-analyze`, lint
-//! `determinism-hash-container`) proves the absence of such containers at
-//! the token level; this test samples the same invariant dynamically by
+//! the final verdicts agree. Clippy (`disallowed_types`, listed in
+//! clippy.toml) rules such containers out statically; this test samples the
+//! same invariant dynamically by
 //! comparing *search statistics*, which are far more ordering-sensitive
 //! than verdicts: identical conflict/decision/propagation counts mean the
 //! two runs explored the same tree in the same order.

@@ -25,7 +25,7 @@
 //! character-level LM ("treating numeric values as plain text", as the
 //! paper does) and parses generated text back into numbers.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::disallowed_methods)]
 #![warn(missing_docs)]
 
 pub mod encoding;

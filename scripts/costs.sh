@@ -30,4 +30,4 @@ theory=$(fields TheoryConfig crates/smt/src/theory.rs)
 env=$(grep -rhoE '"LEJIT_[A-Z_]+"' --include='*.rs' crates src examples tests benchmark/src | sort -u | wc -l)
 echo "options: $((task + serve + theory + env)) (TaskConfig $task, ServeConfig $serve, TheoryConfig $theory fields; $env LEJIT_* variables read)"
 
-echo "analyze.toml allow entries: $(grep -c '^\[\[allow\]\]' analyze.toml)"
+echo "lint expectations (#[expect] in non-test code): $(nontest crates src vendor | grep -cE '^ *#!?\[expect\(')"

@@ -59,7 +59,6 @@
 //! assert!(imputer.rules().compliant(&window.coarse, &out.values));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use lejit_baselines as baselines;
