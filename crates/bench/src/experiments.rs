@@ -575,7 +575,8 @@ pub fn fig5_synthesis(env: &BenchEnv) -> Table {
 /// booking, one per exact query and two per range analysis; "raw checks"
 /// counts the `Solver::check` calls actually made, the honest ratio between
 /// tiers; "searches" the ones among them that ran a CDCL search, the rest
-/// answered by the solver's standing implicant) — plus the serving
+/// answered by the solver's standing implicant or by its spine) — plus the
+/// serving
 /// configuration
 /// (interval-guided over a warm per-worker [`SessionPool`], which must
 /// decode the same bytes while skipping the cold session build) and the

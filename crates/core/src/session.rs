@@ -60,10 +60,14 @@ impl VarIntervals {
     /// or adjacent gaps so the list stays sorted, disjoint, non-adjacent.
     fn insert_gap(&mut self, a: i64, b: i64) {
         debug_assert!(a <= b);
-        let i = self.gaps.partition_point(|&(_, ge)| ge < a - 1);
+        // `ge + 1 < a` and `ga - 1 <= b`, saturated: at the i64 edges a gap
+        // is adjacent to anything it could merge with.
+        let i = self
+            .gaps
+            .partition_point(|&(_, ge)| ge.saturating_add(1) < a);
         let mut j = i;
         let (mut na, mut nb) = (a, b);
-        while j < self.gaps.len() && self.gaps[j].0 <= b + 1 {
+        while j < self.gaps.len() && self.gaps[j].0.saturating_sub(1) <= b {
             na = na.min(self.gaps[j].0);
             nb = nb.max(self.gaps[j].1);
             j += 1;
@@ -508,9 +512,19 @@ impl JitSession {
         // it); if it ever is not, fall through to the exact check instead
         // of panicking mid-decode.
         if let (true, Some((lo, hi))) = (same_decade, self.intervals[k].hull) {
-            let decade = span_lo.div_euclid(HULL_SWEEP_STRIDE) * HULL_SWEEP_STRIDE;
-            let (elo, ehi) = (decade.max(lo), (decade + HULL_SWEEP_STRIDE - 1).min(hi));
-            if ehi - elo + 1 >= SPAN_ENUMERATE_MIN {
+            // The decade clipped to the hull, from its distances to the
+            // decade's ends: an end itself can lie outside i64.
+            let elo = span_lo
+                .checked_sub(span_lo.rem_euclid(HULL_SWEEP_STRIDE))
+                .map_or(lo, |start| start.max(lo));
+            let ehi = span_lo
+                .checked_add((!span_lo).rem_euclid(HULL_SWEEP_STRIDE))
+                .map_or(hi, |end| end.min(hi));
+            // Both in one decade: the width is below the stride.
+            if ehi
+                .checked_sub(elo)
+                .is_some_and(|w| w >= SPAN_ENUMERATE_MIN - 1)
+            {
                 self.checks += 2;
                 let known: Vec<i64> = self.intervals[k]
                     .witnesses
@@ -523,15 +537,16 @@ impl JitSession {
                 {
                     let kn = &mut self.intervals[k];
                     kn.witnesses.extend(values.iter().copied());
-                    let mut next = elo;
+                    // The first value not yet classified; `None` past i64.
+                    let mut next = Some(elo);
                     for &v in &values {
-                        if v > next {
-                            kn.insert_gap(next, v - 1);
+                        if let Some(n) = next.filter(|&n| n < v) {
+                            kn.insert_gap(n, v - 1);
                         }
-                        next = next.max(v + 1);
+                        next = v.checked_add(1);
                     }
-                    if next <= ehi {
-                        kn.insert_gap(next, ehi);
+                    if let Some(n) = next.filter(|&n| n <= ehi) {
+                        kn.insert_gap(n, ehi);
                     }
                     let witnesses = &self.intervals[k].witnesses;
                     return windows
@@ -925,5 +940,50 @@ mod tests {
             counts[3..].windows(2).all(|w| w[0] == w[1]),
             "clause DB not steady across rounds: {counts:?}"
         );
+    }
+
+    /// One variable over `[0, hi]` that may take neither 3 nor `hi - 3`.
+    fn wide_session(hi: i64) -> JitSession {
+        let mut s = JitSession::new(&DecodeSchema::fine_series(1, hi));
+        let solver = s.solver_mut();
+        let v = solver.pool().find_var("fine0").unwrap();
+        let t = solver.var(v);
+        for c in [3, hi - 3] {
+            let c = solver.int(c);
+            let ne = solver.ne(t, c);
+            solver.assert(ne);
+        }
+        s
+    }
+
+    #[test]
+    fn a_wide_domain_answers_guided_queries_within_a_fixed_check_budget() {
+        // A hull past 64 decades is not swept — sweeping [0, 10^7] takes
+        // 10^6 checks, and [0, i64::MAX] more memory than a box holds — so
+        // each decade a query lands in is enumerated when it does, at the
+        // top of i64 too, where the decade's end is no i64. (Queries that
+        // reach `i64::MAX` itself are left out: the exact ones'
+        // `x <= i64::MAX` has no compiled negation, so they err to `false`.)
+        for hi in [10_000_000, i64::MAX] {
+            let mut guided = wide_session(hi);
+            let mut exact = wide_session(hi);
+            let values = (0..=12).chain((hi - 14..hi).rev());
+            for value in values {
+                assert_eq!(
+                    guided.value_feasible_guided(0, value),
+                    exact.value_feasible(0, value),
+                    "value {value} over [0, {hi}]"
+                );
+            }
+            for prefix in [1, 9, hi / 100] {
+                assert_eq!(
+                    guided.prefix_feasible_guided(0, prefix, 1),
+                    exact.prefix_feasible(0, prefix, 1),
+                    "prefix {prefix} over [0, {hi}]"
+                );
+            }
+            let checks = guided.solver().stats().checks;
+            assert!(checks < 200, "{checks} checks over [0, {hi}]");
+        }
     }
 }

@@ -270,7 +270,7 @@ fn exec(solver: &mut Solver, form: &Sexp, out: &mut ScriptOutput) -> Result<(), 
             let s = solver.stats();
             out.lines.push(format!(
                 "(:checks {} :searches {} :implicant-answers {} \
-                 :theory-checks {} :theory-conflicts {} \
+                 :spine-answers {} :theory-checks {} :theory-conflicts {} \
                  :theory-propagations {} \
                  :theory-explanations {} :tableau-builds {} :slack-rows {} \
                  :slack-row-hits {} :pivots {} :bnb-nodes {} \
@@ -278,6 +278,7 @@ fn exec(solver: &mut Solver, form: &Sexp, out: &mut ScriptOutput) -> Result<(), 
                 s.checks,
                 s.searches,
                 s.implicant_answers,
+                s.spine_answers,
                 s.theory_checks,
                 s.theory_conflicts,
                 s.theory_propagations,
@@ -601,9 +602,10 @@ mod tests {
         .unwrap();
         assert_eq!(out.lines[0], "sat");
         let stats = &out.lines[2];
-        // The second `check-sat` met the implicant of the first's model.
+        // The first `check-sat` was answered by the spine — the sum the
+        // assertion forces — and the second met the implicant of its model.
         assert!(
-            stats.starts_with("(:checks 2 :searches 1 :implicant-answers 1 "),
+            stats.starts_with("(:checks 2 :searches 0 :implicant-answers 1 :spine-answers 1 "),
             "{stats}"
         );
         for key in [

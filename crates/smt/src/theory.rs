@@ -221,6 +221,8 @@ pub struct TheorySession {
     slack_of: BTreeMap<Vec<(SVar, Rational)>, SVar>,
     /// Compiled form per registered atom, or why it has none.
     atoms: Vec<Result<Compiled, SolverError>>,
+    /// How many of `atoms` have none.
+    uncompilable: usize,
     /// The standing conjunction in assertion order: literal plus the
     /// simplex snapshot that retracts it and everything after it.
     standing: Vec<(u32, bool, usize)>,
@@ -275,6 +277,15 @@ impl TheorySession {
         self.atoms.len()
     }
 
+    /// Whether one of `atoms` was registered without a compiled form, so
+    /// that a check asserting it fails (see [`Self::add_atom`]).
+    pub fn any_uncompilable(&self, atoms: &[u32]) -> bool {
+        self.uncompilable > 0
+            && atoms
+                .iter()
+                .any(|&i| matches!(self.atoms.get(i as usize), Some(Err(_))))
+    }
+
     /// Registers the next atom — compiling it to its bound form and
     /// interning its slack row — and returns its index, the name by which
     /// [`Self::check`] and [`Self::propagate`] refer to it. The owning
@@ -301,6 +312,7 @@ impl TheorySession {
             .filter(|&i| i < DECL_BASE)
             .ok_or(SolverError::Overflow("theory atom registry"))?;
         let compiled = atom.and_then(|atom| self.compile(atom));
+        self.uncompilable += usize::from(compiled.is_err());
         self.atoms.push(compiled);
         self.stood.push(0);
         self.wanted.push(0);

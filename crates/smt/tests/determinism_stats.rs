@@ -53,6 +53,16 @@ fn run_workload() -> (Vec<String>, lejit_smt::SolverStats, lejit_smt::SatStats) 
     let c = s.int(41);
     let probe = s.eq(terms[3], c);
     log.push(format!("{:?}", s.check_assuming(&[probe]).unwrap()));
+    // Two disjunctions are no probe the implicant or the spine takes: a
+    // search, which encodes them over the atoms `any_big` encoded already.
+    let ten = s.int(10);
+    let small: Vec<_> = terms[3..].iter().map(|&t| s.le(t, ten)).collect();
+    let any_small = s.or(&small);
+    let late_big = s.or(&branches[3..]);
+    log.push(format!(
+        "{:?}",
+        s.check_assuming(&[late_big, any_small]).unwrap()
+    ));
     assert_eq!(s.check().unwrap(), SatResult::Sat);
     if let Some(m) = s.model() {
         let assignment: Vec<i64> = vars.iter().map(|&v| m.int_value(v).unwrap()).collect();

@@ -1,9 +1,9 @@
-//! The standing implicant changes who answers a query, never the answer:
-//! random scripts of `push` / `assert` / `fix` / `retract` and range queries
-//! against one long-lived solver, every verdict, hull, gap list and
-//! enumerated set equal to brute force's and to a fresh solver's, every
-//! `Sat` model evaluated against every live assertion, no `Unsat` without a
-//! search. The harness is `support/script.rs`; the root package runs a
+//! The standing implicant and the spine change who answers a query, never
+//! the answer: random scripts of `push` / `assert` / `fix` / `retract` and
+//! range queries against one long-lived solver, every verdict, hull, gap
+//! list and enumerated set equal to brute force's and to a fresh solver's,
+//! every `Sat` model evaluated against every live assertion, no `Unsat`
+//! from the implicant. The harness is `support/script.rs`; the root package runs a
 //! fixed slice of the same seeds (`tests/implicant_differential.rs`).
 
 use proptest::prelude::*;
@@ -23,13 +23,18 @@ proptest! {
 #[test]
 fn the_scripts_exercise_the_implicant_and_the_search() {
     // The differential above proves nothing if every query is a search (or
-    // none is): over a few scripts both answer paths must carry real load.
-    let (searches, answers) = (0..12u64)
-        .map(|seed| script::run(seed, 48))
-        .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
-    assert!(searches > 100, "{searches} searches");
-    assert!(
-        answers > searches,
-        "{answers} implicant answers for {searches} searches"
-    );
+    // none is): over a few scripts every answer path must carry real load —
+    // the search, the implicant, and the spine with both of its verdicts.
+    let tally =
+        (0..12u64)
+            .map(|seed| script::run(seed, 48))
+            .fold(script::Tally::default(), |a, b| script::Tally {
+                searches: a.searches + b.searches,
+                implicant_answers: a.implicant_answers + b.implicant_answers,
+                spine_sat: a.spine_sat + b.spine_sat,
+                spine_unsat: a.spine_unsat + b.spine_unsat,
+            });
+    assert!(tally.searches > 100, "{tally:?}");
+    assert!(tally.implicant_answers > tally.searches, "{tally:?}");
+    assert!(tally.spine_sat > 0 && tally.spine_unsat > 0, "{tally:?}");
 }

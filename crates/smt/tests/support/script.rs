@@ -7,11 +7,14 @@
 //! * against a fresh `Solver` rebuilt from the live assertions for that one
 //!   query, whose first check is always a search;
 //! * every `Sat` model evaluated against every live assertion, and every
-//!   `Unsat` required to have run a search.
+//!   `Unsat` required to have come from a search or a spine refutation —
+//!   never from the implicant.
 //!
 //! Formulas are rule-shaped: bounded sums, `max`/`min` thresholds,
-//! implications between them, windows (a disjunction of ranges), and now
-//! and then the Boolean variable, under which no implicant can stand.
+//! implications between them, windows (a disjunction of ranges), pure
+//! conjunctions (a box bound beside a bounded sum), which the spine takes
+//! whole, and now and then the Boolean variable, under which no implicant
+//! can stand.
 //!
 //! Shared, by `#[path]`, between `crates/smt/tests/implicant_differential.rs`
 //! (the proptest) and the root package's `tests/implicant_differential.rs`
@@ -145,7 +148,7 @@ fn threshold(rng: &mut StdRng) -> Rule {
 }
 
 fn rule(rng: &mut StdRng) -> Rule {
-    match rng.random_range(0..10) {
+    match rng.random_range(0..12) {
         0..=4 => threshold(rng),
         5 => {
             let n = VARS as i64;
@@ -157,7 +160,17 @@ fn rule(rng: &mut StdRng) -> Rule {
         }
         6 | 7 => Rule::Implies(Box::new(threshold(rng)), Box::new(threshold(rng))),
         8 => Rule::Any(vec![threshold(rng), threshold(rng)]),
-        _ => Rule::Implies(Box::new(Rule::Flag), Box::new(threshold(rng))),
+        9 => Rule::Implies(Box::new(Rule::Flag), Box::new(threshold(rng))),
+        _ => {
+            let var = rng.random_range(0..VARS);
+            let a = rng.random_range(0..=HI / 2);
+            let vars = some_vars(rng);
+            let n = vars.len() as i64;
+            Rule::All(vec![
+                Rule::range(var, a, rng.random_range(a..=HI)),
+                Rule::Sum(vars, Cmp::Le, rng.random_range(HI / 2..=n * HI)),
+            ])
+        }
     }
 }
 
@@ -185,6 +198,17 @@ struct World {
     flag: VarId,
     /// Every point of the box the live assertions admit.
     feasible: Vec<([i64; VARS], bool)>,
+    tally: Tally,
+}
+
+/// Who answered the script's queries: the live solver's counters, and the
+/// spine's answers to `check_assuming` by verdict.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Tally {
+    pub searches: u64,
+    pub implicant_answers: u64,
+    pub spine_sat: u64,
+    pub spine_unsat: u64,
 }
 
 fn declare(s: &mut Solver) -> (Vec<VarId>, VarId) {
@@ -205,6 +229,7 @@ impl World {
             vars,
             flag,
             feasible: Vec::new(),
+            tally: Tally::default(),
         };
         w.recount();
         w
@@ -320,18 +345,26 @@ impl World {
             .iter()
             .map(|r| r.build(&mut self.live, &self.vars, self.flag))
             .collect();
-        let searches = self.live.stats().searches;
+        let before = self.live.stats();
         assert_eq!(
             self.live.check_assuming(&assumptions),
             Ok(expected),
             "{what}"
         );
+        let after = self.live.stats();
+        let by_spine = after.spine_answers > before.spine_answers;
         match expected {
-            SatResult::Sat => self.check_model(also, what),
-            _ => assert!(
-                self.live.stats().searches > searches,
-                "{what}: Unsat without a search"
-            ),
+            SatResult::Sat => {
+                self.tally.spine_sat += u64::from(by_spine);
+                self.check_model(also, what);
+            }
+            _ => {
+                self.tally.spine_unsat += u64::from(by_spine);
+                assert!(
+                    by_spine || after.searches > before.searches,
+                    "{what}: Unsat from neither a search nor a spine refutation"
+                );
+            }
         }
     }
 
@@ -447,15 +480,22 @@ impl World {
 }
 
 /// Runs the script `seed` names for `steps` steps; panics, naming the step,
-/// on the first answer that differs. Returns the live solver's
-/// `(searches, implicant_answers)` so a caller can tell the implicant ran.
-pub fn run(seed: u64, steps: usize) -> (u64, u64) {
+/// on the first answer that differs. Returns who answered, so a caller can
+/// tell the implicant, the spine and the search all ran.
+pub fn run(seed: u64, steps: usize) -> Tally {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut world = World::new();
     for i in 0..steps {
         world.step(&mut rng, i);
     }
     let stats = world.live.stats();
-    assert_eq!(stats.checks, stats.searches + stats.implicant_answers);
-    (stats.searches, stats.implicant_answers)
+    assert_eq!(
+        stats.checks,
+        stats.searches + stats.implicant_answers + stats.spine_answers
+    );
+    Tally {
+        searches: stats.searches,
+        implicant_answers: stats.implicant_answers,
+        ..world.tally
+    }
 }
