@@ -26,9 +26,10 @@ use lejit_smt::{SatResult, Solver, TermId, VarId};
 use crate::decoder::DecodeStats;
 use crate::schema::{DecodeSchema, SchemaItem};
 
-/// Bucket stride of the hull sweep: one bucket per decimal decade, matching
-/// the shape of the digit-window queries the transition system issues.
-const HULL_SWEEP_STRIDE: i64 = 10;
+/// The span `resolve_unknown` enumerates at a time: one decimal decade,
+/// matching the shape of the digit-window queries the transition system
+/// issues.
+const DECADE: i64 = 10;
 
 /// Minimum width of an undetermined span worth enumerating (one range
 /// analysis, counted as 2 checks) instead of probing exactly (1 check).
@@ -38,13 +39,13 @@ const SPAN_ENUMERATE_MIN: i64 = 4;
 ///
 /// `hull` is the feasible range `[lo, hi]` of the variable (`None` once
 /// computed on an unsatisfiable system). `witnesses` holds values proven
-/// feasible by some satisfying model seen at this epoch — hull endpoints,
-/// sweep-bucket models, enumerated span members, and the model value from
-/// every satisfiable exact query. `gaps` holds disjoint closed intervals
-/// proven *infeasible* by an UNSAT answer (a single UNSAT over a range
-/// certifies every value in it at once). A window containing a witness is
-/// feasible and a window covered by gaps is infeasible, both with no
-/// solver call.
+/// feasible by some satisfying model seen at this epoch — the bound
+/// search's models (hull endpoints among them), enumerated decade members,
+/// and the model value from every satisfiable exact probe. `gaps` holds
+/// disjoint closed intervals proven *infeasible* by an UNSAT answer (a
+/// single UNSAT over a range certifies every value in it at once). A window
+/// containing a witness is feasible and a window covered by gaps is
+/// infeasible, both with no solver call.
 #[derive(Clone, Debug, Default)]
 struct VarIntervals {
     epoch: u64,
@@ -298,49 +299,43 @@ impl JitSession {
     /// Whether variable `k` can take exactly `value` given the rules and
     /// everything fixed so far.
     pub fn value_feasible(&mut self, k: usize, value: i64) -> bool {
-        let t = self.var_terms[k];
-        self.solver.push();
-        let c = self.solver.int(value);
-        let eq = self.solver.eq(t, c);
-        self.solver.assert(eq);
-        self.checks += 1;
-        let sat = matches!(self.solver.check(), Ok(SatResult::Sat));
-        self.solver.pop();
-        sat
+        self.window_probe(k, &[(value, value)]) == Some(true)
     }
 
     /// Whether some completion of the decimal prefix `prefix` (appending up
-    /// to `extra_digits` more digits) is feasible for variable `k`.
-    ///
-    /// The candidate value set is `{prefix·10^j + r : 0 ≤ j ≤ extra_digits,
-    /// 0 ≤ r < 10^j}` — exactly the values the character-level transition
-    /// system can still reach (Fig. 2).
+    /// to `extra_digits` more digits) is feasible for variable `k`: one
+    /// exact probe of the values `{prefix·10^j + r : 0 ≤ j ≤ extra_digits,
+    /// 0 ≤ r < 10^j}` — exactly those the character-level transition
+    /// system can still reach (Fig. 2); a leading zero admits only 0.
     pub fn prefix_feasible(&mut self, k: usize, prefix: i64, extra_digits: usize) -> bool {
-        debug_assert!(prefix >= 0);
-        if prefix == 0 {
-            // A leading zero admits only the exact value 0.
-            return self.value_feasible(k, 0);
-        }
+        let windows: Vec<_> = decimal_windows(prefix, extra_digits).collect();
+        self.window_probe(k, &windows) == Some(true)
+    }
+
+    /// The one exact query behind every answer the cached interval knowledge
+    /// cannot give: can variable `k` land in any of `windows`? One
+    /// [`Solver::check_assuming`] of the `Or` of `lo ≤ x_k ≤ hi`, counted as
+    /// one check, so the solver's standing implicant and its spine may
+    /// answer it before a search (a `push; assert; check; pop` would drop
+    /// the implicant with the `pop`). `Some(true)` leaves the satisfying
+    /// model readable; `None` is `Unknown` or a solver error, which every
+    /// caller treats as "not feasible" and certifies nothing from.
+    fn window_probe(&mut self, k: usize, windows: &[(i64, i64)]) -> Option<bool> {
         let t = self.var_terms[k];
-        self.solver.push();
-        let mut options = Vec::with_capacity(extra_digits + 1);
-        let mut pow: i64 = 1;
-        for _ in 0..=extra_digits {
-            let lo_val = prefix.saturating_mul(pow);
-            let hi_val = lo_val.saturating_add(pow - 1);
-            let lo_c = self.solver.int(lo_val);
-            let hi_c = self.solver.int(hi_val);
-            let ge = self.solver.ge(t, lo_c);
-            let le = self.solver.le(t, hi_c);
+        let mut options = Vec::with_capacity(windows.len());
+        for &(lo, hi) in windows {
+            let (lo, hi) = (self.solver.int(lo), self.solver.int(hi));
+            let ge = self.solver.ge(t, lo);
+            let le = self.solver.le(t, hi);
             options.push(self.solver.and(&[ge, le]));
-            pow = pow.saturating_mul(10);
         }
         let any = self.solver.or(&options);
-        self.solver.assert(any);
         self.checks += 1;
-        let sat = matches!(self.solver.check(), Ok(SatResult::Sat));
-        self.solver.pop();
-        sat
+        match self.solver.check_assuming(&[any]) {
+            Ok(SatResult::Sat) => Some(true),
+            Ok(SatResult::Unsat) => Some(false),
+            Ok(SatResult::Unknown) | Err(_) => None,
+        }
     }
 
     /// The feasible range of variable `k` under everything asserted so far,
@@ -363,35 +358,29 @@ impl JitSession {
     /// The feasible hull `[lo, hi]` of variable `k` at the current fix
     /// epoch, or `None` when the constraint system is unsatisfiable.
     ///
-    /// Computed at most once per `(variable, epoch)` via
-    /// [`Solver::interval_map`] and counted as two solver checks, matching
-    /// [`Self::feasible_range`] — both are one round of range analysis over
-    /// the variable (the raw solver iterations inside it are still visible
-    /// in [`lejit_smt::SolverStats::checks`]). Later calls in the same
-    /// epoch are free. The analysis also seeds the witness set and certifies
-    /// decade-sized gap intervals, so most per-character queries at this
-    /// epoch never reach the solver again; a decade it left undetermined is
-    /// enumerated when a query first lands in it (`resolve_unknown`), never
-    /// up front.
+    /// Computed at most once per `(variable, epoch)` via [`Solver::bounds`]
+    /// and counted as two solver checks, like [`Self::feasible_range`] (the
+    /// raw solver iterations inside it are still visible in
+    /// [`lejit_smt::SolverStats::checks`]). Later calls in the same epoch
+    /// are free. The bound search's models seed the witness set; nothing
+    /// inside the hull is classified up front — a decade is enumerated when
+    /// a query first lands in it (`resolve_unknown`).
     pub fn hull(&mut self, k: usize) -> Option<(i64, i64)> {
         let epoch = self.fix_epoch;
         if self.intervals[k].valid && self.intervals[k].epoch == epoch {
             return self.intervals[k].hull;
         }
         self.checks += 2;
-        let map = self.solver.interval_map(self.vars[k], HULL_SWEEP_STRIDE);
+        let bounds = self.solver.bounds(self.vars[k]);
         let cache = &mut self.intervals[k];
         cache.epoch = epoch;
         cache.valid = true;
         cache.witnesses.clear();
         cache.gaps.clear();
-        match map {
-            Ok(Some(m)) => {
-                cache.hull = Some((m.lo, m.hi));
-                cache.witnesses.extend(m.witnesses);
-                for (a, b) in m.gaps {
-                    cache.insert_gap(a, b);
-                }
+        match bounds {
+            Ok(Some(b)) => {
+                cache.hull = Some((b.lo, b.hi));
+                cache.witnesses.extend(b.witnesses);
             }
             // Unsat — or the solver failed, in which case every value is
             // conservatively rejected rather than trusted unverified.
@@ -411,19 +400,7 @@ impl JitSession {
     /// [`Self::prefix_feasible`] routed through the interval-guided tiers.
     /// Always returns the same answer as `prefix_feasible`.
     pub fn prefix_feasible_guided(&mut self, k: usize, prefix: i64, extra_digits: usize) -> bool {
-        debug_assert!(prefix >= 0);
-        if prefix == 0 {
-            // A leading zero admits only the exact value 0.
-            return self.value_feasible_guided(k, 0);
-        }
-        let mut windows = Vec::with_capacity(extra_digits + 1);
-        let mut pow: i64 = 1;
-        for _ in 0..=extra_digits {
-            let lo = prefix.saturating_mul(pow);
-            let hi = lo.saturating_add(pow - 1);
-            windows.push((lo, hi));
-            pow = pow.saturating_mul(10);
-        }
+        let windows: Vec<_> = decimal_windows(prefix, extra_digits).collect();
         self.resolve_guided(k, &windows)
     }
 
@@ -437,9 +414,9 @@ impl JitSession {
     /// 4. undetermined windows packed into one decade → enumerate the decade
     ///    exactly (one range analysis, counted as 2 checks) and decide —
     ///    sibling digit queries then resolve from tiers 2/3 for free;
-    /// 5. otherwise one exact solver check (the query [`Lookahead::Full`]
-    ///    would have issued), whose model value becomes a new witness — or,
-    ///    when UNSAT, whose windows become certified gaps.
+    /// 5. otherwise the window probe [`Lookahead::Full`] issues, whose
+    ///    model value becomes a new witness — or, when UNSAT, whose windows
+    ///    become certified gaps.
     ///
     /// Tiers 4 and 5 leave every decided answer behind as witnesses and
     /// gaps, so a repeated query is answered by tiers 2/3; only an undecided
@@ -493,8 +470,8 @@ impl JitSession {
     /// is enumerated exactly instead: one range analysis, counted as two
     /// checks like [`Self::feasible_range`], after which every sibling
     /// query in the decade is answered from witnesses and gaps for free.
-    /// Wider or scattered windows get the exact disjunctive check
-    /// [`Lookahead::Full`] would issue.
+    /// Wider or scattered windows get the window probe [`Lookahead::Full`]
+    /// issues.
     ///
     /// [`Lookahead::Full`]: crate::transition::Lookahead::Full
     fn resolve_unknown(&mut self, k: usize, windows: &[(i64, i64)]) -> bool {
@@ -506,8 +483,7 @@ impl JitSession {
         ) else {
             return false;
         };
-        let same_decade =
-            span_lo.div_euclid(HULL_SWEEP_STRIDE) == span_hi.div_euclid(HULL_SWEEP_STRIDE);
+        let same_decade = span_lo.div_euclid(DECADE) == span_hi.div_euclid(DECADE);
         // The hull is always present here (the caller classified against
         // it); if it ever is not, fall through to the exact check instead
         // of panicking mid-decode.
@@ -515,12 +491,12 @@ impl JitSession {
             // The decade clipped to the hull, from its distances to the
             // decade's ends: an end itself can lie outside i64.
             let elo = span_lo
-                .checked_sub(span_lo.rem_euclid(HULL_SWEEP_STRIDE))
+                .checked_sub(span_lo.rem_euclid(DECADE))
                 .map_or(lo, |start| start.max(lo));
             let ehi = span_lo
-                .checked_add((!span_lo).rem_euclid(HULL_SWEEP_STRIDE))
+                .checked_add((!span_lo).rem_euclid(DECADE))
                 .map_or(hi, |end| end.min(hi));
-            // Both in one decade: the width is below the stride.
+            // Both ends lie in one decade: the width is below `DECADE`.
             if ehi
                 .checked_sub(elo)
                 .is_some_and(|w| w >= SPAN_ENUMERATE_MIN - 1)
@@ -557,40 +533,45 @@ impl JitSession {
                 // the exact check.
             }
         }
-        // Exact fallback: the same disjunctive window query `Full` issues,
-        // but via `check_assuming` so the satisfying model stays readable
-        // and its value of `k` becomes a witness.
-        let t = self.var_terms[k];
-        let mut options = Vec::with_capacity(windows.len());
-        for &(lo_val, hi_val) in windows {
-            let lo_c = self.solver.int(lo_val);
-            let hi_c = self.solver.int(hi_val);
-            let ge = self.solver.ge(t, lo_c);
-            let le = self.solver.le(t, hi_c);
-            options.push(self.solver.and(&[ge, le]));
-        }
-        let any = self.solver.or(&options);
-        self.checks += 1;
-        match self.solver.check_assuming(&[any]) {
-            Ok(SatResult::Sat) => {
-                if let Some(w) = self.solver.model().and_then(|m| m.int_value(self.vars[k])) {
+        // Exact fallback: the probe `Full` issues, whose model value of `k`
+        // becomes a witness.
+        match self.window_probe(k, windows) {
+            Some(true) => {
+                if let Some(w) = self.model_value(k) {
                     self.intervals[k].witnesses.insert(w);
                 }
                 true
             }
-            Ok(SatResult::Unsat) => {
+            Some(false) => {
                 let kn = &mut self.intervals[k];
                 for &(a, b) in windows {
                     kn.insert_gap(a, b);
                 }
                 false
             }
-            // `Full` maps Unknown to "not feasible"; mirror that, but do
-            // not certify a gap from a non-answer. Solver errors get the
-            // same conservative treatment.
-            Ok(SatResult::Unknown) | Err(_) => false,
+            // `Full` maps Unknown and errors to "not feasible"; mirror
+            // that, but do not certify a gap from a non-answer.
+            None => false,
         }
     }
+}
+
+/// The decimal windows of `prefix` with up to `extra_digits` more digits:
+/// `[prefix·10^j, prefix·10^j + 10^j − 1]` for `0 ≤ j ≤ extra_digits` —
+/// exactly the values the character-level transition system can still
+/// reach from it (Fig. 2). A leading zero admits only the exact value 0.
+pub(crate) fn decimal_windows(
+    prefix: i64,
+    extra_digits: usize,
+) -> impl Iterator<Item = (i64, i64)> {
+    debug_assert!(prefix >= 0);
+    let extensions = if prefix == 0 { 0 } else { extra_digits };
+    std::iter::successors(Some(1i64), |pow| Some(pow.saturating_mul(10)))
+        .take(extensions + 1)
+        .map(move |pow| {
+            let lo = prefix.saturating_mul(pow);
+            (lo, lo.saturating_add(pow - 1))
+        })
 }
 
 #[cfg(test)]
@@ -707,6 +688,37 @@ mod tests {
         }
         assert!(!s.satisfiable());
         assert_eq!(s.feasible_range(0), None);
+    }
+
+    #[test]
+    fn the_exact_oracle_matches_the_region_worked_out_by_hand() {
+        // After I_0..I_2 = 20, 15, 25, R2 leaves I_3 + I_4 = 40 and R3 (all
+        // three below 30) wants one of them ≥ 30: I_3 ∈ [0, 10] ∪ [30, 40].
+        let fixed = || {
+            let mut s = paper_session();
+            s.fix(0, 20);
+            s.fix(1, 15);
+            s.fix(2, 25);
+            s
+        };
+        let (mut exact, mut guided) = (fixed(), fixed());
+        for value in 0..=60 {
+            let truth = (0..=10).contains(&value) || (30..=40).contains(&value);
+            assert_eq!(exact.value_feasible(3, value), truth, "value {value}");
+            assert_eq!(
+                guided.value_feasible_guided(3, value),
+                truth,
+                "value {value}, guided"
+            );
+        }
+        // Each query is one probe, which the standing implicant answers when
+        // it can. The spine holds no disjunct of R3, so only a search
+        // refutes a value in the hole (11..=29): 19 searches, and with them
+        // 22 spine answers and 20 implicant answers. A query that dropped
+        // the implicant would send all 61 past it.
+        let stats = exact.solver().stats();
+        assert!(stats.searches <= 22, "{stats:?}");
+        assert!(stats.searches + stats.spine_answers <= 48, "{stats:?}");
     }
 
     #[test]
@@ -958,10 +970,11 @@ mod tests {
 
     #[test]
     fn a_wide_domain_answers_guided_queries_within_a_fixed_check_budget() {
-        // A hull past 64 decades is not swept — sweeping [0, 10^7] takes
-        // 10^6 checks, and [0, i64::MAX] more memory than a box holds — so
-        // each decade a query lands in is enumerated when it does, at the
-        // top of i64 too, where the decade's end is no i64. (Queries that
+        // Nothing inside a hull is classified up front — sweeping
+        // [0, 10^7] by decades would take 10^6 checks, and [0, i64::MAX]
+        // more memory than a box holds — so each decade a query lands in is
+        // enumerated when it does, at the top of i64 too, where the
+        // decade's end is no i64. (Queries that
         // reach `i64::MAX` itself are left out: the exact ones'
         // `x <= i64::MAX` has no compiled negation, so they err to `false`.)
         for hi in [10_000_000, i64::MAX] {

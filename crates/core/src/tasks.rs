@@ -42,7 +42,7 @@ pub struct TaskConfig {
     pub sampler: SamplerConfig,
     /// Lookahead policy for the JIT decoder ([`Lookahead::default`]:
     /// interval-guided, which answers every query identically to
-    /// [`Lookahead::Full`] with ~5× fewer solver checks; `Full` stays
+    /// [`Lookahead::Full`] with about 4× fewer solver checks; `Full` stays
     /// selectable for ablations and debugging).
     pub lookahead: Lookahead,
     /// Attempt budget for rejection sampling.
@@ -780,12 +780,17 @@ mod tests {
         assert_eq!(a.stats.pool_hits, 0);
         assert_eq!(b.stats.pool_hits, 1);
         assert_eq!(b.stats.pool_misses, 0);
+        // Searches, not checks: a warm session starts from other witnesses,
+        // so it may book a decade enumeration where the cold one had a
+        // witness (here 27 logical checks against 26, 81 raw against 78).
+        // The warm hull and the implicant the cold record left behind show
+        // in the searches (2 against 4).
         assert!(
-            b.stats.solver_checks <= a.stats.solver_checks,
-            "a warm session never does more checks than a cold one \
+            b.stats.solver_searches <= a.stats.solver_searches,
+            "a warm session never runs more searches than a cold one \
              (warm: {}, cold: {})",
-            b.stats.solver_checks,
-            a.stats.solver_checks
+            b.stats.solver_searches,
+            a.stats.solver_searches
         );
     }
 

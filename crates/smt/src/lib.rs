@@ -109,7 +109,7 @@ pub use linear::{LinAtom, LinExpr};
 pub use rational::Rational;
 pub use sat::{FinalCheck, Lit, SatSolver, SatStats, SatVar, TheoryPropagator};
 pub use smtlib::{run_script, ScriptOutput, SmtLibError};
-pub use solver::{IntervalMap, Model, SatResult, Solver, SolverStats, VarBounds};
+pub use solver::{Model, SatResult, Solver, SolverStats, VarBounds};
 pub use term::{Sort, Term, TermId, TermPool, VarId, VarInfo};
 pub use theory::{
     check_conjunction, TheoryConfig, TheoryPropagation, TheorySession, TheoryStats, TheoryVerdict,

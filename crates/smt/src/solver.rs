@@ -301,32 +301,8 @@ pub struct VarBounds {
     pub witnesses: Vec<i64>,
 }
 
-/// Result of [`Solver::interval_map`]: a partial classification of an
-/// integer variable's feasible set, built from one round of range analysis.
-///
-/// Every value in `witnesses` is proven feasible (it appears in a model of
-/// the live assertions); every value inside a `gaps` interval is proven
-/// infeasible (an unsatisfiable range probe certified the whole interval at
-/// once). Values in `[lo, hi]` covered by neither are undetermined.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct IntervalMap {
-    /// Minimum feasible value.
-    pub lo: i64,
-    /// Maximum feasible value.
-    pub hi: i64,
-    /// Proven-feasible values, sorted ascending (always includes `lo`, `hi`).
-    pub witnesses: Vec<i64>,
-    /// Disjoint closed intervals inside `[lo, hi]` proven infeasible, sorted.
-    pub gaps: Vec<(i64, i64)>,
-}
-
 /// Maximum theory final checks per `check()` before `Unknown`.
 const MAX_REFINEMENTS: u64 = 100_000;
-
-/// The most buckets [`Solver::interval_map`] sweeps: a hull that meets more
-/// is not swept, so the first map of a wide domain costs the bound search
-/// and no more.
-const MAX_SWEEP_BUCKETS: i64 = 64;
 
 /// The [`TheoryPropagator`] a [`Solver`] hands to the SAT core during
 /// `check()`: an adapter from trail state to [`TheorySession`] calls. A
@@ -732,8 +708,8 @@ enum Implicant {
     Absent,
     /// A search has answered `Sat` and its model, still in `Solver::model`,
     /// has not been walked. The walk waits for the first caller that wants
-    /// the implicant, so a frame popped straight after its check (the
-    /// exact lookahead's `push; assert; check; pop`) never pays for one.
+    /// the implicant, so a frame popped straight after its check (a
+    /// `push; assert; check; pop`) never pays for one.
     Unread,
     /// `Solver::implicant` implies every live assertion.
     Standing,
@@ -1593,87 +1569,6 @@ impl Solver {
         }
     }
 
-    /// One round of interval analysis of `v`: the feasible hull plus a
-    /// classification of the values inside it, built on [`Self::bounds`].
-    ///
-    /// Each `stride`-aligned bucket intersecting the hull that holds no
-    /// witness of the bound search is probed once: a satisfiable bucket
-    /// contributes a witness, an unsatisfiable one becomes a certified gap
-    /// (every value in it is proven infeasible by a single UNSAT answer).
-    /// Buckets the solver cannot decide are left unclassified, which is
-    /// sound: callers treat unclassified values as "unknown" and classify
-    /// the ones they are asked about ([`Self::feasible_values_in`]). So is
-    /// every bucket of a hull that meets more than 64: such a hull is not
-    /// swept, and its map holds the bound search's witnesses and no gap.
-    ///
-    /// Returns `None` when the live assertions are unsatisfiable or the
-    /// initial bound search is undecided, and
-    /// [`SolverError::InvalidQuery`] for a `stride` that is not positive or
-    /// a `v` that is not an integer variable.
-    #[deny(clippy::arithmetic_side_effects)]
-    pub fn interval_map(
-        &mut self,
-        v: VarId,
-        stride: i64,
-    ) -> Result<Option<IntervalMap>, SolverError> {
-        if stride <= 0 {
-            return Err(SolverError::InvalidQuery(
-                "interval_map stride must be positive",
-            ));
-        }
-        let Some(VarBounds {
-            lo,
-            hi,
-            mut witnesses,
-        }) = self.bounds(v)?
-        else {
-            return Ok(None);
-        };
-        let mut gaps = Vec::new();
-        let mut harvested = Vec::new();
-        let narrow = hi
-            .div_euclid(stride)
-            .checked_sub(lo.div_euclid(stride))
-            .is_some_and(|apart| apart < MAX_SWEEP_BUCKETS);
-        // Witnesses and buckets both ascend: one cursor walks them together.
-        let mut known = witnesses.iter().copied().peekable();
-        // `[a, b]` is a stride-aligned bucket clipped to the hull. The sweep
-        // steps from the clipped ends: an aligned edge can lie outside i64
-        // (a hull that starts near i64::MIN, or ends near i64::MAX).
-        let mut bucket = narrow.then_some(lo);
-        while let Some(a) = bucket {
-            // `!a` is `-a - 1`, in range for every `a`: its remainder is the
-            // distance from `a` to the last value of `a`'s bucket.
-            let to_edge = (!a).rem_euclid(stride);
-            let b = a.checked_add(to_edge).map_or(hi, |edge| edge.min(hi));
-            while known.next_if(|&w| w < a).is_some() {}
-            let witnessed = known.peek().is_some_and(|&w| w <= b);
-            if !witnessed {
-                let vt = self.var(v);
-                let (ca, cb) = (self.int(a), self.int(b));
-                let ge = self.ge(vt, ca);
-                let le = self.le(vt, cb);
-                match self.check_assuming(&[ge, le])? {
-                    SatResult::Sat => {
-                        harvested.push(self.model_int(v)?);
-                    }
-                    SatResult::Unsat => gaps.push((a, b)),
-                    SatResult::Unknown => {} // bucket stays unclassified
-                }
-            }
-            bucket = b.checked_add(1).filter(|&next| next <= hi);
-        }
-        witnesses.extend(harvested);
-        witnesses.sort_unstable();
-        witnesses.dedup();
-        Ok(Some(IntervalMap {
-            lo,
-            hi,
-            witnesses,
-            gaps,
-        }))
-    }
-
     /// The exact feasible subset of `[lo, hi]` for `v`. Values in `known`
     /// are assumed already proven feasible. While an implicant stands, the
     /// gaps between the values found so far are probed under it (theory
@@ -2054,45 +1949,14 @@ mod tests {
         let mut s = Solver::new();
         let x = s.int_var("x", 0, 10);
         let flag = s.bool_var("flag");
-        for stride in [0, -3] {
-            assert!(matches!(
-                s.interval_map(x, stride),
-                Err(SolverError::InvalidQuery(_))
-            ));
-        }
         assert!(matches!(s.bounds(flag), Err(SolverError::InvalidQuery(_))));
         assert!(matches!(
             s.minimize(flag),
             Err(SolverError::InvalidQuery(_))
         ));
-        assert!(matches!(
-            s.interval_map(flag, 10),
-            Err(SolverError::InvalidQuery(_))
-        ));
         // The solver is as it was.
         assert_eq!(s.stats().checks, 0);
         assert_eq!(s.bounds(x).unwrap().map(|b| (b.lo, b.hi)), Some((0, 10)));
-    }
-
-    #[test]
-    fn interval_map_sweeps_a_hull_whose_first_bucket_starts_below_i64_min() {
-        // The stride-aligned start of the first bucket, `lo - lo mod 10`,
-        // is not an i64 here: the old sweep panicked on it in debug and, in
-        // release, wrapped past `hi` and skipped every bucket.
-        let lo = i64::MIN + 1;
-        let mut s = Solver::new();
-        let x = s.int_var("x", lo, lo + 25);
-        let tx = s.var(x);
-        let (c4, c17) = (s.int(lo + 4), s.int(lo + 17));
-        let (low, high) = (s.le(tx, c4), s.ge(tx, c17));
-        let either = s.or(&[low, high]);
-        s.assert(either);
-        let map = s.interval_map(x, 10).unwrap().unwrap();
-        assert_eq!((map.lo, map.hi), (lo, lo + 25));
-        // `lo mod 10 == 3`: buckets end at lo + 6 and lo + 16, and the one
-        // bucket inside the hole is the one certified gap.
-        assert_eq!(map.gaps, vec![(lo + 7, lo + 16)]);
-        assert!(map.witnesses.iter().all(|w| *w <= lo + 4 || *w >= lo + 17));
     }
 
     #[test]

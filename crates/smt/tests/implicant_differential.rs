@@ -1,7 +1,7 @@
 //! The standing implicant and the spine change who answers a query, never
 //! the answer: random scripts of `push` / `assert` / `fix` / `retract` and
-//! range queries against one long-lived solver, every verdict, hull, gap
-//! list and enumerated set equal to brute force's and to a fresh solver's,
+//! range queries against one long-lived solver, every verdict, hull
+//! and enumerated set equal to brute force's and to a fresh solver's,
 //! every `Sat` model evaluated against every live assertion, no `Unsat`
 //! from the implicant. The harness is `support/script.rs`; the root package runs a
 //! fixed slice of the same seeds (`tests/implicant_differential.rs`).

@@ -11,7 +11,8 @@
 //!   never from the implicant.
 //!
 //! Formulas are rule-shaped: bounded sums, `max`/`min` thresholds,
-//! implications between them, windows (a disjunction of ranges), pure
+//! implications between them, windows (a disjunction of ranges, up to six
+//! disjoint ones as a decoder's exact probe sends them), pure
 //! conjunctions (a box bound beside a bounded sum), which the spine takes
 //! whole, and now and then the Boolean variable, under which no implicant
 //! can stand.
@@ -184,6 +185,23 @@ fn window(rng: &mut StdRng) -> Rule {
             Rule::range(var, a, rng.random_range(a..=HI))
         })
         .collect();
+    Rule::Any(ranges)
+}
+
+/// Up to six disjoint, non-adjacent ranges of `var`, ascending: the shape
+/// of the exact window probe a decoder sends when its interval knowledge
+/// cannot answer.
+fn disjoint_windows(rng: &mut StdRng, var: usize) -> Rule {
+    let mut ranges = Vec::new();
+    let mut a = rng.random_range(0..=HI / 2);
+    for _ in 0..rng.random_range(1..=6) {
+        if a > HI {
+            break;
+        }
+        let b = rng.random_range(a..=(a + 3).min(HI));
+        ranges.push(Rule::range(var, a, b));
+        a = b + rng.random_range(2..=4);
+    }
     Rule::Any(ranges)
 }
 
@@ -417,33 +435,10 @@ impl World {
                     assert!(values.contains(&w), "{what}: witness {w} is infeasible");
                 }
             }
-            10 => {
-                let stride = rng.random_range(2..=7);
-                let what = format!("step {i}: interval_map(x{var}, {stride})");
-                let gaps: Vec<(i64, i64)> = hull.map_or(Vec::new(), |(lo, hi)| {
-                    (lo.div_euclid(stride)..=hi.div_euclid(stride))
-                        .map(|k| ((k * stride).max(lo), (k * stride + stride - 1).min(hi)))
-                        .filter(|&(a, b)| !values.iter().any(|w| (a..=b).contains(w)))
-                        .collect()
-                });
-                let (mut fresh, vars, _) = self.fresh();
-                let fresh = fresh.interval_map(vars[var], stride).unwrap();
-                assert_eq!(
-                    fresh.map(|m| (m.lo, m.hi, m.gaps)),
-                    hull.map(|(lo, hi)| (lo, hi, gaps.clone())),
-                    "{what} (fresh)"
-                );
-                let map = self.live.interval_map(v, stride).unwrap();
-                assert_eq!(map.as_ref().map(|m| (m.lo, m.hi)), hull, "{what}");
-                if let Some(map) = map {
-                    assert_eq!(map.gaps, gaps, "{what}");
-                    assert!(
-                        map.witnesses.iter().all(|w| values.contains(w)),
-                        "{what}: {:?}",
-                        map.witnesses
-                    );
-                }
-            }
+            10 => self.query(
+                &[disjoint_windows(rng, var)],
+                &format!("step {i}: windows(x{var})"),
+            ),
             11 | 12 => {
                 let a = rng.random_range(0..=HI);
                 let b = rng.random_range(a..=HI);

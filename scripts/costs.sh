@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# The four costs ROADMAP aim 2 asks every PR to report, counted one way:
-# run it at the parent and at the change and put both in CHANGES.md.
+# The four costs ROADMAP aim 2 asks every PR to report, counted one way, and
+# the solver's API surface beside the task crates' (a cut there shows in the
+# lint job's summary): run it at the parent and at the change and put both
+# in CHANGES.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,6 +25,7 @@ done
 printf '  %-18s %6d\n' total "$total"
 
 echo "pub fn in lejit-core + lejit-serve: $(nontest crates/core/src crates/serve/src | grep -cE '^ *pub fn ')"
+echo "pub fn in lejit-smt: $(nontest crates/smt/src | grep -cE '^ *pub fn ')"
 
 task=$(fields TaskConfig crates/core/src/tasks.rs)
 serve=$(fields ServeConfig crates/serve/src/server.rs)
