@@ -270,7 +270,7 @@ fn exec(solver: &mut Solver, form: &Sexp, out: &mut ScriptOutput) -> Result<(), 
             let s = solver.stats();
             out.lines.push(format!(
                 "(:checks {} :searches {} :implicant-answers {} \
-                 :spine-answers {} :theory-checks {} :theory-conflicts {} \
+                 :spine-answers {} :walks {} :theory-checks {} :theory-conflicts {} \
                  :theory-propagations {} \
                  :theory-explanations {} :tableau-builds {} :slack-rows {} \
                  :slack-row-hits {} :pivots {} :bnb-nodes {} \
@@ -279,6 +279,7 @@ fn exec(solver: &mut Solver, form: &Sexp, out: &mut ScriptOutput) -> Result<(), 
                 s.searches,
                 s.implicant_answers,
                 s.spine_answers,
+                s.walks,
                 s.theory_checks,
                 s.theory_conflicts,
                 s.theory_propagations,
@@ -603,9 +604,12 @@ mod tests {
         assert_eq!(out.lines[0], "sat");
         let stats = &out.lines[2];
         // The first `check-sat` was answered by the spine — the sum the
-        // assertion forces — and the second met the implicant of its model.
+        // assertion forces, its model walked once — and the second met the
+        // implicant of that model.
         assert!(
-            stats.starts_with("(:checks 2 :searches 0 :implicant-answers 1 :spine-answers 1 "),
+            stats.starts_with(
+                "(:checks 2 :searches 0 :implicant-answers 1 :spine-answers 1 :walks 1 "
+            ),
             "{stats}"
         );
         for key in [

@@ -83,6 +83,7 @@ use std::collections::BTreeMap;
 
 use crate::cnf::Encoder;
 use crate::error::SolverError;
+use crate::linear::LinAtom;
 use crate::sat::{FinalCheck, Lit, SatOutcome, SatSolver, SatStats, TheoryPropagator};
 use crate::term::{Sort, Term, TermId, TermPool, VarId};
 use crate::theory::{TheoryConfig, TheoryPropagation, TheorySession, TheoryVerdict};
@@ -232,6 +233,31 @@ pub struct SolverStats {
     /// assert_eq!((stats.checks, stats.searches, stats.spine_answers), (2, 0, 2));
     /// ```
     pub spine_answers: u64,
+    /// Justification walks run, successful or not: one per spine model
+    /// offered as an answer, and one per search model read into the
+    /// implicant when something first asks for it (see the
+    /// [module docs](self#the-standing-implicant)).
+    ///
+    /// ```
+    /// use lejit_smt::{SatResult, Solver};
+    ///
+    /// let mut s = Solver::new();
+    /// let x = s.int_var("x", 0, 60);
+    /// let y = s.int_var("y", 0, 60);
+    /// let (tx, ty) = (s.var(x), s.var(y));
+    /// let (sum, c100) = (s.add(&[tx, ty]), s.int(100));
+    /// let rule = s.eq(sum, c100);
+    /// s.assert(rule);
+    /// // The spine's model is walked once and stands as the implicant ...
+    /// assert_eq!(s.check().unwrap(), SatResult::Sat);
+    /// assert_eq!(s.stats().walks, 1);
+    /// // ... which answers the next probe without a walk.
+    /// let c50 = s.int(50);
+    /// let probe = s.ge(tx, c50);
+    /// assert_eq!(s.check_assuming(&[probe]).unwrap(), SatResult::Sat);
+    /// assert_eq!(s.stats().walks, 1);
+    /// ```
+    pub walks: u64,
     /// DPLL(T) iterations: SAT models proposed to the theory.
     pub theory_checks: u64,
     /// Theory conflicts (blocking clauses learned).
@@ -550,20 +576,91 @@ fn spine(
     }
 }
 
+/// What the justification walk reads a model through, in tables indexed
+/// by [`VarId::index`] and by atom registry index, refilled once per walk
+/// (the [`Solver`] keeps one, so a walk allocates nothing once they have
+/// grown).
+#[derive(Default)]
+struct Walk {
+    /// Per pool variable, its value in the model walked (`None`: no value).
+    values: Vec<Option<i64>>,
+    /// Per pool variable, whether a live `v == c` assertion pins it.
+    pinned: Vec<bool>,
+    /// Per atom, which polarities sit on the spine (bit 1 positive, bit 0
+    /// negative); all clear between walks.
+    on_spine: Vec<u8>,
+}
+
+impl Walk {
+    /// Fills `values` from `model` and `pinned` from `asserted`.
+    fn read(&mut self, pool: &TermPool, model: &Model, asserted: &[TermId]) {
+        let n = pool.vars().len();
+        self.values.clear();
+        self.values.resize(n, None);
+        for (v, &x) in &model.ints {
+            if let Some(slot) = self.values.get_mut(v.index()) {
+                *slot = Some(x);
+            }
+        }
+        self.pinned.clear();
+        self.pinned.resize(n, false);
+        for &t in asserted {
+            if let Some(pin) = pinned_by(pool, t).and_then(|v| self.pinned.get_mut(v.index())) {
+                *pin = true;
+            }
+        }
+    }
+
+    /// The integer term `t` under the model read, in [`Model::eval_int`]'s
+    /// checked arithmetic: `None` where that returns an error (a variable
+    /// with no value, an overflow), so a comparison over it is no literal.
+    fn eval(&self, pool: &TermPool, t: TermId) -> Option<i64> {
+        match pool.get(t) {
+            Term::IntConst(n) => Some(*n),
+            Term::Var(v) => self.values.get(v.index()).copied().flatten(),
+            Term::Add(kids) => kids
+                .iter()
+                .try_fold(0i64, |sum, &k| sum.checked_add(self.eval(pool, k)?)),
+            Term::MulConst(c, inner) => c.checked_mul(self.eval(pool, *inner)?),
+            _ => None,
+        }
+    }
+
+    /// Whether `v` is pinned.
+    fn is_pinned(&self, v: VarId) -> bool {
+        self.pinned.get(v.index()).copied().unwrap_or(false)
+    }
+
+    /// Sets (`on`) or clears the spine marks of `lits`.
+    fn mark(&mut self, lits: &[(u32, bool)], on: bool) {
+        for &(i, want) in lits {
+            if let Some(m) = self.on_spine.get_mut(i as usize) {
+                *m = if on { *m | (1 << u8::from(want)) } else { 0 };
+            }
+        }
+    }
+
+    /// Whether the literal `(i, want)` is marked on the spine.
+    fn marked(&self, (i, want): (u32, bool)) -> bool {
+        self.on_spine
+            .get(i as usize)
+            .is_some_and(|&m| m & (1 << u8::from(want)) != 0)
+    }
+}
+
 /// The justification walk behind the standing implicant: appends to `out`
-/// theory literals, all true under `model`, that force the already-encoded
-/// `t` to `want` in *every* model that satisfies them. An `And` to be true
-/// (an `Or` to be false) takes every child; an `Or` to be true (an `And`
-/// to be false) takes one child that is: one over `pinned` variables if
-/// there is one — its literals constrain nothing that is still free — else
-/// the last, which in a rule over a series is the variable decoded last.
-/// `false` when `t` is not `want` under `model`, or is only through a
-/// Boolean variable; `out` may then hold a partial justification.
+/// theory literals, all true under the model `walk` read, that force the
+/// already-encoded `t` to `want` in *every* model that satisfies them. An
+/// `And` to be true (an `Or` to be false) takes every child; an `Or` to be
+/// true (an `And` to be false) takes one child that is: one over pinned
+/// variables if there is one — its literals constrain nothing that is still
+/// free — else the last, which in a rule over a series is the variable
+/// decoded last. `false` when `t` is not `want` under the model, or is only
+/// through a Boolean variable; `out` may then hold a partial justification.
 fn justify(
     pool: &TermPool,
     enc: &mut Encoder,
-    model: &Model,
-    pinned: &[bool],
+    walk: &Walk,
     t: TermId,
     want: bool,
     out: &mut Vec<(u32, bool)>,
@@ -571,9 +668,9 @@ fn justify(
     match pool.get(t) {
         Term::True => want,
         Term::False => !want,
-        Term::Not(x) => justify(pool, enc, model, pinned, *x, !want, out),
+        Term::Not(x) => justify(pool, enc, walk, *x, !want, out),
         Term::Le(a, b) => {
-            let (Ok(a), Ok(b)) = (model.eval_int(pool, *a), model.eval_int(pool, *b)) else {
+            let (Some(a), Some(b)) = (walk.eval(pool, *a), walk.eval(pool, *b)) else {
                 return false;
             };
             // A comparison whose variables cancel has an empty cone and
@@ -581,17 +678,16 @@ fn justify(
             out.extend(enc.cone(pool, t).first().map(|&i| (i, want)));
             (a <= b) == want
         }
-        Term::And(kids) | Term::Or(kids) if matches!(pool.get(t), Term::And(_)) == want => kids
-            .iter()
-            .all(|&k| justify(pool, enc, model, pinned, k, want, out)),
+        Term::And(kids) | Term::Or(kids) if matches!(pool.get(t), Term::And(_)) == want => {
+            kids.iter().all(|&k| justify(pool, enc, walk, k, want, out))
+        }
         Term::And(kids) | Term::Or(kids) => {
             let mark = out.len();
-            let is_pinned = |v: VarId| pinned.get(v.index()).copied().unwrap_or(false);
             [true, false].into_iter().any(|pinned_only| {
                 kids.iter().rev().any(|&k| {
                     out.truncate(mark);
-                    (!pinned_only || enc.cone_vars_all(pool, k, is_pinned))
-                        && justify(pool, enc, model, pinned, k, want, out)
+                    (!pinned_only || enc.cone_vars_all(pool, k, |v| walk.is_pinned(v)))
+                        && justify(pool, enc, walk, k, want, out)
                 })
             })
         }
@@ -619,7 +715,7 @@ fn pinned_by(pool: &TermPool, t: TermId) -> Option<VarId> {
 }
 
 /// Reads an implicant off `model` into `out`: the justification of every
-/// assertion in `asserted` (see [`justify`]), `pinned` being its scratch.
+/// assertion in `asserted` (see [`justify`]), `walk` being its scratch.
 /// `false`, with `out` partial, when the model breaks an assertion or
 /// leans on a Boolean variable (no theory literal pins one).
 ///
@@ -633,31 +729,64 @@ fn read_implicant(
     enc: &mut Encoder,
     asserted: &[TermId],
     spine: &[(u32, bool)],
-    pinned: &mut Vec<bool>,
+    walk: &mut Walk,
     model: &Model,
     out: &mut Vec<(u32, bool)>,
 ) -> bool {
     out.clear();
-    pinned.clear();
-    pinned.resize(pool.vars().len(), false);
-    for &t in asserted {
-        if let Some(pin) = pinned_by(pool, t).and_then(|v| pinned.get_mut(v.index())) {
-            *pin = true;
-        }
-    }
+    walk.read(pool, model, asserted);
     if !asserted
         .iter()
-        .all(|&t| justify(pool, enc, model, pinned, t, true, out))
+        .all(|&t| justify(pool, enc, walk, t, true, out))
     {
         return false;
     }
-    let mut on_spine = spine.to_vec();
-    on_spine.sort_unstable();
+    if walk.on_spine.len() < enc.atoms().len() {
+        walk.on_spine.resize(enc.atoms().len(), 0);
+    }
+    walk.mark(spine, true);
     out.sort_unstable();
     out.dedup();
-    out.retain(|l| on_spine.binary_search(l).is_err());
+    out.retain(|&l| !walk.marked(l));
+    walk.mark(spine, false);
     out.splice(0..0, spine.iter().copied());
+    debug_assert!(
+        implies_under(pool, enc, asserted, model, out),
+        "the walk read an implicant the model breaks, or one that misses an assertion it breaks"
+    );
     true
+}
+
+/// The check behind [`read_implicant`]'s `debug_assert`, by evaluation
+/// rather than by the walk's tables: every assertion is `true` under
+/// `model` (an evaluation error in a disjunct the walk passed over aside),
+/// and so is every literal of `implicant` over an atom in canonical form.
+fn implies_under(
+    pool: &TermPool,
+    enc: &Encoder,
+    asserted: &[TermId],
+    model: &Model,
+    implicant: &[(u32, bool)],
+) -> bool {
+    let holds = |&(i, want): &(u32, bool)| {
+        let Some((atom, _)) = enc.atoms().get(i as usize) else {
+            return false;
+        };
+        let Ok(LinAtom { expr }) = atom else {
+            return true;
+        };
+        let value = expr
+            .coeffs
+            .iter()
+            .try_fold(i128::from(expr.constant), |sum, (&v, &c)| {
+                sum.checked_add(i128::from(c).checked_mul(i128::from(model.int_value(v)?))?)
+            });
+        value.is_some_and(|e| (e <= 0) == want)
+    };
+    asserted
+        .iter()
+        .all(|&t| !matches!(model.eval_bool(pool, t), Ok(false)))
+        && implicant.iter().all(holds)
 }
 
 /// What the theory says of a base conjunction — the implicant or the
@@ -767,9 +896,8 @@ pub struct Solver {
     implicant: Vec<(u32, bool)>,
     /// Whether `implicant` is one; see [`Self::implicant_stands`].
     implicant_state: Implicant,
-    /// Scratch of the justification walk: per pool variable, whether a
-    /// live `v == c` assertion pins it.
-    pinned: Vec<bool>,
+    /// Scratch of the justification walk.
+    walk: Walk,
     /// Scratch of a walk that may not become the implicant: the walk of a
     /// spine model, which replaces the implicant only if it succeeds.
     walked: Vec<(u32, bool)>,
@@ -805,7 +933,7 @@ impl Solver {
             frame_marks: Vec::new(),
             implicant: Vec::new(),
             implicant_state: Implicant::Absent,
-            pinned: Vec::new(),
+            walk: Walk::default(),
             walked: Vec::new(),
             model: None,
             stats: SolverStats::default(),
@@ -1269,20 +1397,19 @@ impl Solver {
                     ints,
                     bools: BTreeMap::new(),
                 };
-                let (pool, enc) = (&self.pool, &mut self.enc);
-                let walked = &mut self.walked;
+                self.stats.walks += 1;
                 if !read_implicant(
-                    pool,
-                    enc,
+                    &self.pool,
+                    &mut self.enc,
                     &self.asserted,
                     &self.spine,
-                    &mut self.pinned,
+                    &mut self.walk,
                     &model,
-                    walked,
+                    &mut self.walked,
                 ) {
                     return None;
                 }
-                std::mem::swap(&mut self.implicant, walked);
+                std::mem::swap(&mut self.implicant, &mut self.walked);
                 self.implicant_state = Implicant::Standing;
                 self.model = Some(model);
                 Some(SatResult::Sat)
@@ -1350,12 +1477,13 @@ impl Solver {
         if self.implicant_state == Implicant::Unread {
             self.implicant_state = Implicant::Absent;
             if let Some(model) = &self.model {
+                self.stats.walks += 1;
                 if read_implicant(
                     &self.pool,
                     &mut self.enc,
                     &self.asserted,
                     &self.spine,
-                    &mut self.pinned,
+                    &mut self.walk,
                     model,
                     &mut self.implicant,
                 ) {
@@ -2231,6 +2359,66 @@ mod implicant_tests {
             after.searches + after.spine_answers,
             before.searches + before.spine_answers + 1
         );
+    }
+
+    /// The walk's two preferences for a true `Or` (DESIGN §10): a disjunct
+    /// over pinned variables first, else the last. The rule's first
+    /// disjunct is over the variable a `v == c` may pin, and the model
+    /// makes both disjuncts true.
+    #[test]
+    fn the_walk_takes_a_pinned_disjunct_first_and_else_the_last() {
+        for pin in [true, false] {
+            let mut s = Solver::new();
+            let x = s.int_var("x", 0, 10);
+            let y = s.int_var("y", 0, 10);
+            let (tx, ty) = (s.var(x), s.var(y));
+            let c5 = s.int(5);
+            let big = [s.ge(tx, c5), s.ge(ty, c5)];
+            let rule = s.or(&big);
+            let Term::Or(kids) = s.pool.get(rule) else {
+                panic!("an Or of two comparisons is an Or");
+            };
+            let (first, last) = (kids[0], kids[1]);
+            let first_var = if first == big[0] { x } else { y };
+            s.assert(rule);
+            if pin {
+                let (t, c7) = (s.var(first_var), s.int(7));
+                let fix = s.eq(t, c7);
+                s.assert(fix);
+            }
+            // The one literal each disjunct forces, read off by the spine.
+            let mut literal = |t| {
+                let mut lits = Vec::new();
+                assert!(spine(&s.pool, &mut s.enc, &mut s.sat, t, true, &mut lits));
+                assert_eq!(lits.len(), 1);
+                lits[0]
+            };
+            let (pinned_lit, last_lit) = (literal(first), literal(last));
+            let model = Model {
+                ints: [(x, 7), (y, 7)].into(),
+                bools: BTreeMap::new(),
+            };
+            let mut out = Vec::new();
+            assert!(read_implicant(
+                &s.pool,
+                &mut s.enc,
+                &s.asserted,
+                &s.spine,
+                &mut s.walk,
+                &model,
+                &mut out
+            ));
+            let (taken, passed) = if pin {
+                (pinned_lit, last_lit)
+            } else {
+                (last_lit, pinned_lit)
+            };
+            assert!(out.contains(&taken), "pin {pin}: {out:?} lacks {taken:?}");
+            assert!(
+                !out.contains(&passed),
+                "pin {pin}: {out:?} holds {passed:?}"
+            );
+        }
     }
 
     #[test]
