@@ -571,13 +571,11 @@ pub fn fig5_synthesis(env: &BenchEnv) -> Table {
 
 /// Ablation A1: solver lookahead policy — full per-digit probing vs the
 /// interval-guided tiers vs no lookahead at all (dead-end rate, compliance,
-/// and per-character solver cost: "solver checks" is the session's logical
-/// booking, one per exact query and two per range analysis; "raw checks"
-/// counts the `Solver::check` calls actually made, the honest ratio between
-/// tiers; "searches" the ones among them that ran a CDCL search, the rest
-/// answered by the solver's standing implicant or by its spine) — plus the
-/// serving
-/// configuration
+/// and per-character solver cost: "solver checks" counts the queries the
+/// solver answered, [`lejit_smt::SolverStats::checks`]; "searches" the ones
+/// among them that ran a CDCL search, the rest answered by the solver's
+/// standing implicant or by its spine; "checks saved" the guided queries
+/// answered with no solver query) — plus the serving configuration
 /// (interval-guided over a warm per-worker [`SessionPool`], which must
 /// decode the same bytes while skipping the cold session build) and the
 /// theory-propagation off-oracles (full and interval-guided tiers with
@@ -594,7 +592,6 @@ pub fn ablation_lookahead(env: &BenchEnv) -> Table {
         "completed",
         "violation rate (completed)",
         "solver checks/char",
-        "raw checks/char",
         "searches/char",
         "checks saved/char",
         "pivots/char",
@@ -672,7 +669,6 @@ pub fn ablation_lookahead(env: &BenchEnv) -> Table {
             match r {
                 Ok((s, values)) => {
                     total.solver_checks += s.solver_checks;
-                    total.solver_raw_checks += s.solver_raw_checks;
                     total.solver_searches += s.solver_searches;
                     total.solver_checks_saved += s.solver_checks_saved;
                     total.solver_pivots += s.solver_pivots;
@@ -716,7 +712,6 @@ pub fn ablation_lookahead(env: &BenchEnv) -> Table {
             completed.len().to_string(),
             pct(stats.rate()),
             per_char(total.solver_checks),
-            per_char(total.solver_raw_checks),
             per_char(total.solver_searches),
             per_char(total.solver_checks_saved),
             per_char(total.solver_pivots),

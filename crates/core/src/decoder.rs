@@ -83,19 +83,16 @@ pub struct DecodeStats {
     pub tokens: u64,
     /// Characters that were schema literals (forced).
     pub forced_tokens: u64,
-    /// Satisfiability checks issued to the solver, as the session books
-    /// them: one per exact query, two per range analysis.
+    /// Queries the solver answered ([`lejit_smt::SolverStats::checks`]):
+    /// searches + implicant answers + spine answers, range analyses
+    /// counted by the queries they ran.
     pub solver_checks: u64,
-    /// `Solver::check` calls actually made ([`lejit_smt::SolverStats::checks`]),
-    /// range analyses counted by the checks they ran.
-    pub solver_raw_checks: u64,
-    /// The raw checks that ran a CDCL search
-    /// ([`lejit_smt::SolverStats::searches`]); the rest were answered `Sat`
-    /// by one warm theory check of the solver's standing implicant.
+    /// The checks that ran a CDCL search
+    /// ([`lejit_smt::SolverStats::searches`]); the rest were answered by
+    /// the solver's standing implicant or by its spine.
     pub solver_searches: u64,
-    /// Per-character solver queries answered without a solver check by the
-    /// interval-guided lookahead (hull rejection, witness acceptance, or
-    /// a certified gap). Zero under [`Lookahead::Full`] /
+    /// Guided queries answered by the hull, a witness or a certified gap,
+    /// with no solver query. Zero under [`Lookahead::Full`] /
     /// [`Lookahead::ImmediateOnly`].
     pub solver_checks_saved: u64,
     /// Always zero: the session's memo of exact guided answers is gone
@@ -152,9 +149,6 @@ impl DecodeStats {
     /// stay untouched.
     pub fn rebase_against(&mut self, baseline: &DecodeStats) {
         self.solver_checks = self.solver_checks.saturating_sub(baseline.solver_checks);
-        self.solver_raw_checks = self
-            .solver_raw_checks
-            .saturating_sub(baseline.solver_raw_checks);
         self.solver_searches = self
             .solver_searches
             .saturating_sub(baseline.solver_searches);

@@ -98,7 +98,7 @@ fn session_queries_degrade_conservatively_under_unknown() {
     assert!(!session.satisfiable());
     assert!(!session.value_feasible(0, 20));
     assert!(!session.prefix_feasible(0, 2, 1));
-    assert_eq!(session.feasible_range(0), None);
+    assert_eq!(session.hull(0), None);
     assert!(!session.value_feasible_guided(0, 20));
     assert!(!session.prefix_feasible_guided(0, 2, 1));
 }
