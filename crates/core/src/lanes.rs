@@ -270,8 +270,12 @@ impl LaneState {
             .ok_or(DecodeError::Internal(
                 "sampled token is neither an allowed digit nor the terminator",
             ))? as u8;
+        if !st.push(d) {
+            return Err(DecodeError::Internal(
+                "an allowed digit overflows the value",
+            ));
+        }
         self.text.push(char::from(b'0' + d));
-        st.push(d);
         Ok(())
     }
 
