@@ -411,23 +411,25 @@ proptest! {
 
 #[test]
 fn explanation_clauses_are_retracted_with_their_frame() {
-    // Each frame fixes i1 = 55 (entailing ¬(i1 ≤ 5), which the theory
+    // Each frame bounds i1 ≥ 50 (entailing ¬(i1 ≤ 5), which the theory
     // propagates onto the trail) and asserts a clause pair that forces the
     // atom A = (i1 ≤ 5) to be true at the boolean level — so every check
     // conflicts, and the conflict can only be explained by resolving
     // through the propagated ¬A, materializing its explanation clause
     // inside the frame. Because explanations are guarded by the innermost
     // frame selector, `pop` must delete them: the live clause count after
-    // each cycle may not exceed its warm-up high-water mark.
+    // each cycle may not exceed its warm-up high-water mark. (A bound, not
+    // a fix: a fix `i1 = 55` would decide both disjunctions for the spine,
+    // whose `B` and `¬B` refute the check before any search.)
     let mut s = Solver::new();
     let vars: Vec<VarId> = (0..3).map(|t| s.int_var(&format!("i{t}"), 0, 60)).collect();
     let terms: Vec<TermId> = vars.iter().map(|&v| s.var(v)).collect();
     let mut counts = Vec::new();
     for round in 0..12i64 {
         s.push();
-        let c55 = s.int(55);
-        let eq = s.eq(terms[1], c55);
-        s.assert(eq);
+        let c50 = s.int(50);
+        let floor = s.ge(terms[1], c50);
+        s.assert(floor);
         let c5 = s.int(5);
         let a = s.le(terms[1], c5);
         let b = s.le(terms[2], c5);
