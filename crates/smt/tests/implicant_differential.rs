@@ -24,7 +24,8 @@ proptest! {
 fn the_scripts_exercise_the_implicant_and_the_search() {
     // The differential above proves nothing if every query is a search (or
     // none is): over a few scripts every answer path must carry real load —
-    // the search, the implicant, and the spine with both of its verdicts.
+    // the search, the implicant, and the spine with both of its verdicts,
+    // some of them given with literals the fixes derived on the spine.
     let tally =
         (0..12u64)
             .map(|seed| script::run(seed, 48))
@@ -33,8 +34,10 @@ fn the_scripts_exercise_the_implicant_and_the_search() {
                 implicant_answers: a.implicant_answers + b.implicant_answers,
                 spine_sat: a.spine_sat + b.spine_sat,
                 spine_unsat: a.spine_unsat + b.spine_unsat,
+                spine_pinned: a.spine_pinned + b.spine_pinned,
             });
     assert!(tally.searches > 100, "{tally:?}");
     assert!(tally.implicant_answers > tally.searches, "{tally:?}");
     assert!(tally.spine_sat > 0 && tally.spine_unsat > 0, "{tally:?}");
+    assert!(tally.spine_pinned > 0, "{tally:?}");
 }

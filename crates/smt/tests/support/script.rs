@@ -219,14 +219,17 @@ struct World {
     tally: Tally,
 }
 
-/// Who answered the script's queries: the live solver's counters, and the
-/// spine's answers to `check_assuming` by verdict.
+/// Who answered the script's queries: the live solver's counters, the
+/// spine's answers to `check_assuming` by verdict, and how many of those
+/// the spine gave while it held literals that the live fixes derived from
+/// a disjunction (an implication's consequent, say).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Tally {
     pub searches: u64,
     pub implicant_answers: u64,
     pub spine_sat: u64,
     pub spine_unsat: u64,
+    pub spine_pinned: u64,
 }
 
 fn declare(s: &mut Solver) -> (Vec<VarId>, VarId) {
@@ -371,6 +374,7 @@ impl World {
         );
         let after = self.live.stats();
         let by_spine = after.spine_answers > before.spine_answers;
+        self.tally.spine_pinned += after.pinned_spine_answers - before.pinned_spine_answers;
         match expected {
             SatResult::Sat => {
                 self.tally.spine_sat += u64::from(by_spine);
