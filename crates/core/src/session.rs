@@ -310,14 +310,24 @@ impl JitSession {
     /// the `pop`). `Some(true)` leaves the satisfying
     /// model readable; `None` is `Unknown` or a solver error, which every
     /// caller treats as "not feasible" and certifies nothing from.
+    ///
+    /// A window end at the edge of `i64` bounds nothing, and is left out:
+    /// every `i64` satisfies `x ≤ i64::MAX`, whose negation has no compiled
+    /// form, so asking it would fail the probe.
     fn window_probe(&mut self, k: usize, windows: &[(i64, i64)]) -> Option<bool> {
         let t = self.var_terms[k];
         let mut options = Vec::with_capacity(windows.len());
         for &(lo, hi) in windows {
-            let (lo, hi) = (self.solver.int(lo), self.solver.int(hi));
-            let ge = self.solver.ge(t, lo);
-            let le = self.solver.le(t, hi);
-            options.push(self.solver.and(&[ge, le]));
+            let mut bounds = Vec::with_capacity(2);
+            if lo > i64::MIN {
+                let lo = self.solver.int(lo);
+                bounds.push(self.solver.ge(t, lo));
+            }
+            if hi < i64::MAX {
+                let hi = self.solver.int(hi);
+                bounds.push(self.solver.le(t, hi));
+            }
+            options.push(self.solver.and(&bounds));
         }
         let any = self.solver.or(&options);
         match self.solver.check_assuming(&[any]) {
@@ -959,13 +969,12 @@ mod tests {
         // [0, 10^7] by decades would take 10^6 checks, and [0, i64::MAX]
         // more memory than a box holds — so each decade a query lands in is
         // enumerated when it does, at the top of i64 too, where the
-        // decade's end is no i64. (Queries that
-        // reach `i64::MAX` itself are left out: the exact ones'
-        // `x <= i64::MAX` has no compiled negation, so they err to `false`.)
+        // decade's end is no i64. The exact side answers at `i64::MAX`
+        // itself, its window's upper end left out.
         for hi in [10_000_000, i64::MAX] {
             let mut guided = wide_session(hi);
             let mut exact = wide_session(hi);
-            let values = (0..=12).chain((hi - 14..hi).rev());
+            let values = (0..=12).chain((hi - 14..=hi).rev());
             for value in values {
                 assert_eq!(
                     guided.value_feasible_guided(0, value),
@@ -973,7 +982,7 @@ mod tests {
                     "value {value} over [0, {hi}]"
                 );
             }
-            for prefix in [1, 9, hi / 100] {
+            for prefix in [1, 9, hi / 100, hi / 10] {
                 assert_eq!(
                     guided.prefix_feasible_guided(0, prefix, 1),
                     exact.prefix_feasible(0, prefix, 1),

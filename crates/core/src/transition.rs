@@ -387,19 +387,27 @@ mod tests {
         let sp = spec(i64::MAX);
         let mut s = edge_session();
         // `x ≥ 9.2·10^18` takes 19 digits, and every 19-digit value from
-        // 93… on lies past `i64`: after `9`, only `2` can complete.
+        // 93… on lies past `i64`: after `9`, only `2` can complete. The
+        // exact probe agrees: a window ending at `i64::MAX` is asked
+        // without that end.
         let mut st = VarState::start();
         assert!(st.push(9));
-        let opts = allowed_chars(&mut s, 0, &sp, &st, Lookahead::IntervalGuided);
-        assert_eq!(opts.digits, [2]);
-        assert!(!opts.terminator);
+        for lookahead in [Lookahead::IntervalGuided, Lookahead::Full] {
+            let opts = allowed_chars(&mut s, 0, &sp, &st, lookahead);
+            assert_eq!(opts.digits, [2], "{lookahead:?}");
+            assert!(!opts.terminator, "{lookahead:?}");
+        }
 
         // One digit short of i64::MAX = 9223372036854775807.
         let st = VarState {
             prefix: 922_337_203_685_477_580,
             len: 18,
         };
-        for lookahead in [Lookahead::IntervalGuided, Lookahead::ImmediateOnly] {
+        for lookahead in [
+            Lookahead::IntervalGuided,
+            Lookahead::ImmediateOnly,
+            Lookahead::Full,
+        ] {
             let opts = allowed_chars(&mut s, 0, &sp, &st, lookahead);
             assert_eq!(opts.digits, (0..=7).collect::<Vec<u8>>(), "{lookahead:?}");
             assert!(!opts.terminator, "{lookahead:?}");
@@ -409,18 +417,20 @@ mod tests {
         assert_eq!((top.prefix, top.len), (st.prefix, st.len));
 
         // Taking the largest allowed digit at every step walks to i64::MAX.
-        let mut s = edge_session();
-        let mut st = VarState::start();
-        loop {
-            let opts = allowed_chars(&mut s, 0, &sp, &st, Lookahead::IntervalGuided);
-            match opts.digits.last() {
-                Some(&d) => assert!(st.push(d)),
-                None => {
-                    assert!(opts.terminator, "dead end at prefix {}", st.prefix);
-                    break;
+        for lookahead in [Lookahead::IntervalGuided, Lookahead::Full] {
+            let mut s = edge_session();
+            let mut st = VarState::start();
+            loop {
+                let opts = allowed_chars(&mut s, 0, &sp, &st, lookahead);
+                match opts.digits.last() {
+                    Some(&d) => assert!(st.push(d)),
+                    None => {
+                        assert!(opts.terminator, "{lookahead:?}: dead end at {}", st.prefix);
+                        break;
+                    }
                 }
             }
+            assert_eq!(st.prefix, i64::MAX, "{lookahead:?}");
         }
-        assert_eq!(st.prefix, i64::MAX);
     }
 }
