@@ -834,59 +834,91 @@ pub fn batch_scaling(env: &BenchEnv) -> Table {
     table
 }
 
-/// Model-side decode throughput: tokens/s through the trained GPT when
-/// appending one token per KV-cache lane per step — one lane (a single
-/// [`LanguageModel::next_logits`] call) vs several lanes sharing each
-/// weight sweep ([`lejit_lm::TinyGpt::append_tokens_batch`]).
+/// Model-side throughput of the trained GPT, in two parts.
 ///
-/// This isolates the GEMV→GEMM effect that the end-to-end tables dilute:
-/// at bench scale the SMT solver dominates LeJIT's wall clock (the tiny
-/// GPT is a few percent of a decode), so even a large model-side win moves
-/// [`batch_scaling`]'s end-to-end column only slightly. On the paper's
+/// Decode: tokens/s when appending one token per KV-cache lane per step —
+/// one lane (a single [`LanguageModel::next_logits`] call) vs several lanes
+/// sharing each weight sweep ([`lejit_lm::TinyGpt::append_tokens_batch`]).
+/// This is the GEMV→GEMM effect of batching records.
+///
+/// Prefill: test window 0's imputation prompt fed to a fresh one-lane cache
+/// one token per step, against the same prompt as one run
+/// ([`lejit_lm::TinyGpt::forward_batch_cached`]), where every product
+/// covers the whole prompt and the last layer carries only the final row on
+/// past its K/V write. Every record's first model call is such a prompt.
+///
+/// `µs/sequence` is per lane: test window 0's whole example on a decode
+/// row, the prompt on a prefill row. `speedup` compares a decode row with
+/// one lane and the one-run prompt with the prompt fed one per step.
+///
+/// Both isolate the model, which the end-to-end tables dilute: a traced
+/// `impute_fresh` benchmark pass puts the model near half of a record's
+/// time, the rest going to grounding and the solver. On the paper's
 /// 124 M-parameter GPT-2 the model share — and hence this table — is what
-/// governs end-to-end batching gains.
+/// governs end-to-end gains.
 pub fn batch_forward_throughput(env: &BenchEnv) -> Table {
-    use lejit_telemetry::encode_imputation_example;
+    use lejit_lm::TokenId;
+    use lejit_telemetry::{encode_imputation_example, encode_prompt, PROMPT_SEPARATOR};
     let gpt = &env.gpt;
-    let text = encode_imputation_example(&env.dataset.test[0]);
-    let toks = gpt.vocab().encode(&text).expect("eval text is in-vocab");
+    let encode = |text: String| gpt.vocab().encode(&text).expect("eval text is in-vocab");
+    let toks = encode(encode_imputation_example(&env.dataset.test[0]));
     let len = toks.len().min(gpt.config().max_seq_len);
     let toks = &toks[..len];
+    let prompt = encode(encode_prompt(&env.dataset.test[0].coarse) + &PROMPT_SEPARATOR.to_string());
     // Every config processes (at least) this many tokens so the timings
     // compare equal work.
     let target_tokens = 64 * len;
-    let mut table = Table::new(&["lanes", "tokens/s", "µs/token", "speedup vs 1 lane"]);
-    let mut base: Option<f64> = None;
-    for lanes in [1usize, 4, 8, 16] {
-        let reps = (target_tokens / (lanes * len)).max(1);
+    let mut table = Table::new(&["step", "tokens/s", "µs/token", "µs/sequence", "speedup"]);
+    // µs per token of `one`, which feeds `tokens` tokens a call.
+    let us_per_token = |tokens: usize, one: &dyn Fn() -> f32| {
+        let reps = (target_tokens / tokens).max(1);
         let start = Instant::now();
-        let mut sink = 0.0f32;
-        for _ in 0..reps {
-            let mut cache = gpt.new_batch_cache(lanes);
-            for &t in toks {
-                let entries: Vec<(usize, lejit_lm::TokenId)> = (0..lanes).map(|l| (l, t)).collect();
-                let logits = gpt.append_tokens_batch(&mut cache, &entries);
-                sink += logits[0][0];
-            }
-        }
+        let sink: f32 = (0..reps).map(|_| one()).sum();
         std::hint::black_box(sink);
-        let secs = start.elapsed().as_secs_f64();
-        let tokens = (reps * lanes * len) as f64;
-        let rate = tokens / secs;
-        let speedup = match base {
-            None => {
-                base = Some(rate);
-                "1.00x".to_string()
-            }
-            Some(b) => format!("{:.2}x", rate / b),
-        };
+        1e6 * start.elapsed().as_secs_f64() / (reps * tokens) as f64
+    };
+    let mut row = |label: String, us: f64, seq_len: usize, base_us: f64| {
         table.row(vec![
-            lanes.to_string(),
-            format!("{rate:.0}"),
-            format!("{:.1}", 1e6 / rate),
-            speedup,
+            label,
+            format!("{:.0}", 1e6 / us),
+            format!("{us:.1}"),
+            format!("{:.0}", us * seq_len as f64),
+            format!("{:.2}x", base_us / us),
         ]);
+    };
+    let mut one_lane = None;
+    for lanes in [1usize, 4, 8, 16] {
+        let us = us_per_token(lanes * len, &|| {
+            let mut cache = gpt.new_batch_cache(lanes);
+            let mut sink = 0.0f32;
+            for &t in toks {
+                let entries: Vec<(usize, TokenId)> = (0..lanes).map(|l| (l, t)).collect();
+                sink += gpt.append_tokens_batch(&mut cache, &entries)[0][0];
+            }
+            sink
+        });
+        let plural = if lanes == 1 { "" } else { "s" };
+        let base = *one_lane.get_or_insert(us);
+        row(format!("decode, {lanes} lane{plural}"), us, len, base);
     }
+    let n = prompt.len();
+    let stepped = us_per_token(n, &|| {
+        let mut cache = gpt.new_batch_cache(1);
+        prompt
+            .iter()
+            .map(|&t| gpt.append_tokens_batch(&mut cache, &[(0, t)])[0][0])
+            .sum()
+    });
+    let run = us_per_token(n, &|| {
+        gpt.forward_batch_cached(&mut gpt.new_batch_cache(1), &[&prompt])[0][0]
+    });
+    row(
+        format!("prompt ({n} tokens), one per step"),
+        stepped,
+        n,
+        stepped,
+    );
+    row(format!("prompt ({n} tokens), one run"), run, n, stepped);
     table
 }
 

@@ -8,12 +8,18 @@
 //! The cache holds several independent sequences ("lanes"): each layer
 //! stores one `lanes·max_seq_len × d` K/V matrix and lane `l`'s
 //! position-`p` row lives at the fixed offset `l·max_seq_len + p`.
-//! [`TinyGpt::append_tokens_batch`] steps any subset of lanes by one token:
-//! every weight projection is one [`Matrix::affine`] over the stacked rows
-//! (GEMM-shaped), attention stays per-lane (lanes have different lengths).
+//! There is one transformer step. It appends a *run* of tokens to each of
+//! any subset of lanes — a whole prompt, a schema literal, or the one
+//! sampled character — as consecutive rows of one stacked matrix: every
+//! weight projection is one [`Matrix::affine`] over all rows of all lanes
+//! (GEMM-shaped), attention stays per row (each row sees its lane's cached
+//! rows and the rows before it in its run). Only a run's last row has its
+//! logits read, so the last layer carries only that row past its K/V write.
+//! [`TinyGpt::forward_batch_cached`] hands it every lagging lane's pending
+//! tokens at once; [`TinyGpt::append_tokens_batch`] hands it runs of one.
 //! A lane's floats are a pure function of that lane's tokens — never of
-//! its neighbours or of the batch width — so batching cannot change decoded
-//! output (DESIGN.md §8).
+//! its neighbours, of the batch width or of how its tokens were split into
+//! runs — so batching cannot change decoded output (DESIGN.md §8).
 //!
 //! [`CachedGpt`] wraps a model + cache behind the stateless
 //! [`LanguageModel`] trait: it matches each requested context to the lane
@@ -114,7 +120,8 @@ impl TinyGpt {
     }
 
     /// Appends one token to each listed lane and returns each lane's
-    /// next-token logits, in `entries` order.
+    /// next-token logits, in `entries` order: the step of
+    /// [`TinyGpt::forward_batch_cached`] with a run of one token per lane.
     ///
     /// # Panics
     /// Panics if a lane index is out of range, listed twice, or already
@@ -125,79 +132,110 @@ impl TinyGpt {
         cache: &mut KvCache,
         entries: &[(usize, TokenId)],
     ) -> Vec<Vec<f32>> {
-        self.step_lanes(cache, entries);
+        let runs: Vec<(usize, &[TokenId])> = entries
+            .iter()
+            .map(|(l, tok)| (*l, std::slice::from_ref(tok)))
+            .collect();
+        self.step_lanes(cache, &runs);
         entries
             .iter()
             .map(|&(l, _)| cache.last_logits[l].clone())
             .collect()
     }
 
-    /// The one transformer step: appends one token to each listed lane and
-    /// leaves each lane's next-token logits in the cache.
+    /// The one transformer step: appends a run of tokens to each listed
+    /// lane and leaves each lane's next-token logits in the cache.
     ///
-    /// The per-row work (embedding sum, LayerNorm, residual adds,
+    /// A run's tokens are consecutive rows of one stacked activation
+    /// matrix. The per-row work (embedding sum, LayerNorm, residual adds,
     /// attention) is scalar, while every weight projection (QKV, attention
     /// output, both MLP layers, the LM head) runs as one [`Matrix::affine`]
     /// over the stacked rows, so each weight is streamed once per step
-    /// instead of once per lane.
-    fn step_lanes(&self, cache: &mut KvCache, entries: &[(usize, TokenId)]) {
+    /// instead of once per token. Each layer writes every row's K/V before
+    /// attending, so row `j` of a run attends to the lane's cached rows and
+    /// rows `0..=j` of its own run — the rows a one-token step at that
+    /// position would see.
+    ///
+    /// Only a run's last row has its logits read, and after the last
+    /// layer's K/V write nothing reads an earlier row's residual stream:
+    /// later positions read that layer's K/V rows, never its output. So
+    /// the last layer carries only each lane's last row past its K/V write
+    /// (attention, projection, MLP, final LayerNorm and head). Every kept
+    /// row does the same per-element arithmetic as a one-token step, so a
+    /// run's logits equal the last of its one-token steps bit for bit.
+    fn step_lanes(&self, cache: &mut KvCache, runs: &[(usize, &[TokenId])]) {
         let cfg = *self.config();
         let d = cfg.d_model;
         let hd = d / cfg.n_heads;
-        let b = entries.len();
+        let b = runs.len();
         if b == 0 {
             return;
         }
         let mut seen = vec![false; cache.lanes()];
-        for &(l, _) in entries {
+        for &(l, run) in runs {
             assert!(l < cache.lanes(), "lane {l} out of range");
             assert!(!seen[l], "duplicate lane {l} in batch");
             seen[l] = true;
+            assert!(!run.is_empty(), "empty run for lane {l}");
             assert!(
-                cache.tokens[l].len() < cache.stride,
+                cache.tokens[l].len() + run.len() <= cache.stride,
                 "KV cache full; rebuild with truncation"
             );
         }
 
-        // X[i] = tok_emb[tok] + pos_emb[pos], row by row.
-        let mut x = Matrix::zeros(b, d);
-        for (i, &(l, tok)) in entries.iter().enumerate() {
-            let pos = cache.tokens[l].len();
-            let row = x.row_mut(i);
-            row.copy_from_slice(self.tok_embedding_row(tok));
-            for (xi, &p) in row.iter_mut().zip(self.pos_embedding_row(pos)) {
-                *xi += p;
+        // One query per stacked row: (its lane's first K/V row, its
+        // position). `last[i]` is the last row of `runs[i]`.
+        let mut queries: Vec<(usize, usize)> = Vec::new();
+        let mut last: Vec<usize> = Vec::with_capacity(b);
+        // X[r] = tok_emb[tok] + pos_emb[pos], row by row.
+        let mut x = Matrix::zeros(runs.iter().map(|(_, run)| run.len()).sum(), d);
+        for &(l, run) in runs {
+            let start = cache.tokens[l].len();
+            for (j, &tok) in run.iter().enumerate() {
+                let pos = start + j;
+                let row = x.row_mut(queries.len());
+                row.copy_from_slice(self.tok_embedding_row(tok));
+                for (xi, &p) in row.iter_mut().zip(self.pos_embedding_row(pos)) {
+                    *xi += p;
+                }
+                queries.push((l * cache.stride, pos));
             }
+            last.push(queries.len() - 1);
         }
 
         let scale = 1.0 / (hd as f32).sqrt();
         let mut scores: Vec<f32> = Vec::with_capacity(cache.stride);
         for layer in 0..cfg.n_layers {
             // Attention sub-block: per-row LN, one batched QKV projection.
-            let mut a = Matrix::zeros(b, d);
-            for i in 0..b {
+            let mut a = Matrix::zeros(x.rows(), d);
+            for i in 0..x.rows() {
                 self.apply_layer_norm(layer, true, x.row(i), a.row_mut(i));
             }
             let (qkv_w, qkv_b) = self.attn_qkv_weights(layer);
-            let qkv = a.affine(qkv_w, qkv_b); // b×3d
+            let mut qkv = a.affine(qkv_w, qkv_b); // rows×3d
             {
-                // Write K/V rows before attending so each lane's scores
-                // include its own new position.
+                // Write K/V rows before attending so each row's scores
+                // include its own position and its run's earlier rows.
                 let (k_cache, v_cache) = &mut cache.layers[layer];
-                for (i, &(l, _)) in entries.iter().enumerate() {
-                    let at = l * cache.stride + cache.tokens[l].len();
+                for (i, &(base, pos)) in queries.iter().enumerate() {
+                    let at = base + pos;
                     let row = qkv.row(i);
                     k_cache.row_mut(at).copy_from_slice(&row[d..2 * d]);
                     v_cache.row_mut(at).copy_from_slice(&row[2 * d..3 * d]);
                 }
             }
-            // Per-lane scalar attention over the lane's cached positions
-            // (causal by construction).
-            let mut attn = Matrix::zeros(b, d);
+            if layer + 1 == cfg.n_layers && x.rows() > b {
+                // The last layer: only each run's last row goes on.
+                x = gather_rows(&x, &last);
+                qkv = gather_rows(&qkv, &last);
+                queries = last.iter().map(|&r| queries[r]).collect();
+            }
+            // Per-row scalar attention over the lane's rows up to the
+            // row's own position (causal by construction).
+            let mut attn = Matrix::zeros(x.rows(), d);
             let (k_cache, v_cache) = &cache.layers[layer];
-            for (i, &(l, _)) in entries.iter().enumerate() {
-                let base = l * cache.stride;
-                let n = cache.tokens[l].len() + 1; // includes the new row
+            for (i, &(base, pos)) in queries.iter().enumerate() {
+                let n = pos + 1; // includes the row's own position
                 let qkv_row = qkv.row(i);
                 let attn_out = attn.row_mut(i);
                 for h in 0..cfg.n_heads {
@@ -224,8 +262,8 @@ impl TinyGpt {
             }
 
             // MLP sub-block: per-row LN, batched fc → GELU → batched out.
-            let mut m = Matrix::zeros(b, d);
-            for i in 0..b {
+            let mut m = Matrix::zeros(x.rows(), d);
+            for i in 0..x.rows() {
                 self.apply_layer_norm(layer, false, x.row(i), m.row_mut(i));
             }
             let (fc_w, fc_b, out_w, out_b) = self.mlp_weights(layer);
@@ -238,6 +276,10 @@ impl TinyGpt {
                 *xi += p;
             }
         }
+        if x.rows() > b {
+            // Only a model without layers reaches the head with every row.
+            x = gather_rows(&x, &last);
+        }
 
         let mut xf = Matrix::zeros(b, d);
         for i in 0..b {
@@ -246,8 +288,8 @@ impl TinyGpt {
         let (head_w, head_b) = self.head_weights();
         let logits = xf.affine(head_w, head_b);
 
-        for (i, &(l, tok)) in entries.iter().enumerate() {
-            cache.tokens[l].push(tok);
+        for (i, &(l, run)) in runs.iter().enumerate() {
+            cache.tokens[l].extend_from_slice(run);
             cache.last_logits[l].clear();
             cache.last_logits[l].extend_from_slice(logits.row(i));
         }
@@ -263,9 +305,10 @@ impl TinyGpt {
     /// contexts fall back to a BOS token, overlong contexts are truncated
     /// to the last `max_seq_len` tokens, a lane is reused iff its tokens
     /// are a prefix of its context and reset otherwise, and an unchanged
-    /// context is answered from the lane's stored logits. Lanes that lag
-    /// behind their target catch up one token per round, through the same
-    /// step as [`TinyGpt::append_tokens_batch`].
+    /// context is answered from the lane's stored logits. Every lane that
+    /// lags behind its target takes the tokens it lacks as one run, and
+    /// all runs go through a single step — the one that
+    /// [`TinyGpt::append_tokens_batch`] takes with runs of one token.
     ///
     /// # Panics
     /// Panics if `contexts.len() > cache.lanes()`.
@@ -305,24 +348,28 @@ impl TinyGpt {
             }
         }
 
-        // Catch lagging lanes up, one token per lane per round.
-        loop {
-            let entries: Vec<(usize, TokenId)> = lanes
-                .iter()
-                .zip(&targets)
-                .filter(|(&l, t)| cache.tokens[l].len() < t.len())
-                .map(|(&l, t)| (l, t[cache.tokens[l].len()]))
-                .collect();
-            if entries.is_empty() {
-                break;
-            }
-            self.step_lanes(cache, &entries);
-        }
+        // Every lagging lane appends the tokens it lacks, in one step.
+        let runs: Vec<(usize, &[TokenId])> = lanes
+            .iter()
+            .zip(&targets)
+            .filter(|(&l, t)| cache.tokens[l].len() < t.len())
+            .map(|(&l, t)| (l, &t[cache.tokens[l].len()..]))
+            .collect();
+        self.step_lanes(cache, &runs);
         lanes
             .iter()
             .map(|&l| cache.last_logits[l].clone())
             .collect()
     }
+}
+
+/// The rows `rows` of `x`, in that order.
+fn gather_rows(x: &Matrix, rows: &[usize]) -> Matrix {
+    let mut out = Matrix::zeros(rows.len(), x.cols());
+    for (i, &r) in rows.iter().enumerate() {
+        out.row_mut(i).copy_from_slice(x.row(r));
+    }
+    out
 }
 
 /// A [`TinyGpt`] wrapped with an interior-mutable [`KvCache`], implementing
@@ -331,8 +378,8 @@ impl TinyGpt {
 /// round, [`LanguageModel::next_logits`] the same step at width one.
 ///
 /// The cache starts with one lane and is rebuilt at the new width when
-/// `forward_batch` is handed more contexts than it has lanes; the lanes
-/// then catch up from their contexts, which moves no output byte.
+/// `forward_batch` is handed more contexts than it has lanes; each lane
+/// then takes its whole context as one run, which moves no output byte.
 pub struct CachedGpt<'m> {
     gpt: &'m TinyGpt,
     cache: RefCell<KvCache>,
@@ -377,11 +424,15 @@ mod tests {
     use crate::tokenizer::Vocab;
 
     fn model() -> TinyGpt {
+        model_with_layers(2)
+    }
+
+    fn model_with_layers(n_layers: usize) -> TinyGpt {
         let vocab = Vocab::from_corpus("0123456789,.");
         TinyGpt::new(
             GptConfig {
                 d_model: 16,
-                n_layers: 2,
+                n_layers,
                 n_heads: 2,
                 max_seq_len: 24,
             },
@@ -530,6 +581,74 @@ mod tests {
         let got = m.forward_batch_cached(&mut cache, &ctxs);
         for (ctx, row) in ctxs.iter().zip(&got) {
             assert_eq!(row, &one_lane(&m, ctx));
+        }
+    }
+
+    fn as_slices(v: &[Vec<TokenId>]) -> Vec<&[TokenId]> {
+        v.iter().map(|t| t.as_slice()).collect()
+    }
+
+    /// `tokens` stepped one at a time through a fresh one-lane cache: the
+    /// logits after each token. `append_tokens_batch` is the reference
+    /// because it takes runs of one token, where `forward_batch_cached`
+    /// takes a lane's pending tokens as one run.
+    fn single_steps(m: &TinyGpt, tokens: &[TokenId]) -> Vec<Vec<f32>> {
+        let mut cache = m.new_batch_cache(1);
+        tokens
+            .iter()
+            .map(|&t| m.append_tokens_batch(&mut cache, &[(0, t)]).remove(0))
+            .collect()
+    }
+
+    #[test]
+    fn runs_are_bitwise_equal_to_single_steps() {
+        // Six lanes at positions 3, 0 (BOS), 5, 10, 1 and 1 take runs of 1,
+        // 2, 7 and 14 tokens (the last fills its lane to exactly
+        // `max_seq_len` = 24), a BOS run and an overlong context's last 24
+        // tokens, all in one call; the last three reset their lane first.
+        // The last layer is where a run's earlier rows stop, so models with
+        // one, two and three layers are checked.
+        let prefixes = ["123", "", "5,6,7", "31,41,59,2", "7", "0"];
+        let long = "12,".repeat(20);
+        let contexts = [
+            "123,",
+            "98",
+            "5,6,77,8.0,1",
+            "31,41,59,26,53,58,97,932",
+            "",
+            long.as_str(),
+        ];
+        for n_layers in 1..=3 {
+            let m = model_with_layers(n_layers);
+            let prefixes = encode(&m, &prefixes);
+            let contexts = encode(&m, &contexts);
+            let mut cache = m.new_batch_cache(6);
+            let _ = m.forward_batch_cached(&mut cache, &as_slices(&prefixes));
+            let got = m.forward_batch_cached(&mut cache, &as_slices(&contexts));
+            let mut targets = contexts.clone();
+            targets[4] = vec![0];
+            targets[5].drain(..60 - 24);
+            for (l, target) in targets.iter().enumerate() {
+                assert_eq!(cache.tokens(l), target.as_slice(), "lane {l}");
+                assert_eq!(
+                    got[l],
+                    *single_steps(&m, target).last().unwrap(),
+                    "{n_layers} layers, lane {l}"
+                );
+            }
+            // The K/V rows a run left behind are the ones single steps
+            // leave: one more token on each lane that has room agrees too.
+            let next: Vec<(usize, TokenId)> = vec![(0, 1), (1, 2), (2, 3), (4, 4)];
+            let stepped = m.append_tokens_batch(&mut cache, &next);
+            for (&(l, tok), row) in next.iter().zip(&stepped) {
+                let mut longer = targets[l].clone();
+                longer.push(tok);
+                assert_eq!(
+                    *row,
+                    *single_steps(&m, &longer).last().unwrap(),
+                    "{n_layers} layers, lane {l} after the run"
+                );
+            }
         }
     }
 

@@ -9,10 +9,13 @@
 //! scalar tail in the same order. That is the per-element order of the
 //! naive `i-k-j` loop, so every product is bit-identical to it. The two
 //! transposed products transpose one operand once and call the same
-//! kernel. Output rows are *row-parallel* over the workspace thread pool
-//! ([`minipool`]) once a product is large enough to amortize the
-//! scoped-thread spawn; small products run inline. No thread count changes
-//! a float — the workspace-wide determinism contract.
+//! kernel. The training products' output rows are *row-parallel* over the
+//! workspace thread pool ([`minipool`]) once a product is large enough to
+//! amortize the scoped-thread spawn; small products run inline. `affine`,
+//! the KV-cached inference step's product, always runs inline: decoding
+//! already spreads records over the pool's workers, one record per thread.
+//! No thread count changes a float — the workspace-wide determinism
+//! contract.
 
 use minipool::ThreadPool;
 use rand::Rng;
@@ -40,17 +43,16 @@ fn matmul_pool(rows: usize, macs: usize) -> ThreadPool {
     }
 }
 
-/// `out += a · b`, the one product kernel. `out` arrives holding each
-/// element's initial value (zero or bias); per element the products are
-/// added in ascending `k`, skipping `a[i][k] == 0.0`, whatever the tile,
-/// chunk or thread count.
-fn accumulate_product(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+/// `out += a · b`, the one product kernel, over `pool`'s workers. `out`
+/// arrives holding each element's initial value (zero or bias); per
+/// element the products are added in ascending `k`, skipping
+/// `a[i][k] == 0.0`, whatever the tile, chunk or thread count.
+fn accumulate_product(a: &Matrix, b: &Matrix, out: &mut Matrix, pool: &ThreadPool) {
     debug_assert_eq!((a.cols, a.rows, b.cols), (b.rows, out.rows, out.cols));
     let n = b.cols;
     if n == 0 || a.rows == 0 {
         return;
     }
-    let pool = matmul_pool(a.rows, a.rows * a.cols * n);
     pool.run_chunks(&mut out.data, MM_BLOCK_I * n, |chunk_idx, out_chunk| {
         let r0 = chunk_idx * MM_BLOCK_I;
         let tiled = n - n % MM_TILE;
@@ -193,7 +195,8 @@ impl Matrix {
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         let mut out = Matrix::zeros(self.rows, other.cols);
-        accumulate_product(self, other, &mut out);
+        let pool = matmul_pool(self.rows, self.rows * self.cols * other.cols);
+        accumulate_product(self, other, &mut out, &pool);
         out
     }
 
@@ -209,6 +212,10 @@ impl Matrix {
     /// of any individual row — the foundation of the workspace's
     /// "byte-identical at any `LEJIT_BATCH`" contract.
     ///
+    /// It runs on the caller's thread whatever its size: a prompt's rows
+    /// reach it as one product, inside a decode worker that already holds
+    /// one of the pool's threads.
+    ///
     /// # Panics
     /// Panics on inner-dimension mismatch or if `bias` is not `1 × w.cols()`.
     pub fn affine(&self, w: &Matrix, bias: &Matrix) -> Matrix {
@@ -220,7 +227,7 @@ impl Matrix {
             cols: w.cols,
             data: bias.data.repeat(self.rows),
         };
-        accumulate_product(self, w, &mut out);
+        accumulate_product(self, w, &mut out, &ThreadPool::new(1));
         out
     }
 
